@@ -76,20 +76,24 @@ def burgers1d(spec: BenchmarkSpec) -> Model:
         up, um = neighbors(u)
         return -u * (up - um) / (2.0 * dx) + nu * (up - 2.0 * u + um) / dx**2
 
+    # sparsity pattern: row i couples to i-1, i, i+1 (wrapped if periodic)
+    from scipy import sparse
+    rows = np.arange(n)
+    cols_p = (rows + 1) % n
+    cols_m = (rows - 1) % n
+    keep_p = slice(None) if periodic else slice(0, n - 1)
+    keep_m = slice(None) if periodic else slice(1, n)
+    pattern = (np.concatenate([rows, rows[keep_p], rows[keep_m]]),
+               np.concatenate([rows, cols_p[keep_p], cols_m[keep_m]]))
+
     def jacobian(u, t):
+        """Tridiagonal (plus periodic wrap) Jacobian as a CSR matrix."""
         up, um = neighbors(u)
-        jac = np.zeros((n, n))
-        didx = np.arange(n)
-        jac[didx, didx] = -(up - um) / (2.0 * dx) - 2.0 * nu / dx**2
+        diag = -(up - um) / (2.0 * dx) - 2.0 * nu / dx**2
         off = -u / (2.0 * dx)
-        for i in range(n):
-            ip = (i + 1) % n if periodic else i + 1
-            im = (i - 1) % n if periodic else i - 1
-            if 0 <= ip < n:
-                jac[i, ip] += off[i] + nu / dx**2
-            if 0 <= im < n:
-                jac[i, im] += -off[i] + nu / dx**2
-        return jac
+        data = np.concatenate([diag, (off + nu / dx**2)[keep_p],
+                               (-off + nu / dx**2)[keep_m]])
+        return sparse.csr_array((data, pattern), shape=(n, n))
 
     return Model(dim=n, velocity=velocity, jacobian=jacobian,
                  initial_state=_initial_profile(spec))

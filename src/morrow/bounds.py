@@ -8,8 +8,9 @@ Local linear-multistep bounds at step n take the form
 with gamma1_l = |beta_l| dt / h, gamma2_l = (|alpha_l| + |beta_l| kappa dt)/h
 and h = |alpha_0| - |beta_0| kappa dt, where Proj is the orthogonal projector
 Phi Phi^T (Galerkin) or the oblique projector Phi (Psi^T Phi)^{-1} Psi^T
-(LSPG).  Global bounds propagate the local ones by forward recursion, which
-is numerically identical to the path-sum over coefficient tuples.  All
+(LSPG), which is kept factored so that no N x N matrix is formed.  Global
+bounds propagate the local ones by forward recursion, which is numerically
+identical to the path-sum over coefficient tuples.  All
 kappa-dependent bounds are valid modulo under-estimation of the Lipschitz
 constant.
 """
@@ -18,9 +19,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
 
-from .core import Model, SolverOptions, TrialSubspace, Trajectory, reconstruct
+from .core import (Model, SolverOptions, TrialSubspace, Trajectory, dense,
+                   reconstruct)
 from . import fom, lspg as lspg_mod
 from .schemes import ButcherTableau, LmmScheme, classify
 
@@ -86,7 +87,7 @@ def estimate_lipschitz(model: Model, sample_states, t_grid) -> float:
         fs = [model.velocity(x, t) for x in samples]
         for i in range(len(samples)):
             kappa = max(kappa, float(np.linalg.norm(
-                model.jacobian(samples[i], t), 2)))
+                dense(model.jacobian(samples[i], t)), 2)))
             for j in range(i + 1, len(samples)):
                 dx = np.linalg.norm(samples[i] - samples[j])
                 if dx > 0:
@@ -95,15 +96,43 @@ def estimate_lipschitz(model: Model, sample_states, t_grid) -> float:
     return kappa
 
 
-def _oblique_projector(sub: TrialSubspace, psi: np.ndarray) -> np.ndarray:
-    """P = Phi (Psi^T Phi)^{-1} Psi^T."""
-    phi = sub.basis
-    m = psi.T @ phi
-    sv = np.linalg.svd(m, compute_uv=False)
-    if sv[-1] <= 1e-13 * sv[0]:
-        raise BoundHypothesisError(
-            f"Psi^T Phi is numerically singular (sigma_min = {sv[-1]:.3e})")
-    return phi @ np.linalg.solve(m, psi.T)
+class _ObliqueProjector:
+    """P = Phi (Psi^T Phi)^{-1} Psi^T in factored form: only the N x p
+    bases and the p x p matrix Psi^T Phi are held.  Phi must be
+    orthonormal (as TrialSubspace requires)."""
+
+    def __init__(self, sub: TrialSubspace, psi: np.ndarray):
+        self.phi = sub.basis
+        self.psi = psi
+        self.m = psi.T @ self.phi
+        sv = np.linalg.svd(self.m, compute_uv=False)
+        if sv[-1] <= 1e-13 * sv[0]:
+            raise BoundHypothesisError(
+                f"Psi^T Phi is numerically singular "
+                f"(sigma_min = {sv[-1]:.3e})")
+
+    def deflate(self, v):
+        """(I - P) v."""
+        return v - self.phi @ np.linalg.solve(self.m, self.psi.T @ v)
+
+    def norm(self) -> float:
+        """||P||_2 = ||(Psi^T Phi)^{-1} R^T||_2 with Psi = Q R: Phi has
+        orthonormal columns and Q^T orthonormal rows, so neither factor
+        changes the 2-norm."""
+        r = np.linalg.qr(self.psi, mode="r")
+        return float(np.linalg.norm(np.linalg.solve(self.m, r.T), 2))
+
+
+def _step_projector(kind, model, sub, W, ctx, yhat):
+    """(deflate, ||Proj^n||_2) at one multistep step: I - Phi Phi^T for
+    Galerkin, the oblique projector from the converged test basis for
+    LSPG."""
+    if kind == "galerkin":
+        phi = sub.basis
+        return (lambda v: v - phi @ (phi.T @ v)), 1.0
+    proj = _ObliqueProjector(sub, lspg_mod.compute_test_basis(
+        model, sub, W, ctx, yhat).matrix)
+    return proj.deflate, proj.norm()
 
 
 def local_aposteriori_lmm(traj: Trajectory, kind: str, model: Model,
@@ -120,7 +149,6 @@ def local_aposteriori_lmm(traj: Trajectory, kind: str, model: Model,
     if kind == "lspg" and W is None:
         raise ValueError("lspg bounds need the weighting operator")
     dt = traj.dt
-    phi = sub.basis
     lifted = [reconstruct(sub, y) for y in traj.states]
     out = []
     for n in range(1, len(traj.states)):
@@ -136,19 +164,8 @@ def local_aposteriori_lmm(traj: Trajectory, kind: str, model: Model,
         hist = tuple(lifted[n - j] for j in range(1, k_eff + 1))
         ctx = fom.LmmStepContext(history=hist, n=n, dt=dt, scheme=scheme)
         rbar = fom.lmm_residual(model, ctx, lifted[n])
-
-        if kind == "galerkin":
-            def deflate(v):
-                return v - phi @ (phi.T @ v)
-            proj_norm = 1.0
-        else:
-            psi = lspg_mod.compute_test_basis(
-                model, sub, W, ctx, traj.states[n]).matrix
-            proj = _oblique_projector(sub, psi)
-
-            def deflate(v, proj=proj):
-                return v - proj @ v
-            proj_norm = float(np.linalg.norm(proj, 2))
+        deflate, proj_norm = _step_projector(kind, model, sub, W, ctx,
+                                             traj.states[n])
 
         terms = np.empty(k_eff + 1)
         for ell in range(k_eff + 1):
@@ -336,7 +353,6 @@ def auxiliary_increment_bound(model, lspg_traj, sub, dt, kappa,
     f_norms = np.zeros(n + 1)
     degenerate = np.zeros(n + 1, dtype=bool)
     aux_states = [None]
-    eye = np.eye(model.dim)
     for j in range(1, n + 1):
         anchor = phi @ lspg_traj.states[j - 1]
         xbar = anchor.copy()  # warm start
@@ -345,8 +361,8 @@ def auxiliary_increment_bound(model, lspg_traj, sub, dt, kappa,
             g = xbar - dt * model.velocity(x0 + xbar, tj) - anchor
             if np.linalg.norm(g) <= opts.newton_abs_tol:
                 break
-            jac = eye - dt * model.jacobian(x0 + xbar, tj)
-            xbar = xbar - lu_solve(lu_factor(jac), g)
+            jac = fom.shifted(1.0, dt, model.jacobian(x0 + xbar, tj))
+            xbar = xbar - fom.solve(jac, g)
         else:
             if np.linalg.norm(g) > max(opts.newton_abs_tol, 1e-8):
                 raise fom.StepSolveError(
@@ -454,9 +470,9 @@ def rk_aposteriori_bound(traj, kind, tableau, kappa, model, sub, W=None,
             else:
                 jf = model.jacobian(args[i], times[i])
                 psi_ii = W.gram_mat(
-                    (np.eye(model.dim) - dt * tableau.a[i, i] * jf) @ phi)
-                proj = _oblique_projector(sub, psi_ii)
-                term = np.linalg.norm(fval - proj @ fval)
+                    fom.shifted(1.0, dt * tableau.a[i, i], jf) @ phi)
+                proj = _ObliqueProjector(sub, psi_ii)
+                term = np.linalg.norm(proj.deflate(fval))
                 if mode == "general":
                     coupling = np.zeros(sub.p)
                     for e in range(s):
@@ -466,8 +482,8 @@ def rk_aposteriori_bound(traj, kind, tableau, kappa, model, sub, W=None,
                         mismatch = (phi @ stage_coords[e]
                                     - model.velocity(args[e], times[e]))
                         coupling += psi_ie.T @ mismatch
-                    m = psi_ii.T @ phi
-                    term += np.linalg.norm(phi @ np.linalg.solve(m, coupling))
+                    term += np.linalg.norm(
+                        phi @ np.linalg.solve(proj.m, coupling))
             sn += wstage[i] * term
             if i == 0:
                 term0[n] = term
@@ -499,27 +515,16 @@ def apriori_bounds_lmm_rk(fom_traj, rom_traj, kind, model, sub, scheme,
     dt = fom_traj.dt
     if abs(dt - rom_traj.dt) > 1e-14:
         raise ValueError("a priori bounds need FOM and ROM at the same dt")
-    phi = sub.basis
     lifted = [reconstruct(sub, y) for y in rom_traj.states]
     nsteps = len(rom_traj.states) - 1
     local_terms = []
     for n in range(1, nsteps + 1):
         alpha, beta = scheme.coeffs(n)
         k_eff = len(alpha) - 1
-        if kind == "galerkin":
-            def deflate(v):
-                return v - phi @ (phi.T @ v)
-            proj_norm = 1.0
-        else:
-            hist = tuple(lifted[n - j] for j in range(1, k_eff + 1))
-            ctx = fom.LmmStepContext(history=hist, n=n, dt=dt, scheme=scheme)
-            psi = lspg_mod.compute_test_basis(
-                model, sub, W, ctx, rom_traj.states[n]).matrix
-            proj = _oblique_projector(sub, psi)
-
-            def deflate(v, proj=proj):
-                return v - proj @ v
-            proj_norm = float(np.linalg.norm(proj, 2))
+        hist = tuple(lifted[n - j] for j in range(1, k_eff + 1))
+        ctx = fom.LmmStepContext(history=hist, n=n, dt=dt, scheme=scheme)
+        deflate, proj_norm = _step_projector(kind, model, sub, W, ctx,
+                                             rom_traj.states[n])
         h = abs(alpha[0]) - abs(beta[0]) * kappa * dt * proj_norm
         if h <= 0.0:
             raise BoundHypothesisError(
@@ -599,9 +604,9 @@ def _rk_apriori(fom_traj, rom_traj, kind, model, sub, tableau, kappa, W,
                                               (s - len(stage_coords))))
                 jf = model.jacobian(arg_rom, t_base + tableau.c[i] * dt)
                 psi = W.gram_mat(
-                    (np.eye(model.dim) - dt * tableau.a[i, i] * jf) @ phi)
-                projs[i] = _oblique_projector(sub, psi)
-                proj_norms[i] = np.linalg.norm(projs[i], 2)
+                    fom.shifted(1.0, dt * tableau.a[i, i], jf) @ phi)
+                projs[i] = _ObliqueProjector(sub, psi)
+                proj_norms[i] = projs[i].norm()
             absa = np.abs(tableau.a) * proj_norms[None, :]
             row = kappa * dt * np.max(np.sum(absa, axis=1))
             if row >= 1.0:
@@ -622,7 +627,7 @@ def _rk_apriori(fom_traj, rom_traj, kind, model, sub, tableau, kappa, W,
             if kind == "galerkin":
                 term = np.linalg.norm(fval - phi @ (phi.T @ fval))
             else:
-                term = np.linalg.norm(fval - projs[i] @ fval)
+                term = np.linalg.norm(projs[i].deflate(fval))
             sn += wstage[i] * term
         svals[n] = sn
 

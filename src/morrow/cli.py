@@ -223,7 +223,10 @@ def _write_pod(run, result):
     run.record("singular_values.csv")
 
 
-def _weighting_from_config(run, model, sub, scheme, dt, T, opts):
+def _weighting_from_config(run, model, sub, scheme, dt, T, opts,
+                           artifact="samples.txt"):
+    """The LSPG weighting the config asks for; GNAT writes its sampled rows
+    to the named artifact."""
     cp = run.cp
     kind = cp["rom"].get("kind", "galerkin") if cp.has_section("rom") \
         else "galerkin"
@@ -246,12 +249,14 @@ def _weighting_from_config(run, model, sub, scheme, dt, T, opts):
     n_samples = cp["rom"].getint("n_samples", 2 * rbasis.shape[1])
     n_samples = min(max(n_samples, rbasis.shape[1]), model.dim)
     samples = hyperreduction.select_samples(rbasis, n_samples)
-    hyperreduction.write_sample_set(samples, run.path("samples.txt"))
-    run.record("samples.txt")
+    hyperreduction.write_sample_set(samples, run.path(artifact))
+    run.record(artifact)
     return hyperreduction.gnat_weighting(samples, rbasis)
 
 
 def _run_rom(run, model, sub, kind=None):
+    """Run the configured ROM; returns (traj, lifted, W) with W the LSPG
+    weighting that ran (None for Galerkin)."""
     cp = run.cp
     scheme = _scheme_from_config(cp)
     dt = cp["time"].getfloat("dt")
@@ -259,6 +264,7 @@ def _run_rom(run, model, sub, kind=None):
     opts = _solver_from_config(cp)
     kind = kind or (cp["rom"].get("kind", "galerkin")
                     if cp.has_section("rom") else "galerkin")
+    W = None
     if kind == "galerkin":
         traj = _timed(run, "rom", lambda: galerkin.integrate_galerkin(
             model, sub, scheme, dt, T, opts))
@@ -279,7 +285,7 @@ def _run_rom(run, model, sub, kind=None):
         lspg.write_gn_diagnostics_csv(reports, run.path("gn_diagnostics.csv"))
         run.record("gn_diagnostics.csv")
     run.notes["rom_unstable"] = _is_unstable(lifted)
-    return traj, lifted
+    return traj, lifted, W
 
 
 def _kappa(run, model):
@@ -314,7 +320,7 @@ def cmd_rom(run):
     model, traj = _run_fom(run)
     result = _pod_from_config(run, model, traj)
     _write_pod(run, result)
-    rom_traj, lifted = _run_rom(run, model, result.basis)
+    rom_traj, lifted, _ = _run_rom(run, model, result.basis)
     probe = run.cp["output"].getint("probe", 0) \
         if run.cp.has_section("output") else 0
     err = analysis.trajectory_error(
@@ -324,7 +330,7 @@ def cmd_rom(run):
     return EXIT_OK
 
 
-def _sweep_point(run, dt, probe, ref_times, ref_probe, want_bound):
+def _sweep_point(run, index, dt, probe, ref_times, ref_probe, want_bound):
     cp = run.cp
     model = _model_from_config(cp, run.seed)
     scheme = _scheme_from_config(cp)
@@ -341,7 +347,9 @@ def _sweep_point(run, dt, probe, ref_times, ref_probe, want_bound):
         if kind == "galerkin":
             traj = galerkin.integrate_galerkin(model, sub, scheme, dt, T, opts)
         else:
-            W = _weighting_from_config(run, model, sub, scheme, dt, T, opts) \
+            W = _weighting_from_config(
+                run, model, sub, scheme, dt, T, opts,
+                artifact=f"samples_{index}.txt") \
                 if kind == "gnat" else lspg.scaled_identity(model.dim)
             traj, _ = lspg.integrate_lspg(model, sub, W, scheme, dt, T, opts)
         lifted_states = [reconstruct(sub, y) for y in traj.states]
@@ -403,8 +411,8 @@ def cmd_sweep(run):
     workers = max(1, run.args.parallel)
     with ThreadPoolExecutor(max_workers=workers) as pool:
         rows = list(pool.map(
-            lambda dt: _sweep_point(run, dt, probe, ref_times, ref_probe,
-                                    want_bound), dts))
+            lambda i: _sweep_point(run, i, dts[i], probe, ref_times,
+                                   ref_probe, want_bound), range(len(dts))))
     sweep = analysis.SweepResult(
         dt=np.array([r[0] for r in rows]),
         error=np.array([r[1] for r in rows]),
@@ -425,13 +433,12 @@ def cmd_bounds(run):
     cp = run.cp
     model, ref = _run_fom(run)
     result = _pod_from_config(run, model, ref)
-    rom_traj, lifted = _run_rom(run, model, result.basis)
+    rom_traj, lifted, W = _run_rom(run, model, result.basis)
     scheme = _scheme_from_config(cp)
     if not hasattr(scheme, "coeffs"):
         raise ConfigError("bound reports require a linear multistep scheme")
     kappa = _kappa(run, model)
     kind = "galerkin" if rom_traj.kind == "galerkin" else "lspg"
-    W = lspg.scaled_identity(model.dim)
     lt = bounds.local_aposteriori_lmm(rom_traj, kind, model, result.basis,
                                       scheme, kappa, W)
     rep = bounds.global_aposteriori_lmm(lt, kind)

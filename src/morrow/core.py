@@ -18,11 +18,12 @@ class Model:
 
     velocity and jacobian must be deterministic; jacobian(x, t) is expected
     to match central finite differences of velocity (see jacobian_fd_check).
+    jacobian may return a dense ndarray or a scipy.sparse matrix.
     """
 
     dim: int
     velocity: Callable[[np.ndarray, float], np.ndarray]
-    jacobian: Callable[[np.ndarray, float], np.ndarray]
+    jacobian: Callable[[np.ndarray, float], object]
     initial_state: np.ndarray
 
     def __post_init__(self):
@@ -114,6 +115,11 @@ def check_orthonormality(sub: TrialSubspace) -> float:
     return float(np.max(np.abs(g - np.eye(sub.p))))
 
 
+def dense(mat) -> np.ndarray:
+    """An ndarray as is; a scipy.sparse matrix as a dense copy."""
+    return mat if isinstance(mat, np.ndarray) else mat.toarray()
+
+
 def jacobian_fd_check(model: Model, x: np.ndarray, t: float,
                       fd_step: float = 1e-6) -> float:
     """Compare the analytic Jacobian against central finite differences.
@@ -121,7 +127,7 @@ def jacobian_fd_check(model: Model, x: np.ndarray, t: float,
     Returns the max entrywise deviation relative to the magnitude of the
     finite-difference matrix.  Step per component: fd_step * (1 + |x_i|).
     """
-    jac = model.jacobian(x, t)
+    jac = dense(model.jacobian(x, t))
     fd = np.empty_like(jac)
     for i in range(model.dim):
         h = fd_step * (1.0 + abs(x[i]))

@@ -10,6 +10,11 @@ and for a Runge-Kutta scheme the stage unknowns w_i (velocity values) satisfy
     r_i^n(w_1..w_s) = w_i - f(x^{n-1} + dt sum_j a_ij w_j, t^{n-1} + c_i dt) = 0
 
 with the explicit state update x^n = x^{n-1} + dt sum_i b_i w_i.
+
+Model Jacobians may be dense arrays or ``scipy.sparse`` matrices; every
+Newton matrix is c0 I - c1 J (``shifted``) and keeps J's type, and
+``solve`` factors it with dense or sparse LU to match.  ``scipy.sparse``
+is imported only when a sparse Jacobian shows up.
 """
 
 from dataclasses import dataclass
@@ -62,6 +67,32 @@ class RkStageSet:
     tableau: ButcherTableau
 
 
+def shifted(c0: float, c1: float, jac):
+    """c0 I - c1 J with an identity of J's own type: an ndarray stays
+    dense, a scipy.sparse matrix stays sparse (CSR)."""
+    if isinstance(jac, np.ndarray):
+        return c0 * np.eye(jac.shape[0]) - c1 * jac
+    from scipy import sparse
+    return c0 * sparse.eye_array(jac.shape[0], format="csr") - c1 * jac
+
+
+def solve(mat, rhs: np.ndarray) -> np.ndarray:
+    """mat^{-1} rhs by LU: lu_factor/lu_solve for an ndarray, splu for a
+    scipy.sparse matrix."""
+    if isinstance(mat, np.ndarray):
+        return lu_solve(lu_factor(mat), rhs)
+    from scipy.sparse.linalg import splu
+    return splu(mat.tocsc()).solve(rhs)
+
+
+def _block(blocks):
+    """Assemble a square grid of equal-size blocks of one type."""
+    if isinstance(blocks[0][0], np.ndarray):
+        return np.block(blocks)
+    from scipy import sparse
+    return sparse.block_array(blocks, format="csr")
+
+
 def lmm_residual(model: Model, ctx: LmmStepContext, w: np.ndarray) -> np.ndarray:
     alpha, beta = ctx.scheme.coeffs(ctx.n)
     tn = ctx.n * ctx.dt
@@ -74,13 +105,12 @@ def lmm_residual(model: Model, ctx: LmmStepContext, w: np.ndarray) -> np.ndarray
     return r
 
 
-def lmm_residual_jacobian(model: Model, ctx: LmmStepContext,
-                          w: np.ndarray) -> np.ndarray:
+def lmm_residual_jacobian(model: Model, ctx: LmmStepContext, w: np.ndarray):
+    """alpha_0 I - dt beta_0 df/dx(w), dense or sparse like the model's
+    Jacobian."""
     alpha, beta = ctx.scheme.coeffs(ctx.n)
-    jac = alpha[0] * np.eye(model.dim)
-    if beta[0] != 0.0:
-        jac = jac - ctx.dt * beta[0] * model.jacobian(w, ctx.n * ctx.dt)
-    return jac
+    return shifted(alpha[0], ctx.dt * beta[0],
+                   model.jacobian(w, ctx.n * ctx.dt))
 
 
 def solve_lmm_step(model: Model, ctx: LmmStepContext,
@@ -104,8 +134,7 @@ def solve_lmm_step(model: Model, ctx: LmmStepContext,
     if r0 <= tol:
         return w
     for _ in range(opts.max_iters):
-        jac = lmm_residual_jacobian(model, ctx, w)
-        w = w - lu_solve(lu_factor(jac), r)
+        w = w - solve(lmm_residual_jacobian(model, ctx, w), r)
         r = lmm_residual(model, ctx, w)
         if np.linalg.norm(r) <= tol:
             return w
@@ -141,14 +170,14 @@ def _solve_rk_stage(model, base_state, t_base, tableau, dt, prev_stages, i,
         return model.velocity(known, ti)
 
     w = model.velocity(base_state, t_base)  # standard warm start
-    eye = np.eye(model.dim)
     r = w - model.velocity(known + dt * aii * w, ti)
     tol = max(opts.newton_abs_tol, opts.newton_rel_tol * np.linalg.norm(r))
     for _ in range(opts.max_iters):
         if np.linalg.norm(r) <= tol:
             return w
-        jac = eye - dt * aii * model.jacobian(known + dt * aii * w, ti)
-        w = w - lu_solve(lu_factor(jac), r)
+        jac = shifted(1.0, dt * aii,
+                      model.jacobian(known + dt * aii * w, ti))
+        w = w - solve(jac, r)
         r = w - model.velocity(known + dt * aii * w, ti)
     if np.linalg.norm(r) <= tol:
         return w
@@ -165,26 +194,22 @@ def _solve_rk_coupled(model, base_state, t_base, tableau, dt, opts):
     def residual_and_jac(wvec):
         ws = wvec.reshape(s, ndof)
         r = np.empty((s, ndof))
-        jac = np.zeros((s * ndof, s * ndof))
+        blocks = []
         for i in range(s):
             arg = base_state + dt * (tableau.a[i] @ ws)
             ti = t_base + tableau.c[i] * dt
             r[i] = ws[i] - model.velocity(arg, ti)
             jf = model.jacobian(arg, ti)
-            for j in range(s):
-                blk = jac[i * ndof:(i + 1) * ndof, j * ndof:(j + 1) * ndof]
-                if i == j:
-                    blk += np.eye(ndof)
-                if tableau.a[i, j] != 0.0:
-                    blk -= dt * tableau.a[i, j] * jf
-        return r.ravel(), jac
+            blocks.append([dt * tableau.a[i, j] * jf for j in range(s)])
+        # block (i, j) of the stacked Jacobian: delta_ij I - dt a_ij J_i
+        return r.ravel(), shifted(1.0, 1.0, _block(blocks))
 
     r, jac = residual_and_jac(w)
     tol = max(opts.newton_abs_tol, opts.newton_rel_tol * np.linalg.norm(r))
     for _ in range(opts.max_iters):
         if np.linalg.norm(r) <= tol:
             break
-        w = w - lu_solve(lu_factor(jac), r)
+        w = w - solve(jac, r)
         r, jac = residual_and_jac(w)
     else:
         if np.linalg.norm(r) > tol:

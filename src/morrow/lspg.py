@@ -236,7 +236,6 @@ def solve_lspg_rk_stage(model, sub, W, stage_ctx: RkStageContext, opts,
             known = known + dt * tab.a[i, j] * (phi @ stage_ctx.prev_stage_coords[j])
     ti = stage_ctx.t_base + tab.c[i] * dt
     aii = tab.a[i, i]
-    eye = np.eye(model.dim)
 
     def residual(y):
         w = phi @ y
@@ -246,7 +245,7 @@ def solve_lspg_rk_stage(model, sub, W, stage_ctx: RkStageContext, opts,
         if aii == 0.0:
             return phi
         jf = model.jacobian(known + dt * aii * (phi @ y), ti)
-        return (eye - dt * aii * jf) @ phi
+        return fom.shifted(1.0, dt * aii, jf) @ phi
 
     y0 = phi.T @ model.velocity(stage_ctx.base_full, stage_ctx.t_base)
     yhat, report = _gauss_newton(residual, jacobian, y0, W, opts,

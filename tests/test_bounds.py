@@ -113,6 +113,32 @@ def test_oblique_projection_residual_identity():
             assert abs(lhs - step.residual_norm) < 1e-9
 
 
+def test_factored_projector_matches_dense_oracle():
+    # P = Phi (Psi^T Phi)^{-1} Psi^T formed densely, Psi not orthogonal
+    rng = np.random.default_rng(7)
+    for n, p in ((12, 3), (40, 5)):
+        sub = random_subspace(n, p, seed=n)
+        psi = sub.basis + 0.7 * rng.standard_normal((n, p))
+        dense_p = sub.basis @ np.linalg.solve(psi.T @ sub.basis, psi.T)
+        proj = bounds._ObliqueProjector(sub, psi)
+        for _ in range(3):
+            v = rng.standard_normal(n)
+            want = v - dense_p @ v
+            assert np.linalg.norm(proj.deflate(v) - want) \
+                <= 1e-12 * np.linalg.norm(want)
+        assert abs(proj.norm() - np.linalg.norm(dense_p, 2)) \
+            <= 1e-12 * np.linalg.norm(dense_p, 2)
+
+
+def test_factored_projector_rejects_singular_psi_phi():
+    sub = random_subspace(10, 3, seed=2)
+    psi = np.random.default_rng(3).standard_normal((10, 3))
+    psi -= sub.basis @ (sub.basis.T @ psi)  # Psi^T Phi = 0 up to roundoff
+    psi[:, 0] += sub.basis[:, 0]            # rank 1 of 3
+    with pytest.raises(BoundHypothesisError, match="singular"):
+        bounds._ObliqueProjector(sub, psi)
+
+
 # --------------------------------------------------------- global bound
 
 def enumerate_paths(local_terms, n):

@@ -196,3 +196,56 @@ def test_determinism_excluding_timings(tmp_path):
         a = open(os.path.join(outs[0], name), "rb").read()
         b = open(os.path.join(outs[1], name), "rb").read()
         assert a == b, f"{name} differs between identical runs"
+
+
+def test_bounds_report_uses_the_weighting_that_ran(tmp_path):
+    from morrow import benchmodels, bounds, hyperreduction, lspg
+    from morrow.core import SolverOptions
+    from morrow.schemes import make_lmm
+
+    samples = hyperreduction.SampleSet(indices=tuple(range(0, 24, 2)))
+    spath = tmp_path / "rows.txt"
+    hyperreduction.write_sample_set(samples, spath)
+    cfg = write_config(tmp_path, BASE + "\n[rom]\nkind = lspg\n"
+                       f"weighting = collocation:{spath}\n"
+                       "\n[bounds]\nkappa = 60.0\n")
+    out = str(tmp_path / "out")
+    assert cli.main(["bounds", "--config", cfg, "--out", out]) == 0
+    got = open(os.path.join(out, "bound_report.csv")).read()
+
+    # the same pipeline through the library, once per weighting
+    model = benchmodels.advection_diffusion(benchmodels.BenchmarkSpec(
+        name="advection_diffusion", n=24, viscosity=0.05, initial="gaussian"))
+    scheme, dt, T = make_lmm("backward_euler"), 0.004, 0.04
+    ref = fom.integrate(model, scheme, dt, T, SolverOptions())
+    x0 = ref.states[0]
+    sub = pod.compute_pod(pod.SnapshotSet(vectors=np.column_stack(
+        [x - x0 for x in ref.states[1:]])), 0.9999, reference=x0).basis
+    reports = []
+    for tag, W in (("colloc", lspg.collocation(24, samples)),
+                   ("ident", lspg.scaled_identity(24))):
+        traj, _ = lspg.integrate_lspg(model, sub, W, scheme, dt, T,
+                                      SolverOptions())
+        lt = bounds.local_aposteriori_lmm(traj, "lspg", model, sub, scheme,
+                                          60.0, W)
+        path = tmp_path / f"{tag}.csv"
+        bounds.write_bound_report_csv(
+            bounds.global_aposteriori_lmm(lt, "lspg"), path)
+        reports.append(path.read_text())
+    assert got == reports[0]
+    assert got != reports[1]
+
+
+def test_parallel_gnat_sweep_manifest_is_deterministic(tmp_path):
+    cfg = write_config(tmp_path, BASE + "\n[rom]\nkind = gnat\n")
+    grid = "0.008,0.004,0.002"
+    manifests = []
+    for workers in ("1", "2"):
+        out = str(tmp_path / f"par{workers}")
+        assert cli.main(["sweep", "--config", cfg, "--out", out,
+                         "--dt", grid, "--parallel", workers]) == 0
+        manifests.append(open(os.path.join(out, "manifest.json")).read())
+    assert manifests[0] == manifests[1]
+    artifacts = json.loads(manifests[0])["artifacts"]
+    assert sorted(a for a in artifacts if a.startswith("samples")) == [
+        "samples_0.txt", "samples_1.txt", "samples_2.txt"]

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import sparse
 
 from morrow.core import (Model, SolverOptions, TrialSubspace, Trajectory,
                          check_orthonormality, jacobian_fd_check, reconstruct)
@@ -40,18 +41,25 @@ def test_model_shape_validation():
               initial_state=np.zeros(4))
 
 
+def with_jacobian(m, jacobian):
+    return Model(dim=m.dim, velocity=m.velocity, jacobian=jacobian,
+                 initial_state=m.initial_state)
+
+
 def test_jacobian_fd_check_linear_exact():
     a = np.array([[0.0, 1.0], [-2.0, -0.1]])
     m = linear_model(a)
     assert jacobian_fd_check(m, np.array([0.3, -0.7]), 0.0) < 1e-8
+    sparse_m = with_jacobian(m, lambda x, t: sparse.csr_array(a))
+    assert jacobian_fd_check(sparse_m, np.array([0.3, -0.7]), 0.0) < 1e-8
 
 
 def test_jacobian_fd_check_flags_wrong_jacobian():
     a = np.array([[0.0, 1.0], [-2.0, -0.1]])
     m = linear_model(a)
-    bad = Model(dim=2, velocity=m.velocity, jacobian=lambda x, t: np.eye(2),
-                initial_state=m.initial_state)
-    assert jacobian_fd_check(bad, np.array([0.3, -0.7]), 0.0) > 0.1
+    for wrong in (np.eye(2), sparse.eye_array(2, format="csr")):
+        bad = with_jacobian(m, lambda x, t, wrong=wrong: wrong)
+        assert jacobian_fd_check(bad, np.array([0.3, -0.7]), 0.0) > 0.1
 
 
 def test_trajectory_times():
