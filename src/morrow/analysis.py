@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import TrialSubspace, Trajectory, reconstruct
+from .core import TrialSubspace, Trajectory
 
 
 def trajectory_error(times, values, ref_times, ref_values) -> float:
@@ -33,20 +33,14 @@ def relative_increment_projection_error(fom_traj: Trajectory,
     Returns (ratios, degenerate_mask, max_ratio); zero increments are
     flagged and excluded from the max.
     """
-    states = fom_traj.states
-    if len(states) < 2:
+    if len(fom_traj.states) < 2:
         raise ValueError("need at least 2 states")
     phi = sub.basis
-    n = len(states) - 1
-    ratios = np.zeros(n)
-    degenerate = np.zeros(n, dtype=bool)
-    for k in range(1, n + 1):
-        d = np.asarray(states[k]) - np.asarray(states[k - 1])
-        nd = np.linalg.norm(d)
-        if nd < 1e-14:
-            degenerate[k - 1] = True
-            continue
-        ratios[k - 1] = np.linalg.norm(d - phi @ (phi.T @ d)) / nd
+    d = np.diff(fom_traj.states, axis=0)
+    nd = np.linalg.norm(d, axis=1)
+    degenerate = nd < 1e-14
+    ratios = np.linalg.norm(d - (d @ phi) @ phi.T, axis=1) \
+        / np.where(degenerate, np.inf, nd)
     valid = ratios[~degenerate]
     max_ratio = float(np.max(valid)) if valid.size else 0.0
     return ratios, degenerate, max_ratio
@@ -129,13 +123,12 @@ def compare_trajectories(a: Trajectory, b: Trajectory,
         raise ValueError("trajectories are on different grids")
 
     def full(x):
-        x = np.asarray(x, float)
-        if lift is not None and x.shape[0] == lift.p:
-            return reconstruct(lift, x)
+        if lift is not None and x.shape[1] == lift.p:
+            return lift.reference + x @ lift.basis.T
         return x
 
-    return max(float(np.linalg.norm(full(xa) - full(xb)))
-               for xa, xb in zip(a.states, b.states))
+    return float(np.max(np.linalg.norm(full(a.states) - full(b.states),
+                                       axis=1)))
 
 
 @dataclass

@@ -8,14 +8,17 @@ Local linear-multistep bounds at step n take the form
 with gamma1_l = |beta_l| dt / h, gamma2_l = (|alpha_l| + |beta_l| kappa dt)/h
 and h = |alpha_0| - |beta_0| kappa dt, where Proj is the orthogonal projector
 Phi Phi^T (Galerkin) or the oblique projector Phi (Psi^T Phi)^{-1} Psi^T
-(LSPG), which is kept factored so that no N x N matrix is formed.  Global
-bounds propagate the local ones by forward recursion, which is numerically
-identical to the path-sum over coefficient tuples.  All
-kappa-dependent bounds are valid modulo under-estimation of the Lipschitz
-constant.
+(LSPG), which is kept factored so that no N x N matrix is formed.  A priori
+bounds evaluate f at FOM states and scale kappa by ||Proj||_2 in h and
+gamma2.  Global bounds, the backward-Euler form and the auxiliary
+increment bound all propagate local terms by forward recursion, which
+equals the path-sum over coefficient tuples (and the closed sums under
+backward Euler).  Runge-Kutta bounds read the stage values that the
+integrators record in ``Trajectory.stages``; they never re-solve a stage.
+All kappa-dependent bounds are valid modulo under-estimation of the
+Lipschitz constant.
 """
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -135,6 +138,47 @@ def _step_projector(kind, model, sub, W, ctx, yhat):
     return proj.deflate, proj.norm()
 
 
+def _lmm_local_terms(traj, kind, model, sub, scheme, kappa, W, f_states,
+                     proj_in_h):
+    """Local multistep terms along a ROM trajectory with f evaluated at
+    f_states: the lifted ROM states (None) a posteriori, the FOM states a
+    priori.  When proj_in_h, kappa enters h and gamma2 scaled by
+    ||Proj^n||_2 and no residual norm is taken (the a priori form)."""
+    if kind not in ("galerkin", "lspg"):
+        raise ValueError(f"unknown ROM kind {kind!r}")
+    if kind == "lspg" and W is None:
+        raise ValueError("lspg bounds need the weighting operator")
+    dt = traj.dt
+    lifted = sub.reference + traj.states @ sub.basis.T
+    f_states = lifted if f_states is None else f_states
+    out = []
+    for n in range(1, len(traj.states)):
+        alpha, beta = scheme.coeffs(n)
+        k_eff = len(alpha) - 1
+        hist = tuple(lifted[n - j] for j in range(1, k_eff + 1))
+        ctx = fom.LmmStepContext(history=hist, n=n, dt=dt, scheme=scheme)
+        deflate, proj_norm = _step_projector(kind, model, sub, W, ctx,
+                                             traj.states[n])
+        scale = proj_norm if proj_in_h else 1.0
+        h = abs(alpha[0]) - abs(beta[0]) * kappa * dt * scale
+        if h <= 0.0:
+            raise BoundHypothesisError(
+                f"time-step condition violated at n={n}: dt must be < "
+                f"|alpha_0|/(|beta_0| kappa{' ||P||' if proj_in_h else ''})"
+                f" = {abs(alpha[0]) / (abs(beta[0]) * kappa * scale):.3e}")
+        residual_norm = 0.0 if proj_in_h else float(np.linalg.norm(
+            fom.lmm_residual(model, ctx, lifted[n])))
+        terms = np.array([np.linalg.norm(deflate(model.velocity(
+            f_states[n - ell], (n - ell) * dt))) for ell in range(k_eff + 1)])
+        gamma1 = np.abs(beta) * dt / h
+        gamma2 = (np.abs(alpha[1:])
+                  + np.abs(beta[1:]) * kappa * dt * scale) / h
+        out.append(LocalStepTerms(
+            n=n, h=h, gamma1=gamma1, gamma2=gamma2, terms=terms,
+            residual_norm=residual_norm, proj_norm=proj_norm))
+    return out
+
+
 def local_aposteriori_lmm(traj: Trajectory, kind: str, model: Model,
                           sub: TrialSubspace, scheme: LmmScheme,
                           kappa: float, W=None):
@@ -144,47 +188,26 @@ def local_aposteriori_lmm(traj: Trajectory, kind: str, model: Model,
     the oblique projector built from the test basis at the converged step
     (W required).  Raises if the time-step condition h^n > 0 fails.
     """
-    if kind not in ("galerkin", "lspg"):
-        raise ValueError(f"unknown ROM kind {kind!r}")
-    if kind == "lspg" and W is None:
-        raise ValueError("lspg bounds need the weighting operator")
-    dt = traj.dt
-    lifted = [reconstruct(sub, y) for y in traj.states]
-    out = []
-    for n in range(1, len(traj.states)):
-        alpha, beta = scheme.coeffs(n)
-        h = abs(alpha[0]) - abs(beta[0]) * kappa * dt
-        if h <= 0.0:
-            raise BoundHypothesisError(
-                f"time-step condition violated at n={n}: "
-                f"dt must be < |alpha_0|/(|beta_0| kappa) = "
-                f"{abs(alpha[0]) / (abs(beta[0]) * kappa):.3e}")
-        k_eff = len(alpha) - 1
+    return _lmm_local_terms(traj, kind, model, sub, scheme, kappa, W,
+                            f_states=None, proj_in_h=False)
 
-        hist = tuple(lifted[n - j] for j in range(1, k_eff + 1))
-        ctx = fom.LmmStepContext(history=hist, n=n, dt=dt, scheme=scheme)
-        rbar = fom.lmm_residual(model, ctx, lifted[n])
-        deflate, proj_norm = _step_projector(kind, model, sub, W, ctx,
-                                             traj.states[n])
 
-        terms = np.empty(k_eff + 1)
-        for ell in range(k_eff + 1):
-            fval = model.velocity(lifted[n - ell], (n - ell) * dt)
-            terms[ell] = np.linalg.norm(deflate(fval))
-        gamma1 = np.abs(beta) * dt / h
-        gamma2 = (np.abs(alpha[1:]) + np.abs(beta[1:]) * kappa * dt) / h
-        out.append(LocalStepTerms(
-            n=n, h=h, gamma1=gamma1, gamma2=gamma2, terms=terms,
-            residual_norm=float(np.linalg.norm(rbar)), proj_norm=proj_norm))
-    return out
+def _report(local_terms, mode, kind, bound, local=None, **details):
+    """BoundReport carrying each step's l = 0 term and gamma1_0."""
+    term0 = np.zeros(len(bound))
+    coeff0 = np.zeros(len(bound))
+    for lt in local_terms:
+        term0[lt.n] = lt.terms[0]
+        coeff0[lt.n] = lt.gamma1[0]
+    return BoundReport(mode=mode, kind=kind,
+                       per_step_local=np.zeros(len(bound)) if local is None
+                       else local, per_step_bound=bound,
+                       term_projection=term0, coeff=coeff0, details=details)
 
 
 def _propagate(local_terms, mode, kind):
-    nsteps = len(local_terms)
-    bound = np.zeros(nsteps + 1)
-    local = np.zeros(nsteps + 1)
-    term0 = np.zeros(nsteps + 1)
-    coeff0 = np.zeros(nsteps + 1)
+    bound = np.zeros(len(local_terms) + 1)
+    local = np.zeros(len(local_terms) + 1)
     for lt in local_terms:
         c = lt.proj_contrib
         b = c
@@ -192,11 +215,7 @@ def _propagate(local_terms, mode, kind):
             b += lt.gamma2[ell - 1] * bound[lt.n - ell]
         bound[lt.n] = b
         local[lt.n] = c
-        term0[lt.n] = lt.terms[0]
-        coeff0[lt.n] = lt.gamma1[0]
-    return BoundReport(mode=mode, kind=kind, per_step_local=local,
-                       per_step_bound=bound, term_projection=term0,
-                       coeff=coeff0)
+    return _report(local_terms, mode, kind, bound, local)
 
 
 def global_aposteriori_lmm(local_terms, kind="galerkin") -> BoundReport:
@@ -206,11 +225,11 @@ def global_aposteriori_lmm(local_terms, kind="galerkin") -> BoundReport:
     return _propagate(local_terms, "aposteriori", kind)
 
 
-def _expm1_div(a: float, kappa: float) -> float:
+def _expm1_div(a, kappa: float):
     """(exp(a * kappa) - 1) / kappa with the kappa -> 0 limit a."""
     if kappa == 0.0:
         return a
-    return math.expm1(a * kappa) / kappa
+    return np.expm1(a * kappa) / kappa
 
 
 def _starred_constants(local_terms, scheme, kappa, dt):
@@ -268,72 +287,50 @@ def simplified_global_bounds(local_terms, scheme, kappa, dt, mode,
                        for lt in local_terms)
     max_res = max(lt.residual_norm for lt in local_terms)
 
-    bounds = np.zeros(nsteps + 1)
-    for n in range(1, nsteps + 1):
-        tn = n * dt
-        if mode == "timestep_independent":
-            if abs(k * a_s - a0s) > 1e-12:
+    tn = dt * np.arange(nsteps + 1)
+    if mode == "timestep_independent":
+        if abs(k * a_s - a0s) > 1e-12:
+            raise BoundHypothesisError(
+                f"k|alpha*| = {k * a_s} != |alpha_0*| = {a0s}")
+        bounds = ((k + 1) * beta_max / (k * b_s + b0s)
+                  * _expm1_div(tn * c, kappa) * max_term)
+    elif mode in ("aposteriori", "residual_form"):
+        denom = (k * a_s - a0s) + (k * b_s + b0s) * kappa * dt
+        growth = (k * a_s / a0s) ** np.arange(nsteps + 1)
+        if denom == 0.0:
+            if kappa > 0.0:
                 raise BoundHypothesisError(
-                    f"k|alpha*| = {k * a_s} != |alpha_0*| = {a0s}")
-            denom = k * b_s + b0s
-            bounds[n] = ((k + 1) * beta_max / denom
-                         * _expm1_div(tn * c, kappa) * max_term)
-        elif mode in ("aposteriori", "residual_form"):
-            denom = (k * a_s - a0s) + (k * b_s + b0s) * kappa * dt
-            growth = (k * a_s / a0s) ** n
-            if denom == 0.0:
-                if kappa > 0.0:
-                    raise BoundHypothesisError(
-                        "degenerate amplification denominator")
-                frac = tn * c / ((k * b_s + b0s) * dt)
-            else:
-                frac = math.expm1(tn * kappa * c) / denom
-            if mode == "aposteriori":
-                bounds[n] = (k + 1) * beta_max * dt * growth * frac * max_term
-            else:
-                for lt in local_terms:
-                    alpha, beta = scheme.coeffs(lt.n)
-                    if np.any(beta[1:] != 0.0):
-                        raise BoundHypothesisError(
-                            "residual_form requires beta_l = 0 for l >= 1 "
-                            f"(violated at n={lt.n})")
-                bounds[n] = (k + 1) * growth * frac * max_res
+                    "degenerate amplification denominator")
+            frac = tn * c / ((k * b_s + b0s) * dt)
         else:
-            raise ValueError(f"unknown mode {mode!r}")
-
-    term0 = np.zeros(nsteps + 1)
-    coeff0 = np.zeros(nsteps + 1)
-    for lt in local_terms:
-        term0[lt.n] = lt.terms[0]
-        coeff0[lt.n] = lt.gamma1[0]
-    return BoundReport(mode=mode, kind=kind,
-                       per_step_local=np.zeros(nsteps + 1),
-                       per_step_bound=bounds, term_projection=term0,
-                       coeff=coeff0,
-                       details={"alpha0_star": a0s, "beta0_star": b0s,
-                                "alpha_star": a_s, "beta_star": b_s,
-                                "beta_max": beta_max, "epsilon": epsilon})
+            frac = np.expm1(tn * kappa * c) / denom
+        if mode == "aposteriori":
+            bounds = (k + 1) * beta_max * dt * growth * frac * max_term
+        else:
+            for lt in local_terms:
+                if np.any(scheme.coeffs(lt.n)[1][1:] != 0.0):
+                    raise BoundHypothesisError(
+                        "residual_form requires beta_l = 0 for l >= 1 "
+                        f"(violated at n={lt.n})")
+            bounds = (k + 1) * growth * frac * max_res
+    else:
+        raise ValueError(f"unknown mode {mode!r}")
+    return _report(local_terms, mode, kind, bounds,
+                   alpha0_star=a0s, beta0_star=b0s, alpha_star=a_s,
+                   beta_star=b_s, beta_max=beta_max, epsilon=epsilon)
 
 
 def backward_euler_aposteriori(traj, model, sub, kappa, W=None) -> BoundReport:
-    """Closed-sum specialization: B^n = dt sum_j h^{-(j+1)} term^{n-j},
-    h = 1 - kappa dt; requires dt < 1/kappa."""
+    """Global bound under backward Euler, B^n = (B^{n-1} + dt term^n)/h
+    with h = 1 - kappa dt, i.e. the closed sum dt sum_j h^{-(j+1)}
+    term^{n-j}; requires dt < 1/kappa."""
     from .schemes import make_lmm
     if kappa * traj.dt >= 1.0:
         raise BoundHypothesisError("backward Euler bound needs dt < 1/kappa")
     kind = traj.kind if traj.kind in ("galerkin", "lspg") else "galerkin"
     local_terms = local_aposteriori_lmm(traj, kind, model, sub,
                                         make_lmm("backward_euler"), kappa, W)
-    h = 1.0 - kappa * traj.dt
-    nsteps = len(local_terms)
-    terms = np.array([lt.terms[0] for lt in local_terms])  # index m-1 -> step m
-    bounds = np.zeros(nsteps + 1)
-    for n in range(1, nsteps + 1):
-        bounds[n] = traj.dt * sum(
-            terms[n - j - 1] / h ** (j + 1) for j in range(n))
-    rep = _propagate(local_terms, "backward_euler", kind)
-    rep.per_step_bound = bounds
-    return rep
+    return _propagate(local_terms, "backward_euler", kind)
 
 
 def auxiliary_increment_bound(model, lspg_traj, sub, dt, kappa,
@@ -380,13 +377,13 @@ def auxiliary_increment_bound(model, lspg_traj, sub, dt, kappa,
         else:
             mu_bar[j] = mu[j] / nd
 
+    # B^m = (B^{m-1} + c^m)/h sums c^{m-j}/h^{j+1} over j < m
     b_inc = np.zeros(n + 1)
     b_rel = np.zeros(n + 1)
     for m in range(1, n + 1):
-        b_inc[m] = (1.0 + kappa * dt) * sum(
-            mu[m - j] / h ** (j + 1) for j in range(m))
-        b_rel[m] = dt * (1.0 + kappa * dt) * sum(
-            mu_bar[m - j] * f_norms[m - j] / h ** (j + 1) for j in range(m))
+        b_inc[m] = (b_inc[m - 1] + (1.0 + kappa * dt) * mu[m]) / h
+        b_rel[m] = (b_rel[m - 1]
+                    + dt * (1.0 + kappa * dt) * mu_bar[m] * f_norms[m]) / h
     return AuxiliaryIncrementReport(
         mu=mu, mu_bar=mu_bar, f_norms=f_norms, aux_states=aux_states,
         bound_increment_form=b_inc, bound_relative_form=b_rel,
@@ -409,60 +406,45 @@ def _rk_dinv(tableau, kappa, dt):
     return dinv
 
 
+def _stages(traj):
+    if traj.stages is None:
+        raise ValueError("Runge-Kutta bounds need a trajectory with stage "
+                         "records (from a Runge-Kutta integrator)")
+    return traj.stages
+
+
 def rk_aposteriori_bound(traj, kind, tableau, kappa, model, sub, W=None,
                          opts=SolverOptions(), mode="stagewise") -> BoundReport:
     """Global a posteriori bound for Runge-Kutta schemes.
 
-    Stage velocities are recomputed deterministically from the stored ROM
-    states.  Galerkin uses the orthogonal projector on every stage; LSPG
-    uses the per-stage oblique projector; mode='general' adds the
-    cross-stage coupling term (zero for explicit/DIRK tableaus).
+    Stage values are read from the trajectory's stage records, so traj must
+    come from a Runge-Kutta integrator (opts is unused).  Galerkin uses the
+    orthogonal projector on every stage; LSPG uses the per-stage oblique
+    projector; mode='general' adds the cross-stage coupling term (zero for
+    explicit/DIRK tableaus).
     """
     if kind not in ("galerkin", "lspg"):
         raise ValueError(f"unknown ROM kind {kind!r}")
+    stages = _stages(traj)
     dt = traj.dt
     phi = sub.basis
-    x0 = sub.reference
     dinv = _rk_dinv(tableau, kappa, dt)
     s = tableau.s
     # weight of stage i: sum_k |b_k| [D^-1]_{ki}
     wstage = np.abs(tableau.b) @ dinv
     amp = 1.0 + kappa * dt * float(np.sum(wstage))
-    tag = classify(tableau).tag
-
-    from .galerkin import make_galerkin_model
-    gm = make_galerkin_model(model, sub) if kind == "galerkin" else None
 
     nsteps = len(traj.states) - 1
     svals = np.zeros(nsteps + 1)
     term0 = np.zeros(nsteps + 1)
     for n in range(1, nsteps + 1):
-        y_prev = traj.states[n - 1]
         t_base = (n - 1) * dt
-        base_full = reconstruct(sub, y_prev)
-        if kind == "galerkin":
-            stage_coords, _ = fom.solve_rk_step(gm, y_prev, tableau, dt, opts,
-                                                t_base=t_base)
-        elif tag == "fully_implicit":
-            stage_coords, _ = lspg_mod.solve_lspg_rk_coupled(
-                model, sub, W, base_full, t_base, tableau, dt, opts)
-        else:
-            stage_coords = []
-            for i in range(s):
-                ctx = lspg_mod.RkStageContext(
-                    base_full=base_full, t_base=t_base, dt=dt,
-                    tableau=tableau, i=i,
-                    prev_stage_coords=tuple(stage_coords))
-                yi, _ = lspg_mod.solve_lspg_rk_stage(model, sub, W, ctx, opts)
-                stage_coords.append(yi)
-
+        base_full = reconstruct(sub, traj.states[n - 1])
+        stage_coords = stages[n - 1]
         sn = 0.0
-        args, times = [], []
-        for i in range(s):
-            arg = base_full + dt * phi @ (tableau.a[i] @ np.asarray(stage_coords))
-            ti = t_base + tableau.c[i] * dt
-            args.append(arg)
-            times.append(ti)
+        args = [base_full + dt * phi @ (tableau.a[i] @ stage_coords)
+                for i in range(s)]
+        times = [t_base + tableau.c[i] * dt for i in range(s)]
         for i in range(s):
             fval = model.velocity(args[i], times[i])
             if kind == "galerkin":
@@ -515,33 +497,11 @@ def apriori_bounds_lmm_rk(fom_traj, rom_traj, kind, model, sub, scheme,
     dt = fom_traj.dt
     if abs(dt - rom_traj.dt) > 1e-14:
         raise ValueError("a priori bounds need FOM and ROM at the same dt")
-    lifted = [reconstruct(sub, y) for y in rom_traj.states]
-    nsteps = len(rom_traj.states) - 1
-    local_terms = []
-    for n in range(1, nsteps + 1):
-        alpha, beta = scheme.coeffs(n)
-        k_eff = len(alpha) - 1
-        hist = tuple(lifted[n - j] for j in range(1, k_eff + 1))
-        ctx = fom.LmmStepContext(history=hist, n=n, dt=dt, scheme=scheme)
-        deflate, proj_norm = _step_projector(kind, model, sub, W, ctx,
-                                             rom_traj.states[n])
-        h = abs(alpha[0]) - abs(beta[0]) * kappa * dt * proj_norm
-        if h <= 0.0:
-            raise BoundHypothesisError(
-                f"a priori time-step condition violated at n={n}")
-        terms = np.empty(k_eff + 1)
-        for ell in range(k_eff + 1):
-            fval = model.velocity(fom_traj.states[n - ell], (n - ell) * dt)
-            terms[ell] = np.linalg.norm(deflate(fval))
-        gamma1 = np.abs(beta) * dt / h
-        gamma2 = (np.abs(alpha[1:])
-                  + np.abs(beta[1:]) * kappa * dt * proj_norm) / h
-        local_terms.append(LocalStepTerms(
-            n=n, h=h, gamma1=gamma1, gamma2=gamma2, terms=terms,
-            residual_norm=0.0, proj_norm=proj_norm))
-
+    local_terms = _lmm_local_terms(rom_traj, kind, model, sub, scheme, kappa,
+                                   W, f_states=fom_traj.states,
+                                   proj_in_h=True)
+    rep = _propagate(local_terms, "apriori", kind)
     if mode == "global":
-        rep = _propagate(local_terms, "apriori", kind)
         return rep
     if mode == "timestep_independent":
         # backward-Euler style closed form
@@ -549,21 +509,12 @@ def apriori_bounds_lmm_rk(fom_traj, rom_traj, kind, model, sub, scheme,
             raise BoundHypothesisError(
                 "timestep_independent a priori form implemented for "
                 "single-step schemes only")
-        p_star = max(lt.proj_norm for lt in local_terms)
-        if kind == "galerkin":
-            max_term = max(lt.terms[0] for lt in local_terms)
-            scale = 1.0
-        else:
-            max_term = max(lt.terms[0] for lt in local_terms)
-            scale = p_star
-        nloc = len(local_terms)
-        bounds = np.zeros(nloc + 1)
-        for n in range(1, nloc + 1):
-            tn = n * dt
-            bounds[n] = 2.0 * _expm1_div(tn * scale / epsilon, kappa) \
-                / scale * max_term
-        rep = _propagate(local_terms, "apriori_timestep_independent", kind)
-        rep.per_step_bound = bounds
+        p_star = max(lt.proj_norm for lt in local_terms)  # 1 for Galerkin
+        max_term = max(lt.terms[0] for lt in local_terms)
+        tn = dt * np.arange(len(local_terms) + 1)
+        rep.mode = "apriori_timestep_independent"
+        rep.per_step_bound = 2.0 * _expm1_div(tn * p_star / epsilon, kappa) \
+            / p_star * max_term
         return rep
     raise ValueError(f"unknown a priori mode {mode!r}")
 
@@ -571,20 +522,22 @@ def apriori_bounds_lmm_rk(fom_traj, rom_traj, kind, model, sub, scheme,
 def _rk_apriori(fom_traj, rom_traj, kind, model, sub, tableau, kappa, W,
                 opts):
     """RK a priori bounds with FOM stage arguments; LSPG (explicit/DIRK)
-    uses per-step matrices Dbar with entries scaled by ||P_i^n||_2."""
+    uses per-step matrices Dbar with entries scaled by ||P_i^n||_2.  Stage
+    values come from the FOM's (and for LSPG the ROM's) stage records."""
     dt = fom_traj.dt
     phi = sub.basis
     s = tableau.s
     nsteps = len(fom_traj.states) - 1
     gm_tag = classify(tableau).tag
 
+    fom_stages = _stages(fom_traj)
+    rom_stages = _stages(rom_traj) if kind == "lspg" else None
     svals = np.zeros(nsteps + 1)
     amps = np.ones(nsteps + 1)
     for n in range(1, nsteps + 1):
         base = fom_traj.states[n - 1]
         t_base = (n - 1) * dt
-        stage_vals, _ = fom.solve_rk_step(model, base, tableau, dt, opts,
-                                          t_base=t_base)
+        stage_vals = fom_stages[n - 1]
         proj_norms = np.ones(s)
         projs = [None] * s
         if kind == "lspg":
@@ -592,16 +545,10 @@ def _rk_apriori(fom_traj, rom_traj, kind, model, sub, tableau, kappa, W,
                 raise BoundHypothesisError(
                     "a priori LSPG RK bound implemented for explicit/DIRK")
             base_rom = reconstruct(sub, rom_traj.states[n - 1])
-            stage_coords = []
             for i in range(s):
-                ctx = lspg_mod.RkStageContext(
-                    base_full=base_rom, t_base=t_base, dt=dt, tableau=tableau,
-                    i=i, prev_stage_coords=tuple(stage_coords))
-                yi, _ = lspg_mod.solve_lspg_rk_stage(model, sub, W, ctx, opts)
-                stage_coords.append(yi)
-                arg_rom = base_rom + dt * phi @ (
-                    tableau.a[i] @ np.asarray(stage_coords + [np.zeros(sub.p)] *
-                                              (s - len(stage_coords))))
+                # a_ij = 0 for j > i: later stages do not enter
+                arg_rom = base_rom + dt * phi @ (tableau.a[i]
+                                                 @ rom_stages[n - 1])
                 jf = model.jacobian(arg_rom, t_base + tableau.c[i] * dt)
                 psi = W.gram_mat(
                     fom.shifted(1.0, dt * tableau.a[i, i], jf) @ phi)

@@ -25,10 +25,10 @@ import numpy as np
 
 from . import analysis, benchmodels, bounds, fom, galerkin, hyperreduction, \
     lspg, pod
-from .core import Model, SolverOptions, TrialSubspace, Trajectory, reconstruct
+from .core import SolverOptions, TrialSubspace, Trajectory, reconstruct
 from .fom import StepSolveError
 from .lspg import GaussNewtonError
-from .schemes import make_butcher, make_lmm
+from .schemes import ButcherTableau, make_butcher, make_lmm
 
 EXIT_OK, EXIT_USAGE, EXIT_NUMERICAL, EXIT_VERIFY = 0, 1, 2, 3
 
@@ -150,11 +150,16 @@ def _timed(run, key, fn):
     return result
 
 
-def _is_unstable(traj):
-    n0 = np.linalg.norm(np.asarray(traj.states[0], float))
-    cap = 1e6 * max(n0, 1.0)
-    return any(np.linalg.norm(np.asarray(x, float)) > cap
-               for x in traj.states)
+def _is_unstable(states):
+    norms = np.linalg.norm(states, axis=1)
+    return bool(np.any(norms > 1e6 * max(norms[0], 1.0)))
+
+
+def _centered(states):
+    """Snapshot matrix with columns x^n - x^0, n >= 1.  C order: the POD's
+    column norms sum in a layout-dependent order, and C order keeps the
+    basis bitwise equal to one built from stacked columns."""
+    return np.ascontiguousarray((states[1:] - states[0]).T)
 
 
 def _run_fom(run):
@@ -168,23 +173,19 @@ def _run_fom(run):
     fom.write_trajectory_csv(traj, run.path("fom_trajectory.csv"))
     run.record("fom_trajectory.csv")
     # initial-condition-centered snapshots for downstream POD
-    x0 = np.asarray(traj.states[0], float)
-    snaps = np.column_stack([np.asarray(x, float) - x0
-                             for x in traj.states[1:]]) \
-        if len(traj.states) > 1 else np.zeros((model.dim, 0))
+    snaps = _centered(traj.states)
     if snaps.shape[1]:
         pod.write_snapshots_csv(pod.SnapshotSet(vectors=snaps),
                                 run.path("snapshots.csv"))
         run.record("snapshots.csv")
-    run.notes["fom_unstable"] = _is_unstable(traj)
+    run.notes["fom_unstable"] = _is_unstable(traj.states)
     return model, traj
 
 
 def _pod_from_config(run, model, traj):
     cp = run.cp
-    x0 = np.asarray(traj.states[0], float)
-    snaps = np.column_stack([np.asarray(x, float) - x0
-                             for x in traj.states[1:]])
+    x0 = traj.states[0]
+    snaps = _centered(traj.states)
     nu = cp["pod"].getfloat("nu", 1.0 - 1e-6) if cp.has_section("pod") \
         else 1.0 - 1e-6
     result = pod.compute_pod(pod.SnapshotSet(vectors=snaps), nu,
@@ -276,15 +277,14 @@ def _run_rom(run, model, sub, kind=None):
     else:
         raise ConfigError(f"unknown rom kind {kind!r}")
     lifted = Trajectory(dt=traj.dt,
-                        states=tuple(reconstruct(sub, y)
-                                     for y in traj.states),
+                        states=sub.reference + traj.states @ sub.basis.T,
                         kind=traj.kind)
     fom.write_trajectory_csv(lifted, run.path("rom_trajectory.csv"))
     run.record("rom_trajectory.csv")
     if reports:
         lspg.write_gn_diagnostics_csv(reports, run.path("gn_diagnostics.csv"))
         run.record("gn_diagnostics.csv")
-    run.notes["rom_unstable"] = _is_unstable(lifted)
+    run.notes["rom_unstable"] = _is_unstable(lifted.states)
     return traj, lifted, W
 
 
@@ -323,9 +323,8 @@ def cmd_rom(run):
     rom_traj, lifted, _ = _run_rom(run, model, result.basis)
     probe = run.cp["output"].getint("probe", 0) \
         if run.cp.has_section("output") else 0
-    err = analysis.trajectory_error(
-        lifted.times, [x[probe] for x in lifted.states],
-        traj.times, [x[probe] for x in traj.states])
+    err = analysis.trajectory_error(lifted.times, lifted.states[:, probe],
+                                    traj.times, traj.states[:, probe])
     run.notes["probe_error"] = err
     return EXIT_OK
 
@@ -347,29 +346,20 @@ def _sweep_point(run, index, dt, probe, ref_times, ref_probe, want_bound):
         if kind == "galerkin":
             traj = galerkin.integrate_galerkin(model, sub, scheme, dt, T, opts)
         else:
-            W = _weighting_from_config(
-                run, model, sub, scheme, dt, T, opts,
-                artifact=f"samples_{index}.txt") \
-                if kind == "gnat" else lspg.scaled_identity(model.dim)
+            W = _weighting_from_config(run, model, sub, scheme, dt, T, opts,
+                                       artifact=f"samples_{index}.txt")
             traj, _ = lspg.integrate_lspg(model, sub, W, scheme, dt, T, opts)
-        lifted_states = [reconstruct(sub, y) for y in traj.states]
+        lifted = sub.reference + traj.states @ sub.basis.T
         wall = time.perf_counter() - t0
-        stable = not any(
-            np.linalg.norm(x) > 1e6 * max(np.linalg.norm(lifted_states[0]),
-                                          1.0)
-            for x in lifted_states)
-        err = analysis.trajectory_error(
-            traj.times, [x[probe] for x in lifted_states],
-            ref_times, ref_probe)
+        stable = not _is_unstable(lifted)
+        err = analysis.trajectory_error(traj.times, lifted[:, probe],
+                                        ref_times, ref_probe)
         bval = np.nan
         if want_bound and stable and kind != "gnat":
             try:
-                kappa = _kappa(run, model)
-                bkind = "galerkin" if kind == "galerkin" else "lspg"
-                bw = W if W is not None else lspg.scaled_identity(model.dim)
-                lt = bounds.local_aposteriori_lmm(traj, bkind, model, sub,
-                                                 scheme, kappa, bw)
-                bval = bounds.global_aposteriori_lmm(lt, bkind).global_bound
+                bval = _bound_report(traj, model, sub, scheme,
+                                     _kappa(run, model), W,
+                                     opts).global_bound
             except bounds.BoundHypothesisError:
                 pass  # dt outside the theorem's cap: no bound, run still valid
         return dt, err, wall, bval, stable
@@ -406,7 +396,7 @@ def cmd_sweep(run):
     opts = _solver_from_config(cp)
     ref = fom.integrate(model, scheme, min(dts), T, opts)
     ref_times = ref.times
-    ref_probe = [x[probe] for x in ref.states]
+    ref_probe = ref.states[:, probe]
 
     workers = max(1, run.args.parallel)
     with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -429,19 +419,27 @@ def cmd_sweep(run):
     return EXIT_OK
 
 
+def _bound_report(traj, model, sub, scheme, kappa, W, opts):
+    """Global a posteriori bound of a ROM run with the W it ran with: the
+    local-term recursion for a multistep scheme, the stage-record bound
+    for a Runge-Kutta tableau."""
+    kind = "galerkin" if traj.kind == "galerkin" else "lspg"
+    if isinstance(scheme, ButcherTableau):
+        return bounds.rk_aposteriori_bound(traj, kind, scheme, kappa, model,
+                                           sub, W, opts)
+    lt = bounds.local_aposteriori_lmm(traj, kind, model, sub, scheme, kappa,
+                                      W)
+    return bounds.global_aposteriori_lmm(lt, kind)
+
+
 def cmd_bounds(run):
-    cp = run.cp
     model, ref = _run_fom(run)
     result = _pod_from_config(run, model, ref)
     rom_traj, lifted, W = _run_rom(run, model, result.basis)
-    scheme = _scheme_from_config(cp)
-    if not hasattr(scheme, "coeffs"):
-        raise ConfigError("bound reports require a linear multistep scheme")
     kappa = _kappa(run, model)
-    kind = "galerkin" if rom_traj.kind == "galerkin" else "lspg"
-    lt = bounds.local_aposteriori_lmm(rom_traj, kind, model, result.basis,
-                                      scheme, kappa, W)
-    rep = bounds.global_aposteriori_lmm(lt, kind)
+    rep = _bound_report(rom_traj, model, result.basis,
+                        _scheme_from_config(run.cp), kappa, W,
+                        _solver_from_config(run.cp))
     bounds.write_bound_report_csv(rep, run.path("bound_report.csv"))
     run.record("bound_report.csv")
     run.notes["kappa"] = kappa
@@ -453,9 +451,7 @@ def cmd_spectral(run):
     model, traj = _run_fom(run)
     result = _pod_from_config(run, model, traj)
     sub = result.basis
-    x0 = sub.reference
-    coords = np.array([sub.basis.T @ (np.asarray(x, float) - x0)
-                       for x in traj.states])
+    coords = (traj.states - sub.reference) @ sub.basis
     rep = analysis.spectral_analysis(coords, traj.dt)
     with open(run.path("psd.csv"), "w", encoding="utf-8", newline="\n") as fh:
         fh.write("frequency," + ",".join(
@@ -510,9 +506,8 @@ def _verify_checks(model_name, seed):
             initial="gaussian"))
     x0 = np.asarray(model.initial_state, float)
     ref = fom.integrate(model, make_lmm("backward_euler"), 1e-2, 0.1, opts)
-    snaps = np.column_stack([np.asarray(x) - x0 for x in ref.states[1:]])
-    sub = pod.compute_pod(pod.SnapshotSet(vectors=snaps), 1 - 1e-10,
-                          reference=x0).basis
+    sub = pod.compute_pod(pod.SnapshotSet(vectors=_centered(ref.states)),
+                          1 - 1e-10, reference=x0).basis
     dt, T = 1e-2, 0.1
 
     # explicit equivalence: Galerkin == LSPG for forward Euler and RK4
@@ -591,10 +586,8 @@ def _verify_checks(model_name, seed):
     kappa = float(np.linalg.norm(lin.jacobian(lin.initial_state, 0.0), 2))
     dtl = 0.2 / kappa
     refl = fom.integrate(lin, make_lmm("backward_euler"), dtl, 10 * dtl, opts)
-    snapsl = np.column_stack([np.asarray(x) - refl.states[0]
-                              for x in refl.states[1:]])
-    subl = pod.compute_pod(pod.SnapshotSet(vectors=snapsl), 0.95,
-                           reference=np.asarray(refl.states[0])).basis
+    subl = pod.compute_pod(pod.SnapshotSet(vectors=_centered(refl.states)),
+                           0.95, reference=refl.states[0]).basis
     gl = galerkin.integrate_galerkin(lin, subl, make_lmm("backward_euler"),
                                      dtl, 10 * dtl, opts)
     lt = bounds.local_aposteriori_lmm(gl, "galerkin", lin, subl,
@@ -602,8 +595,7 @@ def _verify_checks(model_name, seed):
     rep = bounds.global_aposteriori_lmm(lt, "galerkin")
     sound = True
     for n in range(1, len(gl.states)):
-        err = np.linalg.norm(np.asarray(refl.states[n])
-                             - reconstruct(subl, gl.states[n]))
+        err = np.linalg.norm(refl.states[n] - reconstruct(subl, gl.states[n]))
         if err > rep.per_step_bound[n] * (1 + 1e-9):
             sound = False
     rows.append(("a posteriori bound soundness (linear)", sound,

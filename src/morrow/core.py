@@ -6,8 +6,8 @@ reference state so approximate solutions live on the affine set
 x0 + range(Phi).  All types are immutable after construction.
 """
 
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -58,19 +58,25 @@ class TrialSubspace:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Sequence of states at uniform time spacing dt.
+    """States at uniform time spacing dt, as one (n+1) x d float array.
 
-    states[n] is the solution at t = n*dt; dimension N for kind='full',
-    p (generalized coordinates) for ROM kinds.
+    states[n] is the solution at t = n*dt; d = N for kind='full', p
+    (generalized coordinates) for ROM kinds.  Runge-Kutta runs also record
+    stages[n-1, i], the value of stage i in step n in the same coordinates
+    (n x s x d); linear multistep runs leave stages None.
     """
 
     dt: float
-    states: tuple
+    states: np.ndarray
     kind: str  # {"full", "galerkin", "lspg"}
+    stages: np.ndarray = None
 
     def __post_init__(self):
         if self.kind not in ("full", "galerkin", "lspg"):
             raise ValueError(f"unknown trajectory kind {self.kind!r}")
+        object.__setattr__(self, "states", np.asarray(self.states, float))
+        if self.stages is not None:
+            object.__setattr__(self, "stages", np.asarray(self.stages, float))
 
     def __len__(self):
         return len(self.states)

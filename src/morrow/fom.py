@@ -249,27 +249,30 @@ def _num_steps(dt: float, T: float) -> int:
 def integrate(model: Model, scheme, dt: float, T: float,
               opts: SolverOptions = SolverOptions()) -> Trajectory:
     """Integrate the model from t=0 to t=T; scheme is an LmmScheme or a
-    ButcherTableau."""
+    ButcherTableau.  Runge-Kutta runs record their stage values."""
+    if not isinstance(scheme, (ButcherTableau, LmmScheme)):
+        raise TypeError(f"unsupported scheme type {type(scheme)!r}")
     nsteps = _num_steps(dt, T)
-    states = [model.initial_state.copy()]
+    rk = isinstance(scheme, ButcherTableau)
+    states = np.empty((nsteps + 1, model.dim))
+    states[0] = model.initial_state
+    stages = np.empty((nsteps, scheme.s, model.dim)) if rk else None
     try:
-        if isinstance(scheme, ButcherTableau):
-            for n in range(1, nsteps + 1):
-                _, nxt = solve_rk_step(model, states[-1], scheme, dt, opts,
-                                       t_base=(n - 1) * dt)
-                states.append(nxt)
-        elif isinstance(scheme, LmmScheme):
-            for n in range(1, nsteps + 1):
-                hist = tuple(states[n - j] for j in range(1, min(scheme.k, n) + 1))
+        for n in range(1, nsteps + 1):
+            if rk:
+                stages[n - 1], states[n] = solve_rk_step(
+                    model, states[n - 1], scheme, dt, opts,
+                    t_base=(n - 1) * dt)
+            else:
+                hist = tuple(states[n - j]
+                             for j in range(1, min(scheme.k, n) + 1))
                 ctx = LmmStepContext(history=hist, n=n, dt=dt, scheme=scheme)
-                states.append(solve_lmm_step(model, ctx, opts))
-        else:
-            raise TypeError(f"unsupported scheme type {type(scheme)!r}")
+                states[n] = solve_lmm_step(model, ctx, opts)
     except StepSolveError as err:
         if err.time_index is None:
-            err.time_index = len(states)
+            err.time_index = n
         raise
-    return Trajectory(dt=dt, states=tuple(states), kind="full")
+    return Trajectory(dt=dt, states=states, kind="full", stages=stages)
 
 
 def write_trajectory_csv(traj: Trajectory, path, labels=None):
@@ -291,4 +294,4 @@ def read_trajectory_csv(path, kind="full") -> Trajectory:
     data = np.atleast_2d(data)
     t = data[:, 0]
     dt = float(t[1] - t[0]) if len(t) > 1 else 0.0
-    return Trajectory(dt=dt, states=tuple(row[1:] for row in data), kind=kind)
+    return Trajectory(dt=dt, states=data[:, 1:], kind=kind)

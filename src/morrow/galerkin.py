@@ -6,6 +6,8 @@ applies unchanged; commutativity of projection and time discretization makes
 the delegated discrete solves identical to projecting the full residual.
 """
 
+from dataclasses import replace
+
 import numpy as np
 
 from .core import Model, SolverOptions, TrialSubspace, Trajectory
@@ -26,15 +28,12 @@ def make_galerkin_model(model: Model, sub: TrialSubspace) -> Model:
                  initial_state=np.zeros(sub.p))
 
 
-def galerkin_reduced_residual_lmm(gm: Model, ctx: fom.LmmStepContext,
-                                  what: np.ndarray) -> np.ndarray:
-    """Reduced discrete residual; equals Phi^T r^n(x0 + Phi what)."""
-    return fom.lmm_residual(gm, ctx, what)
+# the reduced discrete residual equals Phi^T r^n(x0 + Phi what)
+galerkin_reduced_residual_lmm = fom.lmm_residual
 
 
 def integrate_galerkin(model: Model, sub: TrialSubspace, scheme, dt: float,
                        T: float,
                        opts: SolverOptions = SolverOptions()) -> Trajectory:
     gm = make_galerkin_model(model, sub)
-    traj = fom.integrate(gm, scheme, dt, T, opts)
-    return Trajectory(dt=traj.dt, states=traj.states, kind="galerkin")
+    return replace(fom.integrate(gm, scheme, dt, T, opts), kind="galerkin")

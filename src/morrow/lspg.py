@@ -8,12 +8,12 @@ are all constant, so the dW/dw term vanishes).  Runge-Kutta variants minimize
 per stage (explicit/DIRK) or over the coupled stacked stage system.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from .core import Model, SolverOptions, TrialSubspace, Trajectory, reconstruct
+from .core import SolverOptions, Trajectory, reconstruct
 from . import fom
 from .schemes import ButcherTableau, LmmScheme, classify
 
@@ -326,6 +326,7 @@ def _integrate_lspg_lmm(model, sub, W, scheme, dt, nsteps, opts, callback):
 def _integrate_lspg_rk(model, sub, W, tableau, dt, nsteps, opts, callback):
     tag = classify(tableau).tag
     yhats = [np.zeros(sub.p)]
+    stages = np.empty((nsteps, tableau.s, sub.p))
     reports = []
     for n in range(1, nsteps + 1):
         base_full = reconstruct(sub, yhats[-1])
@@ -344,30 +345,33 @@ def _integrate_lspg_rk(model, sub, W, tableau, dt, nsteps, opts, callback):
                                                  callback=callback)
                 stage_coords.append(yi)
                 reports.append(report)
+        stages[n - 1] = stage_coords
         nxt = yhats[-1] + dt * sum(
             bi * yi for bi, yi in zip(tableau.b, stage_coords))
         yhats.append(nxt)
-    return yhats, reports
+    return yhats, reports, stages
 
 
 def integrate_lspg(model, sub, W, scheme, dt, T,
                    opts: SolverOptions = SolverOptions(), callback=None):
     """LSPG trajectory in generalized coordinates; returns
-    (Trajectory(kind='lspg'), per-step GaussNewtonReport list).
+    (Trajectory(kind='lspg'), per-step GaussNewtonReport list).  Runge-Kutta
+    runs record the reduced stage values in the trajectory's stages.
 
     callback, if given, receives the full-space residual vector at every
     Gauss-Newton iterate (used for residual-snapshot collection).
     """
     nsteps = fom._num_steps(dt, T)
+    stages = None
     if isinstance(scheme, LmmScheme):
         yhats, reports = _integrate_lspg_lmm(model, sub, W, scheme, dt,
                                              nsteps, opts, callback)
     elif isinstance(scheme, ButcherTableau):
-        yhats, reports = _integrate_lspg_rk(model, sub, W, scheme, dt,
-                                            nsteps, opts, callback)
+        yhats, reports, stages = _integrate_lspg_rk(
+            model, sub, W, scheme, dt, nsteps, opts, callback)
     else:
         raise TypeError(f"unsupported scheme type {type(scheme)!r}")
-    traj = Trajectory(dt=dt, states=tuple(yhats), kind="lspg")
+    traj = Trajectory(dt=dt, states=yhats, kind="lspg", stages=stages)
     return traj, reports
 
 

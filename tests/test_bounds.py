@@ -11,7 +11,8 @@ from scipy.linalg import lu_factor, lu_solve
 
 from morrow import bounds, fom, galerkin, lspg
 from morrow.bounds import BoundHypothesisError, LocalStepTerms
-from morrow.core import Model, SolverOptions, TrialSubspace, reconstruct
+from morrow.core import (Model, SolverOptions, Trajectory, TrialSubspace,
+                         reconstruct)
 from morrow.schemes import ButcherTableau, make_butcher, make_lmm
 
 from conftest import linear_model, random_subspace
@@ -314,6 +315,26 @@ def test_backward_euler_matches_global_recursion():
         < 1e-12
 
 
+def test_backward_euler_recursion_matches_closed_sum():
+    m, kappa, opts = small_linear_setup()
+    W = lspg.scaled_identity(8)
+    sub = random_subspace(8, 3, seed=8, reference=m.initial_state)
+    dt = 0.3 / kappa
+    sch = make_lmm("backward_euler")
+    gal = galerkin.integrate_galerkin(m, sub, sch, dt, 12 * dt, opts)
+    lsp, _ = lspg.integrate_lspg(m, sub, W, sch, dt, 12 * dt, opts)
+    h = 1.0 - kappa * dt
+    for kind, traj in (("galerkin", gal), ("lspg", lsp)):
+        rep = bounds.backward_euler_aposteriori(traj, m, sub, kappa, W)
+        terms = [lt.terms[0] for lt in bounds.local_aposteriori_lmm(
+            traj, kind, m, sub, sch, kappa, W)]
+        for n in range(1, 13):
+            # O(n^2) closed sum: B^n = dt sum_j h^{-(j+1)} term^{n-j}
+            closed = dt * sum(terms[n - j - 1] / h ** (j + 1)
+                              for j in range(n))
+            assert abs(rep.per_step_bound[n] - closed) <= 1e-12 * closed
+
+
 def test_backward_euler_single_step_form():
     m, kappa, opts = small_linear_setup()
     sub = random_subspace(8, 3, seed=9, reference=m.initial_state)
@@ -403,6 +424,98 @@ def test_rk_lspg_stagewise_bound_runs():
     assert np.all(np.diff(rep.per_step_bound) >= 0.0)
 
 
+def gauss2_tableau():
+    r3 = np.sqrt(3.0)
+    return ButcherTableau(s=2, a=np.array([[0.25, 0.25 - r3 / 6],
+                                           [0.25 + r3 / 6, 0.25]]),
+                          b=np.array([0.5, 0.5]),
+                          c=np.array([0.5 - r3 / 6, 0.5 + r3 / 6]),
+                          name="gauss2")
+
+
+def test_rk_bounds_read_stage_records_not_solvers(monkeypatch):
+    m, kappa, opts = small_linear_setup()
+    sub = random_subspace(8, 3, seed=12, reference=m.initial_state)
+    W = lspg.scaled_identity(8)
+    sd, gauss = make_butcher("sdirk2"), gauss2_tableau()
+    dt = 0.02 / kappa
+    g = galerkin.integrate_galerkin(m, sub, sd, dt, 4 * dt, opts)
+    l, _ = lspg.integrate_lspg(m, sub, W, sd, dt, 4 * dt, opts)
+    lg, _ = lspg.integrate_lspg(m, sub, W, gauss, dt, 4 * dt, opts)
+    ref = fom.integrate(m, sd, dt, 4 * dt, opts)
+
+    # the records are the stage values a re-solve from each state gives
+    gm = galerkin.make_galerkin_model(m, sub)
+    for n in range(1, 5):
+        t_base = (n - 1) * dt
+        stages, _ = fom.solve_rk_step(gm, g.states[n - 1], sd, dt, opts,
+                                      t_base=t_base)
+        assert np.array_equal(g.stages[n - 1], stages)
+        stages, _ = fom.solve_rk_step(m, ref.states[n - 1], sd, dt, opts,
+                                      t_base=t_base)
+        assert np.array_equal(ref.stages[n - 1], stages)
+        stages, _ = lspg.solve_lspg_rk_coupled(
+            m, sub, W, reconstruct(sub, lg.states[n - 1]), t_base, gauss, dt,
+            opts)
+        assert np.array_equal(lg.stages[n - 1], stages)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("bounds must not re-solve stages")
+
+    monkeypatch.setattr(fom, "solve_rk_step", forbidden)
+    monkeypatch.setattr(lspg, "solve_lspg_rk_stage", forbidden)
+    monkeypatch.setattr(lspg, "solve_lspg_rk_coupled", forbidden)
+    reports = {
+        "galerkin_sdirk2": bounds.rk_aposteriori_bound(
+            g, "galerkin", sd, kappa, m, sub, opts=opts),
+        "lspg_sdirk2": bounds.rk_aposteriori_bound(
+            l, "lspg", sd, kappa, m, sub, W, opts),
+        "lspg_sdirk2_general": bounds.rk_aposteriori_bound(
+            l, "lspg", sd, kappa, m, sub, W, opts, mode="general"),
+        "lspg_gauss": bounds.rk_aposteriori_bound(
+            lg, "lspg", gauss, kappa, m, sub, W, opts),
+        "apriori_galerkin": bounds.apriori_bounds_lmm_rk(
+            ref, g, "galerkin", m, sub, sd, kappa, opts=opts),
+        "apriori_lspg": bounds.apriori_bounds_lmm_rk(
+            ref, l, "lspg", m, sub, sd, kappa, W=W, opts=opts),
+    }
+    # per-step bounds of the implementation that re-solved every stage
+    resolved = {
+        "galerkin_sdirk2": [0.013594633459161839, 0.027401946027487224,
+                            0.041427062938362055, 0.055675201529376384],
+        "lspg_sdirk2": [0.013594613523511245, 0.02740184981623918,
+                        0.04142683409155966, 0.055674783645923306],
+        "lspg_sdirk2_general": [0.013605156701868576, 0.027423094550514344,
+                                0.041458942685000166, 0.05571792239676309],
+        "lspg_gauss": [0.013605101614858946, 0.027423163919842695,
+                       0.041459323697247634, 0.055718810103378744],
+        "apriori_galerkin": [0.013523967457169031, 0.027119675570235906,
+                             0.040792810630042094, 0.054549081168408925],
+        "apriori_lspg": [0.01352397580258066, 0.02711969226346073,
+                         0.04079283567689383, 0.0545491145781236],
+    }
+    for name, rep in reports.items():
+        want = np.array(resolved[name])
+        assert np.max(np.abs(rep.per_step_bound[1:] - want)) \
+            <= 1e-12 * np.max(want), name
+
+
+def test_rk_bounds_need_stage_records():
+    m, kappa, opts = small_linear_setup()
+    sub = random_subspace(8, 3, seed=12, reference=m.initial_state)
+    sd = make_butcher("sdirk2")
+    dt = 0.02 / kappa
+    g = galerkin.integrate_galerkin(m, sub, sd, dt, 2 * dt, opts)
+    ref = fom.integrate(m, sd, dt, 2 * dt, opts)
+    bare = Trajectory(dt=g.dt, states=g.states, kind="galerkin")
+    with pytest.raises(ValueError, match="stage records"):
+        bounds.rk_aposteriori_bound(bare, "galerkin", sd, kappa, m, sub)
+    with pytest.raises(ValueError, match="stage records"):
+        bounds.apriori_bounds_lmm_rk(
+            Trajectory(dt=dt, states=ref.states, kind="full"), g,
+            "galerkin", m, sub, sd, kappa)
+
+
 # -------------------------------------------------- auxiliary increments
 
 def test_auxiliary_full_basis_zero_mu():
@@ -452,6 +565,26 @@ def test_auxiliary_mu_against_dense_newton_oracle():
                              - np.asarray(traj.states[j - 1]))
         mu_oracle = np.linalg.norm(d_rom - (x - anchor))
         assert abs(rep.mu[j] - mu_oracle) < 1e-9
+
+
+def test_auxiliary_recursions_match_closed_sums():
+    m, kappa, opts = small_linear_setup()
+    sub = random_subspace(8, 3, seed=14, reference=m.initial_state)
+    dt = 0.1 / kappa
+    traj, _ = lspg.integrate_lspg(m, sub, lspg.scaled_identity(8),
+                                  make_lmm("backward_euler"), dt, 12 * dt,
+                                  opts)
+    rep = bounds.auxiliary_increment_bound(m, traj, sub, dt, kappa, opts)
+    h = 1.0 - kappa * dt
+    for m_ in range(1, 13):
+        # O(n^2) closed sums over j < m of c^{m-j} / h^{j+1}
+        inc = (1.0 + kappa * dt) * sum(
+            rep.mu[m_ - j] / h ** (j + 1) for j in range(m_))
+        rel = dt * (1.0 + kappa * dt) * sum(
+            rep.mu_bar[m_ - j] * rep.f_norms[m_ - j] / h ** (j + 1)
+            for j in range(m_))
+        assert abs(rep.bound_increment_form[m_] - inc) <= 1e-12 * inc
+        assert abs(rep.bound_relative_form[m_] - rel) <= 1e-12 * rel
 
 
 def test_auxiliary_report_csv(tmp_path):

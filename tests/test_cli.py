@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from morrow import analysis, cli, fom, pod
+from morrow.core import reconstruct
 
 
 BASE = """\
@@ -249,3 +250,83 @@ def test_parallel_gnat_sweep_manifest_is_deterministic(tmp_path):
     artifacts = json.loads(manifests[0])["artifacts"]
     assert sorted(a for a in artifacts if a.startswith("samples")) == [
         "samples_0.txt", "samples_1.txt", "samples_2.txt"]
+
+
+def test_sweep_lspg_uses_the_configured_weighting(tmp_path):
+    from morrow import benchmodels, hyperreduction, lspg
+    from morrow.core import SolverOptions
+    from morrow.schemes import make_lmm
+
+    samples = hyperreduction.SampleSet(indices=tuple(range(0, 24, 2)))
+    spath = tmp_path / "rows.txt"
+    hyperreduction.write_sample_set(samples, spath)
+    cfg = write_config(tmp_path, BASE + "\n[rom]\nkind = lspg\n"
+                       f"weighting = collocation:{spath}\n")
+    out = str(tmp_path / "out")
+    assert cli.main(["sweep", "--config", cfg, "--out", out,
+                     "--dt", "0.004"]) == 0
+    got = analysis.read_sweep_csv(os.path.join(out, "sweep.csv")).error[0]
+
+    # the same point through the library, once per weighting
+    model = benchmodels.advection_diffusion(benchmodels.BenchmarkSpec(
+        name="advection_diffusion", n=24, viscosity=0.05, initial="gaussian"))
+    scheme, dt, T = make_lmm("backward_euler"), 0.004, 0.04
+    ref = fom.integrate(model, scheme, dt, T, SolverOptions())
+    x0 = ref.states[0]
+    sub = pod.compute_pod(pod.SnapshotSet(vectors=np.column_stack(
+        [x - x0 for x in ref.states[1:]])), 0.9999, reference=x0).basis
+    errors = []
+    for W in (lspg.collocation(24, samples), lspg.scaled_identity(24)):
+        traj, _ = lspg.integrate_lspg(model, sub, W, scheme, dt, T,
+                                      SolverOptions())
+        probe = [reconstruct(sub, y)[5] for y in traj.states]
+        errors.append(analysis.trajectory_error(
+            traj.times, probe, ref.times, [x[5] for x in ref.states]))
+    assert abs(got - errors[0]) <= 1e-10 * errors[0]
+    assert abs(got - errors[1]) > 1e-6 * errors[1]
+
+
+GRADFLOW_RK = """\
+[model]
+name = gradient_flow
+spectrum = 0.5,1.0,1.5,2.0,2.5,3.0,3.5,4.0
+
+[time]
+scheme = sdirk2
+dt = 0.05
+T = 0.5
+
+[pod]
+nu = 0.99
+
+[rom]
+kind = {kind}
+
+[bounds]
+kappa = 4.0
+"""
+
+
+@pytest.mark.parametrize("kind", ["galerkin", "lspg"])
+def test_bounds_accepts_runge_kutta_schemes(tmp_path, kind):
+    # f = -A x with ||A||_2 = 4: kappa is exact, so the bound is sound
+    cfg = write_config(tmp_path, GRADFLOW_RK.format(kind=kind))
+    out = str(tmp_path / "out")
+    assert cli.main(["bounds", "--config", cfg, "--out", out]) == 0
+    ref = fom.read_trajectory_csv(os.path.join(out, "fom_trajectory.csv"))
+    rom = fom.read_trajectory_csv(os.path.join(out, "rom_trajectory.csv"))
+    report = np.genfromtxt(os.path.join(out, "bound_report.csv"),
+                           delimiter=",", names=True)
+    assert list(report["n"]) == list(range(1, 11))
+    errors = np.linalg.norm(ref.states - rom.states, axis=1)[1:]
+    assert np.all(errors > 0.0)
+    assert np.all(report["global_bound"] >= errors)
+
+
+def test_sweep_bounds_runge_kutta_points(tmp_path):
+    cfg = write_config(tmp_path, GRADFLOW_RK.format(kind="galerkin"))
+    out = str(tmp_path / "out")
+    assert cli.main(["sweep", "--config", cfg, "--out", out,
+                     "--dt", "0.1,0.05"]) == 0
+    sweep = analysis.read_sweep_csv(os.path.join(out, "sweep.csv"))
+    assert np.all(np.isfinite(sweep.bound)) and np.all(sweep.bound > 0.0)

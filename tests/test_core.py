@@ -73,3 +73,14 @@ def test_solver_options_validation():
         SolverOptions(newton_abs_tol=0.0)
     with pytest.raises(ValueError):
         SolverOptions(max_iters=0)
+
+
+def test_trajectory_states_are_one_float_array():
+    traj = Trajectory(dt=0.1, states=(np.zeros(3), np.ones(3), [2, 2, 2]),
+                      kind="full")
+    assert isinstance(traj.states, np.ndarray)
+    assert traj.states.shape == (3, 3) and traj.states.dtype == float
+    assert traj.stages is None
+    staged = Trajectory(dt=0.1, states=traj.states[:2], kind="full",
+                        stages=[[[1, 2, 3]]])
+    assert staged.stages.shape == (1, 1, 3) and staged.stages.dtype == float

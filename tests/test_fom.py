@@ -147,3 +147,20 @@ def test_trajectory_csv_round_trip(tmp_path, tight_opts):
         assert np.array_equal(np.asarray(x, float), np.asarray(y, float))
     header = path.read_text().splitlines()[0]
     assert header == "t,x_0,x_1"
+
+
+def test_rk_integrate_records_stages_and_lmm_does_not(tight_opts):
+    a = np.array([[-1.0, 0.3], [0.0, -2.0]])
+    m = linear_model(a, x_init=[1.0, -0.5])
+    tab = make_butcher("sdirk2")
+    dt = 0.1
+    traj = fom.integrate(m, tab, dt, 5 * dt, tight_opts)
+    assert traj.states.shape == (6, 2)
+    assert traj.stages.shape == (5, 2, 2)
+    for n in range(1, 6):
+        stages, nxt = fom.solve_rk_step(m, traj.states[n - 1], tab, dt,
+                                        tight_opts, t_base=(n - 1) * dt)
+        assert np.array_equal(traj.stages[n - 1], stages)
+        assert np.array_equal(traj.states[n], nxt)
+    assert fom.integrate(m, make_lmm("bdf2"), dt, 5 * dt,
+                         tight_opts).stages is None
