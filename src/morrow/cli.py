@@ -224,16 +224,25 @@ def _write_pod(run, result):
     run.record("singular_values.csv")
 
 
-def _weighting_from_config(run, model, sub, scheme, dt, T, opts,
-                           artifact="samples.txt"):
-    """The LSPG weighting the config asks for; GNAT writes its sampled rows
-    to the named artifact."""
-    cp = run.cp
+def _rom_kind(cp):
+    """The configured ROM kind; raises ConfigError for an unknown one."""
     kind = cp["rom"].get("kind", "galerkin") if cp.has_section("rom") \
         else "galerkin"
-    if kind != "gnat":
-        spec = cp["rom"].get("weighting", "identity") \
-            if cp.has_section("rom") else "identity"
+    if kind not in ("galerkin", "lspg", "gnat"):
+        raise ConfigError(f"unknown rom kind {kind!r}")
+    return kind
+
+
+def _weighting_from_config(run, model, sub, scheme, dt, T, opts,
+                           artifact="samples.txt"):
+    """The LSPG weighting the config asks for, None for Galerkin; GNAT
+    writes its sampled rows to the named artifact."""
+    cp = run.cp
+    kind = _rom_kind(cp)
+    if kind == "galerkin":
+        return None
+    if kind == "lspg":
+        spec = cp["rom"].get("weighting", "identity")
         if spec == "identity":
             return lspg.scaled_identity(model.dim)
         if spec.startswith("gamma:"):
@@ -255,7 +264,16 @@ def _weighting_from_config(run, model, sub, scheme, dt, T, opts,
     return hyperreduction.gnat_weighting(samples, rbasis)
 
 
-def _run_rom(run, model, sub, kind=None):
+def _integrate_rom(model, sub, W, scheme, dt, T, opts):
+    """Galerkin when W is None, LSPG weighted by W otherwise; returns the
+    reduced trajectory and the Gauss-Newton reports (none for Galerkin)."""
+    if W is None:
+        return galerkin.integrate_galerkin(model, sub, scheme, dt, T,
+                                           opts), []
+    return lspg.integrate_lspg(model, sub, W, scheme, dt, T, opts)
+
+
+def _run_rom(run, model, sub):
     """Run the configured ROM; returns (traj, lifted, W) with W the LSPG
     weighting that ran (None for Galerkin)."""
     cp = run.cp
@@ -263,19 +281,9 @@ def _run_rom(run, model, sub, kind=None):
     dt = cp["time"].getfloat("dt")
     T = cp["time"].getfloat("T")
     opts = _solver_from_config(cp)
-    kind = kind or (cp["rom"].get("kind", "galerkin")
-                    if cp.has_section("rom") else "galerkin")
-    W = None
-    if kind == "galerkin":
-        traj = _timed(run, "rom", lambda: galerkin.integrate_galerkin(
-            model, sub, scheme, dt, T, opts))
-        reports = []
-    elif kind in ("lspg", "gnat"):
-        W = _weighting_from_config(run, model, sub, scheme, dt, T, opts)
-        traj, reports = _timed(run, "rom", lambda: lspg.integrate_lspg(
-            model, sub, W, scheme, dt, T, opts))
-    else:
-        raise ConfigError(f"unknown rom kind {kind!r}")
+    W = _weighting_from_config(run, model, sub, scheme, dt, T, opts)
+    traj, reports = _timed(run, "rom", lambda: _integrate_rom(
+        model, sub, W, scheme, dt, T, opts))
     lifted = Trajectory(dt=traj.dt,
                         states=sub.reference + traj.states @ sub.basis.T,
                         kind=traj.kind)
@@ -317,6 +325,7 @@ def cmd_pod(run):
 
 
 def cmd_rom(run):
+    _rom_kind(run.cp)  # an unknown kind fails before any solve
     model, traj = _run_fom(run)
     result = _pod_from_config(run, model, traj)
     _write_pod(run, result)
@@ -329,36 +338,27 @@ def cmd_rom(run):
     return EXIT_OK
 
 
-def _sweep_point(run, index, dt, probe, ref_times, ref_probe, want_bound):
-    cp = run.cp
-    model = _model_from_config(cp, run.seed)
-    scheme = _scheme_from_config(cp)
-    T = cp["time"].getfloat("T")
-    opts = _solver_from_config(cp)
-    kind = cp["rom"].get("kind", "galerkin") if cp.has_section("rom") \
-        else "galerkin"
+def _sweep_point(run, index, model, scheme, dt, T, opts, ref, probe,
+                 kappa):
+    """FOM, POD and the configured ROM at one grid dt, as the row
+    (dt, error, walltime_s, bound, stable) of a SweepResult; the bound (when
+    kappa is not None) is the one `morrow bounds` reports at that dt."""
     t0 = time.perf_counter()
     try:
-        ref = fom.integrate(model, scheme, dt, T, opts)
-        result = _pod_from_config(run, model, ref)
-        sub = result.basis
-        W = None
-        if kind == "galerkin":
-            traj = galerkin.integrate_galerkin(model, sub, scheme, dt, T, opts)
-        else:
-            W = _weighting_from_config(run, model, sub, scheme, dt, T, opts,
-                                       artifact=f"samples_{index}.txt")
-            traj, _ = lspg.integrate_lspg(model, sub, W, scheme, dt, T, opts)
+        sub = _pod_from_config(run, model,
+                               fom.integrate(model, scheme, dt, T, opts)).basis
+        W = _weighting_from_config(run, model, sub, scheme, dt, T, opts,
+                                   artifact=f"samples_{index}.txt")
+        traj, _ = _integrate_rom(model, sub, W, scheme, dt, T, opts)
         lifted = sub.reference + traj.states @ sub.basis.T
         wall = time.perf_counter() - t0
         stable = not _is_unstable(lifted)
         err = analysis.trajectory_error(traj.times, lifted[:, probe],
-                                        ref_times, ref_probe)
+                                        ref.times, ref.states[:, probe])
         bval = np.nan
-        if want_bound and stable and kind != "gnat":
+        if kappa is not None and stable:
             try:
-                bval = _bound_report(traj, model, sub, scheme,
-                                     _kappa(run, model), W,
+                bval = _bound_report(traj, model, sub, scheme, kappa, W,
                                      opts).global_bound
             except bounds.BoundHypothesisError:
                 pass  # dt outside the theorem's cap: no bound, run still valid
@@ -386,35 +386,28 @@ def cmd_sweep(run):
         if not cp.has_section("rom"):
             cp.add_section("rom")
         cp["rom"]["kind"] = run.args.rom
+    _rom_kind(cp)  # an unknown kind fails before any solve
     probe = cp["output"].getint("probe", 0) if cp.has_section("output") else 0
-    want_bound = cp.has_section("bounds")
 
     # reference: FOM at the finest dt in the grid
     model = _model_from_config(cp, run.seed)
     scheme = _scheme_from_config(cp)
-    T = cp["time"].getfloat("T")
     opts = _solver_from_config(cp)
-    ref = fom.integrate(model, scheme, min(dts), T, opts)
-    ref_times = ref.times
-    ref_probe = ref.states[:, probe]
+    ref = fom.integrate(model, scheme, min(dts), T_total, opts)
+    kappa = _kappa(run, model) if cp.has_section("bounds") else None
 
+    # the model's callbacks are pure, so the threads share it
     workers = max(1, run.args.parallel)
     with ThreadPoolExecutor(max_workers=workers) as pool:
         rows = list(pool.map(
-            lambda i: _sweep_point(run, i, dts[i], probe, ref_times,
-                                   ref_probe, want_bound), range(len(dts))))
-    sweep = analysis.SweepResult(
-        dt=np.array([r[0] for r in rows]),
-        error=np.array([r[1] for r in rows]),
-        walltime_s=np.array([r[2] for r in rows]),
-        bound=np.array([r[3] for r in rows]),
-        stable=np.array([r[4] for r in rows]))
+            lambda i: _sweep_point(run, i, model, scheme, dts[i], T_total,
+                                   opts, ref, probe, kappa),
+            range(len(dts))))
+    sweep = analysis.SweepResult(*(np.array(col) for col in zip(*rows)))
     analysis.write_sweep_csv(sweep, run.path("sweep.csv"))
     # timing-free companion so reruns can be compared byte for byte
-    no_time = analysis.SweepResult(dt=sweep.dt, error=sweep.error,
-                                   walltime_s=np.zeros_like(sweep.dt),
-                                   bound=sweep.bound, stable=sweep.stable)
-    analysis.write_sweep_csv(no_time, run.path("sweep_notime.csv"))
+    sweep.walltime_s = np.zeros_like(sweep.dt)
+    analysis.write_sweep_csv(sweep, run.path("sweep_notime.csv"))
     run.record("sweep_notime.csv")
     return EXIT_OK
 
@@ -433,6 +426,7 @@ def _bound_report(traj, model, sub, scheme, kappa, W, opts):
 
 
 def cmd_bounds(run):
+    _rom_kind(run.cp)  # an unknown kind fails before any solve
     model, ref = _run_fom(run)
     result = _pod_from_config(run, model, ref)
     rom_traj, lifted, W = _run_rom(run, model, result.basis)
@@ -538,23 +532,12 @@ def _verify_checks(model_name, seed):
         a = -model.jacobian(x0, 0.0)
         c = np.linalg.cholesky(np.linalg.inv(np.eye(model.dim) + dt * a)).T
 
-        class _CholW:
-            dim = model.dim
-
-            def apply(self, v):
-                return c @ v
-
-            def apply_mat(self, m):
-                return c @ m
-
-            def gram_mat(self, m):
-                return c.T @ (c @ m)
-
         g = galerkin.integrate_galerkin(model, sub,
                                         make_lmm("backward_euler"), dt, T,
                                         opts)
-        l, _ = lspg.integrate_lspg(model, sub, _CholW(),
-                                   make_lmm("backward_euler"), dt, T, opts)
+        W = lspg.WeightingOperator(model.dim, factor=c)
+        l, _ = lspg.integrate_lspg(model, sub, W, make_lmm("backward_euler"),
+                                   dt, T, opts)
         diff = analysis.compare_trajectories(g, l, lift=sub)
         rows.append(("SPD-weighted equivalence", diff <= 1e-8,
                      f"max diff {diff:.3e}"))
@@ -639,7 +622,9 @@ def _build_parser():
             p.add_argument("--dt", help="comma-separated dt grid")
             p.add_argument("--rom", help="rom kind override")
         if name == "verify":
-            p.add_argument("--model", default=None)
+            p.add_argument("--model", default=None,
+                           choices=("gradient_flow", "burgers",
+                                    "advection_diffusion"))
     return parser
 
 

@@ -104,9 +104,8 @@ def gnat_weighting(samples: SampleSet, residual_basis: np.ndarray
         raise ValueError(
             f"rank-deficient sampled residual basis "
             f"(sigma_min = {sv[-1]:.3e})")
-    return lspg.WeightingOperator("gappy_pod", residual_basis.shape[0],
-                                  indices=idx,
-                                  gappy_pinv=np.linalg.pinv(zphi))
+    return lspg.WeightingOperator(residual_basis.shape[0], idx,
+                                  np.linalg.pinv(zphi))
 
 
 def write_sample_set(samples: SampleSet, path):

@@ -1,17 +1,20 @@
 """Least-squares Petrov-Galerkin reduced-order model.
 
 Each time step solves min_yhat || W r^n(x0 + Phi yhat) ||_2^2 by Gauss-Newton
-with a backtracking line search.  The stationary point satisfies the
-Petrov-Galerkin condition Psi^n)^T r^n = 0 with test basis
-Psi^n = W^T W (alpha_0 I - dt beta_0 df/dx) Phi (the weighting operators here
-are all constant, so the dW/dw term vanishes).  Runge-Kutta variants minimize
-per stage (explicit/DIRK) or over the coupled stacked stage system.
+with a backtracking line search.  The weighting is W = F Z: a row selection Z
+followed by a scalar or small dense factor F, which covers the scaled
+identity, collocation, GNAT's gappy POD and a dense SPD factor.  The
+stationary point satisfies the Petrov-Galerkin condition (Psi^n)^T r^n = 0
+with test basis Psi^n = W^T W (alpha_0 I - dt beta_0 df/dx) Phi (W is
+constant, so the dW/dw term vanishes).  Runge-Kutta variants minimize per
+stage (explicit/DIRK) or over the coupled stacked stage system, whose stage
+blocks are each weighted by W.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg import block_diag, solve_triangular
 
 from .core import SolverOptions, Trajectory, reconstruct
 from . import fom
@@ -26,61 +29,56 @@ class GaussNewtonError(RuntimeError):
 
 
 class WeightingOperator:
-    """Constant weighting matrix A of the LSPG objective ||A r||^2.
+    """Constant weighting A = F Z of the LSPG objective ||A r||^2.
 
-    Variants: scaled_identity(gamma), collocation (selected rows of the
-    identity), gappy_pod (GNAT: (Z Phi_r)^+ Z).  Exposes apply (A v),
-    apply_mat (A M) and gram_mat (A^T A M); all are state-independent.
+    Z selects `rows` of R^dim (all of them when None) and F, the `factor`, is
+    a scalar or a small dense matrix: gamma I is (all rows, gamma),
+    collocation is (indices, 1), GNAT's gappy POD is (indices, (Z Phi_r)^+).
+    Exposes apply (A v), apply_mat (A M) and gram_mat (A^T A M); all are
+    state-independent.
     """
 
-    def __init__(self, variant, dim, gamma=1.0, indices=None, gappy_pinv=None):
-        self.variant = variant
+    def __init__(self, dim, rows=None, factor=1.0):
         self.dim = dim
-        self.gamma = gamma
-        self.indices = None if indices is None else np.asarray(indices, int)
-        self._pinv = gappy_pinv  # (Z Phi_r)^+, shape q x n_s
-        if variant == "scaled_identity":
-            self.rows = dim
-        elif variant == "collocation":
-            self.rows = len(self.indices)
-        elif variant == "gappy_pod":
-            self.rows = gappy_pinv.shape[0]
-        else:
-            raise ValueError(f"unknown weighting variant {variant!r}")
+        self.rows = None if rows is None else np.asarray(rows, int)
+        self.factor = np.asarray(factor, float)
+
+    def _select(self, m):
+        return m if self.rows is None else m[self.rows]
 
     def apply(self, v):
-        if self.variant == "scaled_identity":
-            return self.gamma * v
-        if self.variant == "collocation":
-            return v[self.indices]
-        return self._pinv @ v[self.indices]
+        z = self._select(v)
+        # a 0-d factor through np.dot costs several times the multiply
+        return self.factor * z if self.factor.ndim == 0 else self.factor @ z
 
-    def apply_mat(self, m):
-        if self.variant == "scaled_identity":
-            return self.gamma * m
-        if self.variant == "collocation":
-            return m[self.indices]
-        return self._pinv @ m[self.indices]
+    apply_mat = apply
 
     def gram_mat(self, m):
-        """A^T A M without forming A^T A explicitly."""
-        if self.variant == "scaled_identity":
-            return self.gamma**2 * m
+        """A^T A M = Z^T F^T F Z M without forming A^T A explicitly."""
+        z = self._select(m)
+        f = self.factor
+        g = f**2 * z if f.ndim == 0 else f.T @ (f @ z)
+        if self.rows is None:
+            return g
         out = np.zeros_like(m)
-        if self.variant == "collocation":
-            out[self.indices] = m[self.indices]
-        else:
-            out[self.indices] = self._pinv.T @ (self._pinv @ m[self.indices])
+        out[self.rows] = g
         return out
+
+    def stacked(self, s):
+        """The same weighting on each block of s stacked copies of R^dim."""
+        rows = None if self.rows is None else (
+            self.rows + self.dim * np.arange(s)[:, None]).ravel()
+        factor = self.factor if self.factor.ndim == 0 \
+            else block_diag(*[self.factor] * s)
+        return WeightingOperator(s * self.dim, rows, factor)
 
 
 def scaled_identity(dim, gamma=1.0):
-    return WeightingOperator("scaled_identity", dim, gamma=gamma)
+    return WeightingOperator(dim, factor=gamma)
 
 
 def collocation(dim, samples):
-    idx = np.asarray(getattr(samples, "indices", samples), int)
-    return WeightingOperator("collocation", dim, indices=idx)
+    return WeightingOperator(dim, getattr(samples, "indices", samples))
 
 
 @dataclass(frozen=True)
@@ -254,53 +252,31 @@ def solve_lspg_rk_stage(model, sub, W, stage_ctx: RkStageContext, opts,
 
 
 def solve_lspg_rk_coupled(model, sub, W, base_full, t_base, tableau, dt, opts):
-    """Coupled minimization over all s stages at once (any tableau)."""
+    """Coupled minimization over all s stages at once (any tableau), each
+    stage block of the stacked residual weighted by W."""
     s, p = tableau.s, sub.p
     phi = sub.basis
-    ndof = model.dim
+    times = t_base + tableau.c * dt
 
     def stage_args(z):
         ys = z.reshape(s, p)
-        args, times = [], []
-        for i in range(s):
-            arg = base_full + dt * phi @ (tableau.a[i] @ ys)
-            args.append(arg)
-            times.append(t_base + tableau.c[i] * dt)
-        return ys, args, times
+        return ys, [base_full + dt * phi @ (tableau.a[i] @ ys)
+                    for i in range(s)]
 
     def residual(z):
-        ys, args, times = stage_args(z)
-        r = np.empty((s, ndof))
-        for i in range(s):
-            r[i] = phi @ ys[i] - model.velocity(args[i], times[i])
-        return r.ravel()
+        ys, args = stage_args(z)
+        return np.concatenate([phi @ ys[i] - model.velocity(args[i], times[i])
+                               for i in range(s)])
 
     def jacobian(z):
-        ys, args, times = stage_args(z)
-        jac = np.zeros((s * ndof, s * p))
-        for i in range(s):
-            jf = model.jacobian(args[i], times[i])
-            for j in range(s):
-                blk = jac[i * ndof:(i + 1) * ndof, j * p:(j + 1) * p]
-                if i == j:
-                    blk += phi
-                if tableau.a[i, j] != 0.0:
-                    blk -= dt * tableau.a[i, j] * (jf @ phi)
-        return jac
-
-    # stacked weighting: apply W to each stage block
-    class _Stacked:
-        def apply(self, v):
-            return np.concatenate(
-                [W.apply(v[i * ndof:(i + 1) * ndof]) for i in range(s)])
-
-        def apply_mat(self, m):
-            return np.vstack(
-                [W.apply_mat(m[i * ndof:(i + 1) * ndof]) for i in range(s)])
+        _, args = stage_args(z)
+        jf_phi = [model.jacobian(args[i], times[i]) @ phi for i in range(s)]
+        return np.block([[(i == j) * phi - dt * tableau.a[i, j] * jf_phi[i]
+                          for j in range(s)] for i in range(s)])
 
     z0 = np.tile(phi.T @ model.velocity(base_full, t_base), s)
-    z, report = _gauss_newton(residual, jacobian, z0, _Stacked(), opts)
-    return [z[i * p:(i + 1) * p].copy() for i in range(s)], report
+    z, report = _gauss_newton(residual, jacobian, z0, W.stacked(s), opts)
+    return z.reshape(s, p), report
 
 
 def _integrate_lspg_lmm(model, sub, W, scheme, dt, nsteps, opts, callback):

@@ -172,13 +172,20 @@ def test_unknown_model_exit_1(tmp_path, capsys):
     assert "unknown model" in capsys.readouterr().err
 
 
-def test_verify_exit_zero(tmp_path, capsys):
+@pytest.mark.parametrize("model", ["gradient_flow", "burgers"])
+def test_verify_exit_zero(tmp_path, capsys, model):
     out = str(tmp_path / "out")
-    assert cli.main(["verify", "--model", "gradient_flow",
+    assert cli.main(["verify", "--model", model,
                      "--out", out, "--seed", "3"]) == 0
     text = capsys.readouterr().out
     assert "PASS" in text and "FAIL" not in text
     assert os.path.exists(os.path.join(out, "verify.txt"))
+
+
+def test_verify_rejects_unknown_model(tmp_path, capsys):
+    assert cli.main(["verify", "--model", "bogus",
+                     "--out", str(tmp_path / "out")]) == 1
+    assert "invalid choice" in capsys.readouterr().err
 
 
 def test_determinism_excluding_timings(tmp_path):
@@ -330,3 +337,50 @@ def test_sweep_bounds_runge_kutta_points(tmp_path):
                      "--dt", "0.1,0.05"]) == 0
     sweep = analysis.read_sweep_csv(os.path.join(out, "sweep.csv"))
     assert np.all(np.isfinite(sweep.bound)) and np.all(sweep.bound > 0.0)
+
+
+@pytest.mark.parametrize("spelling", ["flag", "config"])
+def test_sweep_rejects_unknown_rom_kind(tmp_path, capsys, monkeypatch,
+                                       spelling):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("no solve before the kind is checked")
+
+    monkeypatch.setattr(fom, "integrate", forbidden)
+    body = BASE if spelling == "flag" else BASE + "\n[rom]\nkind = bogus\n"
+    argv = ["sweep", "--config", write_config(tmp_path, body),
+            "--out", str(tmp_path / "out"), "--dt", "0.008,0.004"]
+    if spelling == "flag":
+        argv += ["--rom", "bogus"]
+    assert cli.main(argv) == 1
+    assert "unknown rom kind" in capsys.readouterr().err
+
+
+def test_sweep_estimates_kappa_once(tmp_path, monkeypatch):
+    from morrow import bounds
+    calls = []
+    estimate = bounds.estimate_lipschitz
+
+    def counted(*args):
+        calls.append(1)
+        return estimate(*args)
+
+    monkeypatch.setattr(bounds, "estimate_lipschitz", counted)
+    cfg = write_config(tmp_path, BASE + "\n[bounds]\n")
+    assert cli.main(["sweep", "--config", cfg, "--out", str(tmp_path / "o"),
+                     "--dt", "0.008,0.004,0.002"]) == 0
+    assert len(calls) == 1
+
+
+def test_gnat_sweep_bound_matches_bounds_subcommand(tmp_path):
+    cfg = write_config(tmp_path, BASE + "\n[rom]\nkind = gnat\n"
+                       "\n[bounds]\nkappa = 60.0\n")
+    out = str(tmp_path / "sweep")
+    assert cli.main(["sweep", "--config", cfg, "--out", out,
+                     "--dt", "0.008,0.004"]) == 0
+    sweep = analysis.read_sweep_csv(os.path.join(out, "sweep.csv"))
+    assert np.isfinite(sweep.bound[1])
+    out = str(tmp_path / "bounds")
+    assert cli.main(["bounds", "--config", cfg, "--out", out]) == 0  # dt 0.004
+    report = np.genfromtxt(os.path.join(out, "bound_report.csv"),
+                           delimiter=",", names=True)
+    assert sweep.bound[1] == report["global_bound"][-1]

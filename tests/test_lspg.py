@@ -4,7 +4,7 @@ weighting-operator algebra, and the Galerkin equivalence corollaries."""
 import numpy as np
 import pytest
 
-from morrow import benchmodels, fom, galerkin, lspg
+from morrow import benchmodels, fom, galerkin, hyperreduction, lspg
 from morrow.core import SolverOptions, TrialSubspace, reconstruct
 from morrow.schemes import make_butcher, make_lmm
 
@@ -22,10 +22,30 @@ def dense_weighting_matrix(W, dim):
     return np.column_stack([W.apply(col) for col in np.eye(dim)])
 
 
-@pytest.mark.parametrize("make", [
+def gnat_weighting():
+    rng = np.random.default_rng(1)
+    rbasis = np.linalg.qr(rng.standard_normal((8, 3)))[0]
+    return hyperreduction.gnat_weighting(
+        hyperreduction.SampleSet(indices=(0, 2, 4, 6)), rbasis)
+
+
+def spd_factor_weighting():
+    # all rows, dense factor: the Cholesky factor of an SPD matrix
+    rng = np.random.default_rng(2)
+    b = rng.standard_normal((8, 8))
+    return lspg.WeightingOperator(
+        8, factor=np.linalg.cholesky(b @ b.T + 8 * np.eye(8)).T)
+
+
+WEIGHTINGS = [
     lambda: lspg.scaled_identity(8, 2.5),
     lambda: lspg.collocation(8, np.array([0, 3, 5])),
-])
+    lambda: gnat_weighting(),
+    lambda: spd_factor_weighting(),
+]
+
+
+@pytest.mark.parametrize("make", WEIGHTINGS)
 def test_gram_mat_matches_dense(make):
     W = make()
     rng = np.random.default_rng(0)
@@ -35,15 +55,35 @@ def test_gram_mat_matches_dense(make):
     assert np.allclose(W.apply_mat(m), a @ m, atol=1e-12)
 
 
-def test_gappy_gram_matches_dense():
-    rng = np.random.default_rng(1)
-    rbasis = np.linalg.qr(rng.standard_normal((8, 3)))[0]
-    idx = np.array([0, 2, 4, 6])
-    pinv = np.linalg.pinv(rbasis[idx])
-    W = lspg.WeightingOperator("gappy_pod", 8, indices=idx, gappy_pinv=pinv)
-    m = rng.standard_normal((8, 5))
-    a = dense_weighting_matrix(W, 8)
-    assert np.allclose(W.gram_mat(m), a.T @ a @ m, atol=1e-12)
+@pytest.mark.parametrize("make", WEIGHTINGS)
+def test_coupled_stage_weighting_is_blockwise(make, monkeypatch, tight_opts):
+    # the coupled Runge-Kutta solve weights each stage block with W
+    from morrow.schemes import ButcherTableau
+    W = make()
+    seen = []
+    solve = lspg._gauss_newton
+
+    def spy(residual, jacobian, y0, weighting, opts, callback=None):
+        seen.append(weighting)
+        return solve(residual, jacobian, y0, weighting, opts, callback)
+
+    monkeypatch.setattr(lspg, "_gauss_newton", spy)
+    m = linear_model(-np.diag(np.linspace(0.5, 2.0, 8)), x_init=np.ones(8))
+    sub = random_subspace(8, 2, seed=11)
+    gauss = ButcherTableau(s=2, a=np.array([[0.25, -0.04], [0.54, 0.25]]),
+                           b=np.array([0.5, 0.5]), c=np.array([0.21, 0.79]),
+                           name="coupled")
+    lspg.solve_lspg_rk_coupled(m, sub, W, m.initial_state, 0.0, gauss, 0.1,
+                               tight_opts)
+    stacked = seen[0]
+    rng = np.random.default_rng(3)
+    v = rng.standard_normal(16)
+    mat = rng.standard_normal((16, 4))
+    # a dense factor acts as one block-diagonal product: roundoff only
+    assert np.allclose(stacked.apply(v), np.concatenate(
+        [W.apply(v[:8]), W.apply(v[8:])]), rtol=1e-13, atol=1e-13)
+    assert np.allclose(stacked.apply_mat(mat), np.vstack(
+        [W.apply_mat(mat[:8]), W.apply_mat(mat[8:])]), rtol=1e-13, atol=1e-13)
 
 
 def test_collocation_accepts_sample_set():
