@@ -153,14 +153,14 @@ def gradient_flow_spd(spec: BenchmarkSpec) -> Model:
     q, r = np.linalg.qr(rng.standard_normal((n, n)))
     q = q * np.sign(np.diag(r))  # fix QR sign convention
     a = q @ np.diag(lam) @ q.T
-    a = 0.5 * (a + a.T)
+    neg_a = -0.5 * (a + a.T)  # built once: both callbacks return -A
     x_init = rng.standard_normal(n)
 
     def velocity(x, t):
-        return -a @ x
+        return neg_a @ x
 
     def jacobian(x, t):
-        return -a
+        return neg_a
 
     return Model(dim=n, velocity=velocity, jacobian=jacobian,
                  initial_state=x_init)

@@ -350,6 +350,7 @@ def auxiliary_increment_bound(model, lspg_traj, sub, dt, kappa,
     f_norms = np.zeros(n + 1)
     degenerate = np.zeros(n + 1, dtype=bool)
     aux_states = [None]
+    newton = fom.NewtonMatrix()
     for j in range(1, n + 1):
         anchor = phi @ lspg_traj.states[j - 1]
         xbar = anchor.copy()  # warm start
@@ -358,8 +359,8 @@ def auxiliary_increment_bound(model, lspg_traj, sub, dt, kappa,
             g = xbar - dt * model.velocity(x0 + xbar, tj) - anchor
             if np.linalg.norm(g) <= opts.newton_abs_tol:
                 break
-            jac = fom.shifted(1.0, dt, model.jacobian(x0 + xbar, tj))
-            xbar = xbar - fom.solve(jac, g)
+            xbar = xbar - newton.solve(
+                1.0, dt, model.jacobian(x0 + xbar, tj), g)
         else:
             if np.linalg.norm(g) > max(opts.newton_abs_tol, 1e-8):
                 raise fom.StepSolveError(
@@ -437,6 +438,7 @@ def rk_aposteriori_bound(traj, kind, tableau, kappa, model, sub, W=None,
     nsteps = len(traj.states) - 1
     svals = np.zeros(nsteps + 1)
     term0 = np.zeros(nsteps + 1)
+    newton = fom.NewtonMatrix()
     for n in range(1, nsteps + 1):
         t_base = (n - 1) * dt
         base_full = reconstruct(sub, traj.states[n - 1])
@@ -452,7 +454,7 @@ def rk_aposteriori_bound(traj, kind, tableau, kappa, model, sub, W=None,
             else:
                 jf = model.jacobian(args[i], times[i])
                 psi_ii = W.gram_mat(
-                    fom.shifted(1.0, dt * tableau.a[i, i], jf) @ phi)
+                    newton.times(1.0, dt * tableau.a[i, i], jf, phi))
                 proj = _ObliqueProjector(sub, psi_ii)
                 term = np.linalg.norm(proj.deflate(fval))
                 if mode == "general":
@@ -534,6 +536,7 @@ def _rk_apriori(fom_traj, rom_traj, kind, model, sub, tableau, kappa, W,
     rom_stages = _stages(rom_traj) if kind == "lspg" else None
     svals = np.zeros(nsteps + 1)
     amps = np.ones(nsteps + 1)
+    newton = fom.NewtonMatrix()
     for n in range(1, nsteps + 1):
         base = fom_traj.states[n - 1]
         t_base = (n - 1) * dt
@@ -551,7 +554,7 @@ def _rk_apriori(fom_traj, rom_traj, kind, model, sub, tableau, kappa, W,
                                                  @ rom_stages[n - 1])
                 jf = model.jacobian(arg_rom, t_base + tableau.c[i] * dt)
                 psi = W.gram_mat(
-                    fom.shifted(1.0, dt * tableau.a[i, i], jf) @ phi)
+                    newton.times(1.0, dt * tableau.a[i, i], jf, phi))
                 projs[i] = _ObliqueProjector(sub, psi)
                 proj_norms[i] = projs[i].norm()
             absa = np.abs(tableau.a) * proj_norms[None, :]

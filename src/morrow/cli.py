@@ -342,11 +342,13 @@ def _sweep_point(run, index, model, scheme, dt, T, opts, ref, probe,
                  kappa):
     """FOM, POD and the configured ROM at one grid dt, as the row
     (dt, error, walltime_s, bound, stable) of a SweepResult; the bound (when
-    kappa is not None) is the one `morrow bounds` reports at that dt."""
+    kappa is not None) is the one `morrow bounds` reports at that dt.  The
+    point at the reference's dt takes the reference as its FOM run."""
     t0 = time.perf_counter()
     try:
-        sub = _pod_from_config(run, model,
-                               fom.integrate(model, scheme, dt, T, opts)).basis
+        full = ref if dt == ref.dt else fom.integrate(model, scheme, dt, T,
+                                                      opts)
+        sub = _pod_from_config(run, model, full).basis
         W = _weighting_from_config(run, model, sub, scheme, dt, T, opts,
                                    artifact=f"samples_{index}.txt")
         traj, _ = _integrate_rom(model, sub, W, scheme, dt, T, opts)

@@ -18,7 +18,8 @@ class Model:
 
     velocity and jacobian must be deterministic; jacobian(x, t) is expected
     to match central finite differences of velocity (see jacobian_fd_check).
-    jacobian may return a dense ndarray or a scipy.sparse matrix.
+    jacobian may return a dense ndarray or a scipy.sparse matrix, and may
+    return the same array on every call; callers must not mutate it.
     """
 
     dim: int

@@ -12,9 +12,11 @@ and for a Runge-Kutta scheme the stage unknowns w_i (velocity values) satisfy
 with the explicit state update x^n = x^{n-1} + dt sum_i b_i w_i.
 
 Model Jacobians may be dense arrays or ``scipy.sparse`` matrices; every
-Newton matrix is c0 I - c1 J (``shifted``) and keeps J's type, and
-``solve`` factors it with dense or sparse LU to match.  ``scipy.sparse``
-is imported only when a sparse Jacobian shows up.
+Newton matrix is c0 I - c1 J (``shifted``) and keeps J's type.  A
+``NewtonMatrix`` factors it with dense or sparse LU to match, or multiplies
+it with a basis, and keeps the result while (c0, c1, J) repeat bitwise, so
+a linear model factors once per step size.  ``scipy.sparse`` is imported
+only when a sparse Jacobian shows up.
 """
 
 from dataclasses import dataclass
@@ -76,13 +78,68 @@ def shifted(c0: float, c1: float, jac):
     return c0 * sparse.eye_array(jac.shape[0], format="csr") - c1 * jac
 
 
-def solve(mat, rhs: np.ndarray) -> np.ndarray:
-    """mat^{-1} rhs by LU: lu_factor/lu_solve for an ndarray, splu for a
-    scipy.sparse matrix."""
-    if isinstance(mat, np.ndarray):
-        return lu_solve(lu_factor(mat), rhs)
-    from scipy.sparse.linalg import splu
-    return splu(mat.tocsc()).solve(rhs)
+class NewtonMatrix:
+    """c0 I - c1 J for the last (c0, c1, J) given, with its LU factor and
+    its product with a basis formed on first use and kept while c0, c1 and
+    the entries of J repeat bitwise.
+
+    J is keyed by a private copy of its contents, never by identity, since
+    a model may refill one buffer in place.  The product is kept for the
+    basis object it was formed with; callers must not mutate either.  One
+    object serves one integration or bound call: it is not shared between
+    threads.
+    """
+
+    def __init__(self):
+        self._key = None
+        self._solve = None
+        self._basis = self._product = None
+
+    def _use(self, c0, c1, jac):
+        entries = _entries(jac)
+        key = self._key
+        if key is not None and key[:2] == (c0, c1) \
+                and _same_entries(entries, key[2]):
+            return
+        self._key = (c0, c1, [a.copy() for a in entries])
+        self._solve = None
+        self._basis = self._product = None
+
+    def solve(self, c0, c1, jac, rhs):
+        """(c0 I - c1 J)^{-1} rhs by LU: lu_factor/lu_solve for an
+        ndarray, splu for a scipy.sparse matrix."""
+        self._use(c0, c1, jac)
+        if self._solve is None:
+            mat = shifted(c0, c1, jac)
+            if isinstance(mat, np.ndarray):
+                lu = lu_factor(mat)
+                self._solve = lambda b: lu_solve(lu, b)
+            else:
+                from scipy.sparse.linalg import splu
+                self._solve = splu(mat.tocsc()).solve
+        return self._solve(rhs)
+
+    def times(self, c0, c1, jac, basis):
+        """(c0 I - c1 J) basis."""
+        self._use(c0, c1, jac)
+        if self._basis is not basis:
+            self._basis, self._product = basis, shifted(c0, c1, jac) @ basis
+        return self._product
+
+
+def _entries(jac):
+    """The arrays that hold J's entries: the ndarray itself, or the index
+    and value arrays of its CSR form."""
+    if isinstance(jac, np.ndarray):
+        return (jac,)
+    csr = jac.tocsr()
+    return csr.indptr, csr.indices, csr.data
+
+
+def _same_entries(entries, key):
+    """Whether J's entry arrays equal the stored copies bitwise."""
+    return len(entries) == len(key) and all(map(np.array_equal, entries,
+                                                 key))
 
 
 def _block(blocks):
@@ -105,16 +162,23 @@ def lmm_residual(model: Model, ctx: LmmStepContext, w: np.ndarray) -> np.ndarray
     return r
 
 
+def lmm_jacobian_terms(model: Model, ctx: LmmStepContext, w: np.ndarray):
+    """(c0, c1, J) of the residual Jacobian c0 I - c1 J: alpha_0,
+    dt beta_0 and df/dx(w)."""
+    alpha, beta = ctx.scheme.coeffs(ctx.n)
+    return alpha[0], ctx.dt * beta[0], model.jacobian(w, ctx.n * ctx.dt)
+
+
 def lmm_residual_jacobian(model: Model, ctx: LmmStepContext, w: np.ndarray):
     """alpha_0 I - dt beta_0 df/dx(w), dense or sparse like the model's
     Jacobian."""
-    alpha, beta = ctx.scheme.coeffs(ctx.n)
-    return shifted(alpha[0], ctx.dt * beta[0],
-                   model.jacobian(w, ctx.n * ctx.dt))
+    return shifted(*lmm_jacobian_terms(model, ctx, w))
 
 
 def solve_lmm_step(model: Model, ctx: LmmStepContext,
-                   opts: SolverOptions) -> np.ndarray:
+                   opts: SolverOptions, newton=None) -> np.ndarray:
+    """One multistep step by Newton; newton, a NewtonMatrix, may carry a
+    factor from earlier steps."""
     alpha, beta = ctx.scheme.coeffs(ctx.n)
     if beta[0] == 0.0:
         # residual is affine in w: one direct update, no Newton
@@ -133,8 +197,9 @@ def solve_lmm_step(model: Model, ctx: LmmStepContext,
     tol = max(opts.newton_abs_tol, opts.newton_rel_tol * r0)
     if r0 <= tol:
         return w
+    newton = NewtonMatrix() if newton is None else newton
     for _ in range(opts.max_iters):
-        w = w - solve(lmm_residual_jacobian(model, ctx, w), r)
+        w = w - newton.solve(*lmm_jacobian_terms(model, ctx, w), r)
         r = lmm_residual(model, ctx, w)
         if np.linalg.norm(r) <= tol:
             return w
@@ -157,7 +222,7 @@ def rk_stage_residual(model: Model, stages: RkStageSet, i: int) -> np.ndarray:
 
 
 def _solve_rk_stage(model, base_state, t_base, tableau, dt, prev_stages, i,
-                    opts):
+                    opts, newton):
     """Newton solve of the stagewise residual for explicit/DIRK stage i
     (0-based): w = f(x + dt a_ii w + dt sum_{j<i} a_ij w_j, t_i)."""
     known = base_state.copy()
@@ -175,9 +240,8 @@ def _solve_rk_stage(model, base_state, t_base, tableau, dt, prev_stages, i,
     for _ in range(opts.max_iters):
         if np.linalg.norm(r) <= tol:
             return w
-        jac = shifted(1.0, dt * aii,
-                      model.jacobian(known + dt * aii * w, ti))
-        w = w - solve(jac, r)
+        w = w - newton.solve(1.0, dt * aii,
+                             model.jacobian(known + dt * aii * w, ti), r)
         r = w - model.velocity(known + dt * aii * w, ti)
     if np.linalg.norm(r) <= tol:
         return w
@@ -186,7 +250,7 @@ def _solve_rk_stage(model, base_state, t_base, tableau, dt, prev_stages, i,
         last_iterate=w, residual_norm=float(np.linalg.norm(r)))
 
 
-def _solve_rk_coupled(model, base_state, t_base, tableau, dt, opts):
+def _solve_rk_coupled(model, base_state, t_base, tableau, dt, opts, newton):
     """Coupled Newton on the stacked s*N system for fully implicit tableaus."""
     s, ndof = tableau.s, model.dim
     w = np.tile(model.velocity(base_state, t_base), s)
@@ -202,14 +266,14 @@ def _solve_rk_coupled(model, base_state, t_base, tableau, dt, opts):
             jf = model.jacobian(arg, ti)
             blocks.append([dt * tableau.a[i, j] * jf for j in range(s)])
         # block (i, j) of the stacked Jacobian: delta_ij I - dt a_ij J_i
-        return r.ravel(), shifted(1.0, 1.0, _block(blocks))
+        return r.ravel(), _block(blocks)
 
     r, jac = residual_and_jac(w)
     tol = max(opts.newton_abs_tol, opts.newton_rel_tol * np.linalg.norm(r))
     for _ in range(opts.max_iters):
         if np.linalg.norm(r) <= tol:
             break
-        w = w - solve(jac, r)
+        w = w - newton.solve(1.0, 1.0, jac, r)
         r, jac = residual_and_jac(w)
     else:
         if np.linalg.norm(r) > tol:
@@ -221,17 +285,20 @@ def _solve_rk_coupled(model, base_state, t_base, tableau, dt, opts):
 
 def solve_rk_step(model: Model, base_state: np.ndarray,
                   tableau: ButcherTableau, dt: float, opts: SolverOptions,
-                  t_base: float = 0.0):
-    """Solve one RK step; returns (stage_values, next_state)."""
+                  t_base: float = 0.0, newton=None):
+    """Solve one RK step; returns (stage_values, next_state).  newton, a
+    NewtonMatrix, may carry a factor from earlier stages and steps."""
+    newton = NewtonMatrix() if newton is None else newton
     kind = classify(tableau).tag
     if kind == "fully_implicit":
         stage_values = _solve_rk_coupled(model, base_state, t_base, tableau,
-                                         dt, opts)
+                                         dt, opts, newton)
     else:
         stage_values = []
         for i in range(tableau.s):
             stage_values.append(_solve_rk_stage(
-                model, base_state, t_base, tableau, dt, stage_values, i, opts))
+                model, base_state, t_base, tableau, dt, stage_values, i, opts,
+                newton))
     next_state = base_state + dt * sum(
         bi * wi for bi, wi in zip(tableau.b, stage_values))
     return stage_values, next_state
@@ -257,17 +324,18 @@ def integrate(model: Model, scheme, dt: float, T: float,
     states = np.empty((nsteps + 1, model.dim))
     states[0] = model.initial_state
     stages = np.empty((nsteps, scheme.s, model.dim)) if rk else None
+    newton = NewtonMatrix()
     try:
         for n in range(1, nsteps + 1):
             if rk:
                 stages[n - 1], states[n] = solve_rk_step(
                     model, states[n - 1], scheme, dt, opts,
-                    t_base=(n - 1) * dt)
+                    t_base=(n - 1) * dt, newton=newton)
             else:
                 hist = tuple(states[n - j]
                              for j in range(1, min(scheme.k, n) + 1))
                 ctx = LmmStepContext(history=hist, n=n, dt=dt, scheme=scheme)
-                states[n] = solve_lmm_step(model, ctx, opts)
+                states[n] = solve_lmm_step(model, ctx, opts, newton)
     except StepSolveError as err:
         if err.time_index is None:
             err.time_index = n

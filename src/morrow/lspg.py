@@ -191,19 +191,21 @@ def compute_test_basis(model, sub, W, ctx, yhat) -> TestBasis:
 
 
 def solve_lspg_step_lmm(model, sub, W, ctx, opts, yhat_warm=None,
-                        callback=None):
+                        callback=None, newton=None):
     """One LSPG linear-multistep step; ctx carries the lifted (full-space)
-    history.  Returns (yhat, GaussNewtonReport)."""
+    history.  newton, a fom.NewtonMatrix, may carry the residual Jacobian
+    times Phi from earlier steps.  Returns (yhat, GaussNewtonReport)."""
     if yhat_warm is None:
         yhat_warm = np.zeros(sub.p)
     phi = sub.basis
+    newton = fom.NewtonMatrix() if newton is None else newton
 
     def residual(y):
         return fom.lmm_residual(model, ctx, reconstruct(sub, y))
 
     def jacobian(y):
-        return fom.lmm_residual_jacobian(
-            model, ctx, reconstruct(sub, y)) @ phi
+        return newton.times(*fom.lmm_jacobian_terms(
+            model, ctx, reconstruct(sub, y)), phi)
 
     return _gauss_newton(residual, jacobian, yhat_warm, W, opts,
                          callback=callback)
@@ -224,7 +226,9 @@ class RkStageContext:
 
 
 def solve_lspg_rk_stage(model, sub, W, stage_ctx: RkStageContext, opts,
-                        callback=None):
+                        callback=None, newton=None):
+    """One explicit/DIRK stage; newton, a fom.NewtonMatrix, may carry the
+    stage Jacobian times Phi from earlier stages and steps."""
     tab = stage_ctx.tableau
     i, dt = stage_ctx.i, stage_ctx.dt
     phi = sub.basis
@@ -234,6 +238,7 @@ def solve_lspg_rk_stage(model, sub, W, stage_ctx: RkStageContext, opts,
             known = known + dt * tab.a[i, j] * (phi @ stage_ctx.prev_stage_coords[j])
     ti = stage_ctx.t_base + tab.c[i] * dt
     aii = tab.a[i, i]
+    newton = fom.NewtonMatrix() if newton is None else newton
 
     def residual(y):
         w = phi @ y
@@ -243,7 +248,7 @@ def solve_lspg_rk_stage(model, sub, W, stage_ctx: RkStageContext, opts,
         if aii == 0.0:
             return phi
         jf = model.jacobian(known + dt * aii * (phi @ y), ti)
-        return fom.shifted(1.0, dt * aii, jf) @ phi
+        return newton.times(1.0, dt * aii, jf, phi)
 
     y0 = phi.T @ model.velocity(stage_ctx.base_full, stage_ctx.t_base)
     yhat, report = _gauss_newton(residual, jacobian, y0, W, opts,
@@ -283,13 +288,14 @@ def _integrate_lspg_lmm(model, sub, W, scheme, dt, nsteps, opts, callback):
     yhats = [np.zeros(sub.p)]
     lifted = [reconstruct(sub, yhats[0])]
     reports = []
+    newton = fom.NewtonMatrix()
     for n in range(1, nsteps + 1):
         hist = tuple(lifted[n - j] for j in range(1, min(scheme.k, n) + 1))
         ctx = fom.LmmStepContext(history=hist, n=n, dt=dt, scheme=scheme)
         try:
             yhat, report = solve_lspg_step_lmm(
                 model, sub, W, ctx, opts, yhat_warm=yhats[-1],
-                callback=callback)
+                callback=callback, newton=newton)
         except GaussNewtonError as err:
             err.time_index = n
             raise
@@ -304,6 +310,7 @@ def _integrate_lspg_rk(model, sub, W, tableau, dt, nsteps, opts, callback):
     yhats = [np.zeros(sub.p)]
     stages = np.empty((nsteps, tableau.s, sub.p))
     reports = []
+    newton = fom.NewtonMatrix()
     for n in range(1, nsteps + 1):
         base_full = reconstruct(sub, yhats[-1])
         t_base = (n - 1) * dt
@@ -318,7 +325,8 @@ def _integrate_lspg_rk(model, sub, W, tableau, dt, nsteps, opts, callback):
                                      dt=dt, tableau=tableau, i=i,
                                      prev_stage_coords=tuple(stage_coords))
                 yi, report = solve_lspg_rk_stage(model, sub, W, ctx, opts,
-                                                 callback=callback)
+                                                 callback=callback,
+                                                 newton=newton)
                 stage_coords.append(yi)
                 reports.append(report)
         stages[n - 1] = stage_coords

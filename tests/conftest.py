@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from morrow import benchmodels, fom, galerkin, hyperreduction, lspg, pod
 from morrow.core import Model, SolverOptions, TrialSubspace
+from morrow.schemes import make_butcher, make_lmm
 
 
 @pytest.fixture
@@ -33,3 +35,88 @@ def random_subspace(n, p, seed=0, reference=None):
     if reference is None:
         reference = np.zeros(n)
     return TrialSubspace(basis=q, reference=np.asarray(reference, float))
+
+
+# ------------------------------------------------------ Newton-matrix reuse
+
+NEWTON_CASES = ("gradflow-sdirk2", "gradflow-bdf2", "burgers-be-dense",
+                "burgers-be-sparse")
+
+
+def newton_case(name):
+    """(model, scheme, dt, T) of a small Newton-matrix reuse case: a linear
+    gradient flow (one Newton matrix per step size and coefficient pair) or
+    Burgers (a new one on every iteration), whose Jacobian is sparse or
+    densified."""
+    if name.startswith("gradflow"):
+        model = benchmodels.gradient_flow_spd(benchmodels.BenchmarkSpec(
+            name="gradient_flow", spectrum=tuple(np.geomspace(0.1, 50.0, 24)),
+            seed=3))
+        scheme = make_butcher("sdirk2") if name.endswith("sdirk2") \
+            else make_lmm("bdf2")
+        return model, scheme, 0.01, 0.1
+    model = benchmodels.burgers1d(benchmodels.BenchmarkSpec(
+        name="burgers", n=32, viscosity=0.02))
+    if name.endswith("dense"):
+        sparse_jac = model.jacobian
+        model = Model(dim=model.dim, velocity=model.velocity,
+                      jacobian=lambda x, t: sparse_jac(x, t).toarray(),
+                      initial_state=model.initial_state)
+    return model, make_lmm("backward_euler"), 2e-3, 0.02
+
+
+def newton_case_states(name, kind):
+    """States of the FOM or of a Galerkin, LSPG (W = I) or GNAT ROM on a
+    Newton-matrix reuse case; the ROMs use the FOM's POD basis."""
+    model, scheme, dt, T = newton_case(name)
+    x = fom.integrate(model, scheme, dt, T).states
+    if kind == "fom":
+        return x
+    sub = pod.compute_pod(pod.SnapshotSet(vectors=(x[1:] - x[0]).T),
+                          0.9999, reference=x[0]).basis
+    if kind == "galerkin":
+        return galerkin.integrate_galerkin(model, sub, scheme, dt, T).states
+    W = lspg.scaled_identity(model.dim)
+    if kind == "gnat":
+        rbasis = hyperreduction.build_residual_basis(
+            hyperreduction.collect_residual_snapshots(model, sub, scheme, dt,
+                                                      T), 0.9999)
+        samples = hyperreduction.select_samples(rbasis, 2 * rbasis.shape[1])
+        W = hyperreduction.gnat_weighting(samples, rbasis)
+    return lspg.integrate_lspg(model, sub, W, scheme, dt, T)[0].states
+
+
+def refilled_cubic(n=4):
+    """f(x) = -x^3 - x twice: with a Jacobian written into one buffer on
+    every call, and with a fresh array per call."""
+    buf = np.zeros((n, n))
+
+    def refill(x, t):
+        buf[...] = np.diag(-3.0 * x**2 - 1.0)
+        return buf
+
+    x0 = np.linspace(0.5, 1.0, n)
+    return [Model(dim=n, velocity=lambda x, t: -x**3 - x, jacobian=jac,
+                  initial_state=x0)
+            for jac in (refill, lambda x, t: np.diag(-3.0 * x**2 - 1.0))]
+
+
+@pytest.fixture
+def always_miss(monkeypatch):
+    """Make every fom.NewtonMatrix rebuild on every call, as if no two
+    Jacobians were ever equal."""
+    monkeypatch.setattr(fom, "_same_entries", lambda entries, key: False)
+
+
+def counting(monkeypatch, owner, attr):
+    """Replace owner.attr by a wrapper that logs each call; returns the
+    log."""
+    calls = []
+    original = getattr(owner, attr)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, attr, counted)
+    return calls

@@ -7,6 +7,8 @@ import pytest
 from morrow import analysis, cli, fom, pod
 from morrow.core import reconstruct
 
+from conftest import counting
+
 
 BASE = """\
 [model]
@@ -384,3 +386,12 @@ def test_gnat_sweep_bound_matches_bounds_subcommand(tmp_path):
     report = np.genfromtxt(os.path.join(out, "bound_report.csv"),
                            delimiter=",", names=True)
     assert sweep.bound[1] == report["global_bound"][-1]
+
+
+def test_sweep_reuses_reference_at_finest_dt(tmp_path, monkeypatch):
+    runs = counting(monkeypatch, fom, "integrate")
+    cfg = write_config(tmp_path, BASE + "\n[rom]\nkind = lspg\n")
+    assert cli.main(["sweep", "--config", cfg, "--out", str(tmp_path / "o"),
+                     "--dt", "0.008,0.004,0.002"]) == 0
+    # the reference at dt 0.002 and the points at 0.008 and 0.004
+    assert sorted(args[2] for args in runs) == [0.002, 0.004, 0.008]

@@ -1,5 +1,7 @@
 """Full-order time stepping against closed-form and high-accuracy oracles."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,8 @@ from morrow import fom
 from morrow.core import Model, SolverOptions
 from morrow.schemes import make_butcher, make_lmm
 
-from conftest import linear_model
+from conftest import (NEWTON_CASES, counting, linear_model, newton_case,
+                      newton_case_states, refilled_cubic)
 
 
 def scalar_decay(lam=-2.0):
@@ -164,3 +167,73 @@ def test_rk_integrate_records_stages_and_lmm_does_not(tight_opts):
         assert np.array_equal(traj.states[n], nxt)
     assert fom.integrate(m, make_lmm("bdf2"), dt, 5 * dt,
                          tight_opts).stages is None
+
+
+# ------------------------------------------------------ Newton-matrix reuse
+
+def test_linear_sdirk2_factors_once(monkeypatch):
+    # both SDIRK2 stages and all 10 steps share I - dt a_ii J
+    model, scheme, dt, T = newton_case("gradflow-sdirk2")
+    factors = counting(monkeypatch, fom, "lu_factor")
+    fom.integrate(model, scheme, dt, T)
+    assert len(factors) == 1
+
+
+@pytest.mark.parametrize("case", ["burgers-be-dense", "burgers-be-sparse"])
+def test_burgers_factors_once_per_newton_iteration(case, monkeypatch,
+                                                   tight_opts):
+    model, scheme, dt, T = newton_case(case)
+    jacobians = []
+
+    def jacobian(x, t, jac=model.jacobian):
+        jacobians.append(t)
+        return jac(x, t)
+
+    model = replace(model, jacobian=jacobian)
+    dense = counting(monkeypatch, fom, "lu_factor")
+    shifted = counting(monkeypatch, fom, "shifted")
+    fom.integrate(model, scheme, dt, T, tight_opts)
+    assert len(jacobians) > round(T / dt)  # several Newton iterations a step
+    assert len(shifted) == len(jacobians)
+    assert len(dense) == (len(jacobians) if case.endswith("dense") else 0)
+
+
+@pytest.mark.parametrize("case", NEWTON_CASES)
+@pytest.mark.parametrize("kind", ["fom", "galerkin"])
+def test_newton_reuse_is_bitwise(case, kind, request):
+    reused = newton_case_states(case, kind)
+    request.getfixturevalue("always_miss")
+    assert np.array_equal(reused, newton_case_states(case, kind))
+
+
+def test_refilled_jacobian_buffer_is_refactored(monkeypatch):
+    refilled, fresh = refilled_cubic()
+    factors = counting(monkeypatch, fom, "lu_factor")
+    traj = fom.integrate(refilled, make_lmm("backward_euler"), 0.1, 0.5)
+    refactored = len(factors)
+    assert np.array_equal(traj.states, fom.integrate(
+        fresh, make_lmm("backward_euler"), 0.1, 0.5).states)
+    # a cache keyed on the buffer's identity would factor once
+    assert refactored == len(factors) - refactored > 5
+
+
+def test_newton_matrix_keys_on_contents():
+    from scipy import sparse
+    rhs = np.array([1.0, 2.0, 3.0])
+    basis = np.eye(3)[:, :2]
+    for jac in (np.diag([1.0, 2.0, 3.0]),
+                sparse.csr_array(np.diag([1.0, 2.0, 3.0]))):
+        newton = fom.NewtonMatrix()
+        # 1 - 0.25 J = diag(0.75, 0.5, 0.25)
+        assert np.allclose(newton.solve(1.0, 0.25, jac, rhs),
+                           rhs / [0.75, 0.5, 0.25])
+        assert np.allclose(newton.times(1.0, 0.25, jac, basis),
+                           np.diag([0.75, 0.5, 0.25])[:, :2])
+        if isinstance(jac, np.ndarray):
+            jac[...] = 2.0 * np.eye(3)  # refilled in place
+        else:
+            jac.data[:] = 2.0
+        assert np.allclose(newton.solve(1.0, 0.25, jac, rhs), rhs / 0.5)
+        assert np.allclose(newton.times(1.0, 0.25, jac, basis),
+                           0.5 * basis)
+        assert np.allclose(newton.solve(2.0, 0.25, jac, rhs), rhs / 1.5)

@@ -8,7 +8,8 @@ from morrow import benchmodels, fom, galerkin, hyperreduction, lspg
 from morrow.core import SolverOptions, TrialSubspace, reconstruct
 from morrow.schemes import make_butcher, make_lmm
 
-from conftest import linear_model, random_subspace
+from conftest import (NEWTON_CASES, counting, linear_model, newton_case,
+                      newton_case_states, random_subspace, refilled_cubic)
 
 
 def burgers_small(n=32):
@@ -221,3 +222,38 @@ def test_dt_to_zero_limit(tight_opts):
             np.linalg.norm(np.asarray(a) - np.asarray(b))
             for a, b in zip(g.states, l.states)))
     assert diffs[0] > diffs[1] > diffs[2]
+
+
+# ------------------------------------------------------ Newton-matrix reuse
+
+@pytest.mark.parametrize("case,products", [("gradflow-sdirk2", 1),
+                                           ("gradflow-bdf2", 2)])
+def test_linear_lspg_forms_jacobian_product_once_per_coefficients(
+        case, products, monkeypatch):
+    # SDIRK2 stages share a_ii; BDF2 starts with one backward-Euler step
+    model, scheme, dt, T = newton_case(case)
+    sub = random_subspace(model.dim, 3, seed=1,
+                          reference=model.initial_state)
+    shifted = counting(monkeypatch, fom, "shifted")
+    _, reports = lspg.integrate_lspg(model, sub, lspg.scaled_identity(
+        model.dim), scheme, dt, T)
+    assert sum(r.iterations for r in reports) > products
+    assert len(shifted) == products
+
+
+@pytest.mark.parametrize("case", NEWTON_CASES)
+@pytest.mark.parametrize("kind", ["lspg", "gnat"])
+def test_newton_reuse_is_bitwise(case, kind, request):
+    reused = newton_case_states(case, kind)
+    request.getfixturevalue("always_miss")
+    assert np.array_equal(reused, newton_case_states(case, kind))
+
+
+def test_refilled_jacobian_buffer_gives_fresh_products(tight_opts):
+    refilled, fresh = refilled_cubic(6)
+    sub = random_subspace(6, 2, seed=4, reference=refilled.initial_state)
+    W = lspg.scaled_identity(6)
+    runs = [lspg.integrate_lspg(m, sub, W, make_butcher("sdirk2"), 0.1, 0.5,
+                                tight_opts)[0].states
+            for m in (refilled, fresh)]
+    assert np.array_equal(*runs)
