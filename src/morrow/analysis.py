@@ -1,12 +1,17 @@
 """Experiment metrics: relative trajectory error, increment projection
 error, spectral time scales of generalized coordinates, observed
-convergence order, trajectory comparison, and dt-sweep bookkeeping."""
+convergence order, trajectory comparison, the paper's property checks
+(each returns the measured quantity; callers keep their own tolerance),
+and dt-sweep bookkeeping."""
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .core import TrialSubspace, Trajectory
+from .core import SolverOptions, TrialSubspace, Trajectory, reconstruct
+from . import fom, galerkin, lspg
+from .schemes import LmmScheme
 
 
 def trajectory_error(times, values, ref_times, ref_values) -> float:
@@ -129,6 +134,64 @@ def compare_trajectories(a: Trajectory, b: Trajectory,
 
     return float(np.max(np.linalg.norm(full(a.states) - full(b.states),
                                        axis=1)))
+
+
+def galerkin_lspg_gap(model, sub: TrialSubspace, W, scheme, dt, T,
+                      opts: SolverOptions = SolverOptions()) -> float:
+    """Max over steps of the distance between the lifted Galerkin and LSPG
+    trajectories; zero for explicit schemes, as dt -> 0, and for an SPD
+    residual Jacobian with W^T W its inverse."""
+    g = galerkin.integrate_galerkin(model, sub, scheme, dt, T, opts)
+    l, _ = lspg.integrate_lspg(model, sub, W, scheme, dt, T, opts)
+    return compare_trajectories(g, l, lift=sub)
+
+
+def commutativity_gap(model, sub: TrialSubspace, schemes, draws,
+                      rng) -> float:
+    """Max |Phi^T r(x0 + Phi y) - r_red(y)|, r_red the residual of the
+    Galerkin model, over `draws` rounds of one random draw per (scheme, dt)
+    in schemes: a multistep residual at a step n in [2, 6) with random
+    coordinates and history, or every stage residual of a Runge-Kutta step
+    from t = 0.1 with random stage values and base state."""
+    gm = galerkin.make_galerkin_model(model, sub)
+    phi, p = sub.basis, sub.p
+    lift = partial(reconstruct, sub)
+    worst = 0.0
+    for _ in range(draws):
+        for scheme, dt in schemes:
+            if isinstance(scheme, LmmScheme):
+                n = int(rng.integers(2, 6))
+                w = rng.standard_normal(p)
+                hist = [rng.standard_normal(p)
+                        for _ in range(len(scheme.coeffs(n)[0]) - 1)]
+                ctx = partial(fom.LmmStepContext, n=n, dt=dt, scheme=scheme)
+                pairs = [(fom.lmm_residual(gm, ctx(history=tuple(hist)), w),
+                          fom.lmm_residual(model, ctx(history=tuple(
+                              map(lift, hist))), lift(w)))]
+            else:
+                stages = [rng.standard_normal(p) for _ in range(scheme.s)]
+                base = rng.standard_normal(p)
+                step = partial(fom.RkStageSet, t_base=0.1, dt=dt,
+                               tableau=scheme)
+                red = step(stage_values=tuple(stages), base_state=base)
+                full = step(stage_values=tuple(phi @ v for v in stages),
+                            base_state=lift(base))
+                pairs = [(fom.rk_stage_residual(gm, red, i),
+                          fom.rk_stage_residual(model, full, i))
+                         for i in range(1, scheme.s + 1)]
+            for lhs, r in pairs:
+                worst = max(worst, float(np.max(np.abs(lhs - phi.T @ r))))
+    return worst
+
+
+def bound_violations(ref: Trajectory, rom: Trajectory, sub: TrialSubspace,
+                     report, rtol=0.0, atol=0.0) -> list:
+    """Steps n >= 1 at which the error ||x^n - (x0 + Phi y^n)|| of a ROM
+    run against the full-order run ref is not within report.per_step_bound[n]
+    (1 + rtol) + atol (a NaN error is a violation); empty when sound."""
+    bound = report.per_step_bound * (1 + rtol) + atol
+    return [n for n in range(1, len(rom.states)) if not np.linalg.norm(
+        ref.states[n] - reconstruct(sub, rom.states[n])) <= bound[n]]
 
 
 @dataclass

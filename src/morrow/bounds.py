@@ -134,7 +134,7 @@ def _step_projector(kind, model, sub, W, ctx, yhat):
         phi = sub.basis
         return (lambda v: v - phi @ (phi.T @ v)), 1.0
     proj = _ObliqueProjector(sub, lspg_mod.compute_test_basis(
-        model, sub, W, ctx, yhat).matrix)
+        model, sub, W, ctx, yhat))
     return proj.deflate, proj.norm()
 
 

@@ -20,12 +20,13 @@ import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 
 from . import analysis, benchmodels, bounds, fom, galerkin, hyperreduction, \
     lspg, pod
-from .core import SolverOptions, TrialSubspace, Trajectory, reconstruct
+from .core import SolverOptions, TrialSubspace, Trajectory
 from .fom import StepSolveError
 from .lspg import GaussNewtonError
 from .schemes import ButcherTableau, make_butcher, make_lmm
@@ -51,6 +52,11 @@ def _load_config(path):
     return cp
 
 
+_BUILDERS = {"burgers": benchmodels.burgers1d,
+             "advection_diffusion": benchmodels.advection_diffusion,
+             "gradient_flow": benchmodels.gradient_flow_spd}
+
+
 def _model_from_config(cp, seed):
     sec = cp["model"]
     name = sec.get("name")
@@ -65,12 +71,9 @@ def _model_from_config(cp, seed):
         spectrum=None if spectrum is None
         else tuple(float(v) for v in spectrum.split(",")),
         seed=seed)
-    builders = {"burgers": benchmodels.burgers1d,
-                "advection_diffusion": benchmodels.advection_diffusion,
-                "gradient_flow": benchmodels.gradient_flow_spd}
-    if name not in builders:
+    if name not in _BUILDERS:
         raise ConfigError(f"unknown model {name!r}")
-    return builders[name](spec)
+    return _BUILDERS[name](spec)
 
 
 def _scheme_from_config(cp):
@@ -183,28 +186,20 @@ def _run_fom(run):
 
 
 def _pod_from_config(run, model, traj):
-    cp = run.cp
+    """POD of the run's centered snapshots: the modes that meet the [pod]
+    nu energy criterion, or the leading [pod] p modes when p is set."""
+    sec = run.cp["pod"] if run.cp.has_section("pod") else {}
     x0 = traj.states[0]
-    snaps = _centered(traj.states)
-    nu = cp["pod"].getfloat("nu", 1.0 - 1e-6) if cp.has_section("pod") \
-        else 1.0 - 1e-6
-    result = pod.compute_pod(pod.SnapshotSet(vectors=snaps), nu,
+    snaps = pod.SnapshotSet(vectors=_centered(traj.states))
+    result = pod.compute_pod(snaps, float(sec.get("nu", 1.0 - 1e-6)),
                              reference=x0)
-    if cp.has_section("pod") and cp["pod"].get("p") is not None:
-        p = cp["pod"].getint("p")
-        result = pod.PodResult(
-            basis=TrialSubspace(basis=result.basis.basis[:, :p]
-                                if p <= result.basis.p else
-                                _pod_full(snaps, p, x0),
-                                reference=x0),
-            singular_values=result.singular_values,
-            energy_fractions=result.energy_fractions, nu=nu)
+    if sec.get("p") is not None:
+        p = int(sec.get("p"))
+        full = result if p <= result.basis.p else \
+            pod.compute_pod(snaps, 1.0, reference=x0)
+        result = replace(result, basis=TrialSubspace(
+            basis=full.basis.basis[:, :p], reference=x0))
     return result
-
-
-def _pod_full(snaps, p, x0):
-    res = pod.compute_pod(pod.SnapshotSet(vectors=snaps), 1.0, reference=x0)
-    return res.basis.basis[:, :p]
 
 
 def _write_pod(run, result):
@@ -313,7 +308,7 @@ def cmd_fom(run):
 
 
 def cmd_pod(run):
-    if run.args.snapshots:
+    if getattr(run.args, "snapshots", None):  # `run` has no --snapshots
         snaps = pod.read_snapshots_csv(run.args.snapshots)
         nu = run.args.nu if run.args.nu is not None else 1.0 - 1e-6
         result = pod.compute_pod(snaps, nu)
@@ -465,132 +460,94 @@ def cmd_spectral(run):
     return EXIT_OK
 
 
+# the subcommands that `run` can chain as pipeline stages
+_STAGES = {"fom": cmd_fom, "pod": cmd_pod, "rom": cmd_rom, "sweep": cmd_sweep,
+           "bounds": cmd_bounds, "spectral": cmd_spectral}
+
+
 def cmd_run(run):
     cp = run.cp
     stages = [s.strip() for s in cp["pipeline"].get(
         "stages", "fom,pod,rom").split(",")] if cp.has_section("pipeline") \
         else ["fom", "pod", "rom"]
-    handlers = {"fom": cmd_fom, "pod": cmd_pod, "rom": cmd_rom,
-                "sweep": cmd_sweep, "bounds": cmd_bounds,
-                "spectral": cmd_spectral}
     for stage in stages:
-        if stage not in handlers:
+        if stage not in _STAGES:
             raise ConfigError(f"unknown pipeline stage {stage!r}")
-        code = handlers[stage](run)
+        code = _STAGES[stage](run)
         if code != EXIT_OK:
             print(f"stage {stage} failed", file=sys.stderr)
             return code
     return EXIT_OK
 
 
+# the model instance each `verify --model` choice checks
+_VERIFY_SPECS = {
+    "gradient_flow": {"spectrum": tuple(np.linspace(0.5, 4.0, 12))},
+    "burgers": {"n": 64},
+    "advection_diffusion": {"n": 32, "viscosity": 0.05, "initial": "gaussian"}}
+
+
 def _verify_checks(model_name, seed):
-    """Equivalence/soundness property rows for the verify subcommand."""
-    rows = []
+    """Equivalence and soundness rows (name, ok, detail), each measured by
+    the analysis function that acceptance criteria 03-07 use."""
     opts = SolverOptions()
-    if model_name == "gradient_flow":
-        spec = benchmodels.BenchmarkSpec(name="gradient_flow",
-                                         spectrum=tuple(
-                                             np.linspace(0.5, 4.0, 12)),
-                                         seed=seed)
-        model = benchmodels.gradient_flow_spd(spec)
-    elif model_name == "burgers":
-        model = benchmodels.burgers1d(benchmodels.BenchmarkSpec(
-            name="burgers", n=64, seed=seed))
-    else:
-        model = benchmodels.advection_diffusion(benchmodels.BenchmarkSpec(
-            name="advection_diffusion", n=32, viscosity=0.05, seed=seed,
-            initial="gaussian"))
-    x0 = np.asarray(model.initial_state, float)
-    ref = fom.integrate(model, make_lmm("backward_euler"), 1e-2, 0.1, opts)
-    sub = pod.compute_pod(pod.SnapshotSet(vectors=_centered(ref.states)),
-                          1 - 1e-10, reference=x0).basis
+    model = _BUILDERS[model_name](benchmodels.BenchmarkSpec(
+        name=model_name, seed=seed, **_VERIFY_SPECS[model_name]))
+    be = make_lmm("backward_euler")
+    eye = lspg.scaled_identity(model.dim)
+    # one basis, trained on a finer grid than any point of the dt ladder
+    train = fom.integrate(model, be, 2.5e-4, 0.04, opts)
+    sub = pod.compute_pod(pod.SnapshotSet(vectors=_centered(train.states)),
+                          1 - 1e-10, reference=train.states[0]).basis
     dt, T = 1e-2, 0.1
-
-    # explicit equivalence: Galerkin == LSPG for forward Euler and RK4
-    for sch_name, sch in (("forward_euler", make_lmm("forward_euler")),
-                          ("rk4", make_butcher("rk4"))):
-        w = lspg.scaled_identity(model.dim)
-        g = galerkin.integrate_galerkin(model, sub, sch, dt, T, opts)
-        l, _ = lspg.integrate_lspg(model, sub, w, sch, dt, T, opts)
-        diff = analysis.compare_trajectories(g, l, lift=sub)
-        rows.append((f"explicit equivalence ({sch_name})", diff <= 1e-8,
-                     f"max diff {diff:.3e}"))
-
-    # dt -> 0 limit: LSPG approaches Galerkin under backward Euler
-    diffs = []
-    for d in (4e-3, 2e-3, 1e-3):
-        g = galerkin.integrate_galerkin(model, sub,
-                                        make_lmm("backward_euler"), d,
-                                        0.04, opts)
-        l, _ = lspg.integrate_lspg(model, sub, lspg.scaled_identity(model.dim),
-                                   make_lmm("backward_euler"), d, 0.04, opts)
-        diffs.append(analysis.compare_trajectories(g, l, lift=sub))
+    rows = []
+    for name, sch in (("forward_euler", make_lmm("forward_euler")),
+                      ("rk4", make_butcher("rk4"))):
+        gap = analysis.galerkin_lspg_gap(model, sub, eye, sch, dt, T, opts)
+        rows.append((f"explicit equivalence ({name})", gap <= 1e-8,
+                     f"max diff {gap:.3e}"))
+    # criterion 04's form: strictly decreasing, final/initial <= 1e-2
+    gaps = [analysis.galerkin_lspg_gap(model, sub, eye, be, d, 0.04, opts)
+            for d in (8e-3, 4e-3, 2e-3, 1e-3, 5e-4)]
+    ratio = gaps[-1] / gaps[0]
     rows.append(("limiting equivalence (dt -> 0)",
-                 diffs[0] > diffs[1] > diffs[2],
-                 "diffs " + ", ".join(f"{d:.3e}" for d in diffs)))
-
+                 all(b < a for a, b in zip(gaps, gaps[1:])) and ratio <= 1e-2,
+                 "diffs " + ", ".join(f"{g:.3e}" for g in gaps)
+                 + f"; final/initial {ratio:.3e}"))
     if model_name == "gradient_flow":
-        # SPD weighting: W = Cholesky factor of (I + dt A)^-1
-        a = -model.jacobian(x0, 0.0)
+        # W = Cholesky factor of (I + dt A)^-1, A = -df/dx SPD
+        a = -model.jacobian(model.initial_state, 0.0)
         c = np.linalg.cholesky(np.linalg.inv(np.eye(model.dim) + dt * a)).T
-
-        g = galerkin.integrate_galerkin(model, sub,
-                                        make_lmm("backward_euler"), dt, T,
-                                        opts)
-        W = lspg.WeightingOperator(model.dim, factor=c)
-        l, _ = lspg.integrate_lspg(model, sub, W, make_lmm("backward_euler"),
-                                   dt, T, opts)
-        diff = analysis.compare_trajectories(g, l, lift=sub)
-        rows.append(("SPD-weighted equivalence", diff <= 1e-8,
-                     f"max diff {diff:.3e}"))
-
-    # commutativity of projection and discretization
-    gm = galerkin.make_galerkin_model(model, sub)
-    rng = np.random.default_rng(seed)
-    scheme = make_lmm("backward_euler")
-    ok = True
-    worst = 0.0
-    for _ in range(20):
-        y = rng.standard_normal(sub.p)
-        yh = rng.standard_normal(sub.p)
-        ctx_r = fom.LmmStepContext(history=(reconstruct(sub, yh),), n=1,
-                                   dt=dt, scheme=scheme)
-        ctx_g = fom.LmmStepContext(history=(yh,), n=1, dt=dt, scheme=scheme)
-        lhs = fom.lmm_residual(gm, ctx_g, y)
-        rhs = sub.basis.T @ fom.lmm_residual(model, ctx_r,
-                                             reconstruct(sub, y))
-        worst = max(worst, float(np.max(np.abs(lhs - rhs))))
-    ok = worst <= 1e-10
-    rows.append(("projection/discretization commutativity", ok,
-                 f"max residual gap {worst:.3e}"))
-
-    # bound soundness on a linear model
+        gap = analysis.galerkin_lspg_gap(
+            model, sub, lspg.WeightingOperator(model.dim, factor=c), be, dt,
+            T, opts)
+        rows.append(("SPD-weighted equivalence", gap <= 1e-8,
+                     f"max diff {gap:.3e}"))
+    gap = analysis.commutativity_gap(
+        model, sub, ((be, dt), (make_butcher("sdirk2"), dt)), 20,
+        np.random.default_rng(seed))
+    rows.append(("projection/discretization commutativity", gap <= 1e-10,
+                 f"max residual gap {gap:.3e}"))
+    # bound soundness on a linear model, dt well under the cap 1/kappa
     lin = benchmodels.advection_diffusion(benchmodels.BenchmarkSpec(
         name="advection_diffusion", n=24, viscosity=0.05, seed=seed,
         initial="gaussian"))
     kappa = float(np.linalg.norm(lin.jacobian(lin.initial_state, 0.0), 2))
     dtl = 0.2 / kappa
-    refl = fom.integrate(lin, make_lmm("backward_euler"), dtl, 10 * dtl, opts)
+    refl = fom.integrate(lin, be, dtl, 10 * dtl, opts)
     subl = pod.compute_pod(pod.SnapshotSet(vectors=_centered(refl.states)),
                            0.95, reference=refl.states[0]).basis
-    gl = galerkin.integrate_galerkin(lin, subl, make_lmm("backward_euler"),
-                                     dtl, 10 * dtl, opts)
-    lt = bounds.local_aposteriori_lmm(gl, "galerkin", lin, subl,
-                                      make_lmm("backward_euler"), kappa)
-    rep = bounds.global_aposteriori_lmm(lt, "galerkin")
-    sound = True
-    for n in range(1, len(gl.states)):
-        err = np.linalg.norm(refl.states[n] - reconstruct(subl, gl.states[n]))
-        if err > rep.per_step_bound[n] * (1 + 1e-9):
-            sound = False
-    rows.append(("a posteriori bound soundness (linear)", sound,
+    gl = galerkin.integrate_galerkin(lin, subl, be, dtl, 10 * dtl, opts)
+    rep = _bound_report(gl, lin, subl, be, kappa, None, opts)
+    rows.append(("a posteriori bound soundness (linear)",
+                 not analysis.bound_violations(refl, gl, subl, rep,
+                                               rtol=1e-9),
                  f"final bound {rep.global_bound:.3e}"))
     return rows
 
 
 def cmd_verify(run):
-    model_name = run.args.model or "gradient_flow"
-    rows = _verify_checks(model_name, run.seed)
+    rows = _verify_checks(run.args.model, run.seed)
     width = max(len(r[0]) for r in rows)
     all_ok = True
     for name, ok, detail in rows:
@@ -610,8 +567,7 @@ def _build_parser():
         prog="morrow",
         description="model-order-reduction experiment harness")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("run", "fom", "pod", "rom", "sweep", "bounds", "spectral",
-                 "verify"):
+    for name in ("run", *_STAGES, "verify"):
         p = sub.add_parser(name)
         p.add_argument("--config", help="INI experiment config")
         p.add_argument("--out", help="output directory")
@@ -624,9 +580,8 @@ def _build_parser():
             p.add_argument("--dt", help="comma-separated dt grid")
             p.add_argument("--rom", help="rom kind override")
         if name == "verify":
-            p.add_argument("--model", default=None,
-                           choices=("gradient_flow", "burgers",
-                                    "advection_diffusion"))
+            p.add_argument("--model", default="gradient_flow",
+                           choices=tuple(_VERIFY_SPECS))
     return parser
 
 
@@ -650,9 +605,7 @@ def main(argv=None):
     except ConfigError as err:
         print(str(err), file=sys.stderr)
         return EXIT_USAGE
-    handlers = {"run": cmd_run, "fom": cmd_fom, "pod": cmd_pod,
-                "rom": cmd_rom, "sweep": cmd_sweep, "bounds": cmd_bounds,
-                "spectral": cmd_spectral, "verify": cmd_verify}
+    handlers = {"run": cmd_run, **_STAGES, "verify": cmd_verify}
     try:
         code = handlers[args.command](run)
     except ConfigError as err:

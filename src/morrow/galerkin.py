@@ -3,7 +3,8 @@
 The reduced system d yhat/dt = Phi^T f(x0 + Phi yhat, t), yhat(0) = 0 is
 realized as a derived Model of dimension p, so every full-order integrator
 applies unchanged; commutativity of projection and time discretization makes
-the delegated discrete solves identical to projecting the full residual.
+the delegated discrete solves identical to projecting the full residual:
+fom.lmm_residual of the reduced model is Phi^T r^n(x0 + Phi yhat).
 """
 
 from dataclasses import replace
@@ -26,10 +27,6 @@ def make_galerkin_model(model: Model, sub: TrialSubspace) -> Model:
 
     return Model(dim=sub.p, velocity=velocity, jacobian=jacobian,
                  initial_state=np.zeros(sub.p))
-
-
-# the reduced discrete residual equals Phi^T r^n(x0 + Phi what)
-galerkin_reduced_residual_lmm = fom.lmm_residual
 
 
 def integrate_galerkin(model: Model, sub: TrialSubspace, scheme, dt: float,

@@ -81,11 +81,6 @@ def collocation(dim, samples):
     return WeightingOperator(dim, getattr(samples, "indices", samples))
 
 
-@dataclass(frozen=True)
-class TestBasis:
-    matrix: np.ndarray  # N x p
-
-
 @dataclass
 class GaussNewtonReport:
     iterations: int
@@ -177,17 +172,12 @@ def _gauss_newton(residual, jacobian, y0, W, opts, callback=None):
     return y, report
 
 
-def lspg_objective(model, sub, W, ctx, yhat):
-    r = fom.lmm_residual(model, ctx, reconstruct(sub, yhat))
-    rw = W.apply(r)
-    return float(rw @ rw)
-
-
-def compute_test_basis(model, sub, W, ctx, yhat) -> TestBasis:
-    """Psi^n = W^T W (alpha_0 I - dt beta_0 df/dx) Phi at the given iterate."""
+def compute_test_basis(model, sub, W, ctx, yhat):
+    """The N x p test basis Psi^n = W^T W (alpha_0 I - dt beta_0 df/dx) Phi
+    at the given iterate."""
     x = reconstruct(sub, yhat)
     jr = fom.lmm_residual_jacobian(model, ctx, x)
-    return TestBasis(matrix=W.gram_mat(jr @ sub.basis))
+    return W.gram_mat(jr @ sub.basis)
 
 
 def solve_lspg_step_lmm(model, sub, W, ctx, opts, yhat_warm=None,

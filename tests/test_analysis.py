@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from morrow import analysis
+from morrow import analysis, benchmodels, bounds, lspg
 from morrow.core import Trajectory
+from morrow.schemes import LmmScheme, make_butcher, make_lmm
 
-from conftest import random_subspace
+from conftest import linear_model, random_subspace
 
 
 # ------------------------------------------------------- trajectory error
@@ -201,6 +202,75 @@ def test_compare_grid_mismatch():
     b = Trajectory(dt=0.2, states=(np.zeros(2),) * 3, kind="full")
     with pytest.raises(ValueError):
         analysis.compare_trajectories(a, b)
+
+
+# --------------------------------------------------------- property checks
+
+NONNORMAL = np.array([[-1.0, 2.0, 0.0], [0.0, -3.0, 1.0], [0.5, 0.0, -2.0]])
+
+
+def test_galerkin_lspg_gap_vanishes_only_for_explicit_schemes(tight_opts):
+    m = linear_model(NONNORMAL, x_init=[1.0, -1.0, 0.5])
+    sub = random_subspace(3, 2, seed=1, reference=m.initial_state)
+    W = lspg.scaled_identity(3)
+    for explicit in (make_lmm("forward_euler"), make_butcher("rk4")):
+        assert analysis.galerkin_lspg_gap(m, sub, W, explicit, 0.05, 0.5,
+                                          tight_opts) <= 1e-13
+    assert analysis.galerkin_lspg_gap(m, sub, W, make_lmm("backward_euler"),
+                                      0.05, 0.5, tight_opts) > 1e-4
+
+
+def burgers_subspace():
+    model = benchmodels.burgers1d(benchmodels.BenchmarkSpec(
+        name="burgers", n=24, viscosity=0.02))
+    return model, random_subspace(24, 4, seed=2,
+                                  reference=model.initial_state)
+
+
+def test_commutativity_gap_is_roundoff_and_deterministic():
+    model, sub = burgers_subspace()
+    schemes = [(make_lmm(name), 0.01)
+               for name in ("backward_euler", "forward_euler", "bdf2")] \
+        + [(make_butcher(name), 0.02)
+           for name in ("rk4", "sdirk2", "implicit_midpoint")]
+    gaps = [analysis.commutativity_gap(model, sub, schemes, 5,
+                                       np.random.default_rng(7))
+            for _ in range(2)]
+    assert gaps[0] == gaps[1]
+    assert 0.0 < gaps[0] <= 1e-12
+
+
+def test_commutativity_gap_measures_an_inconsistent_scheme():
+    # sum_j alpha_j = 0.5: Phi^T r(x0 + Phi y) - r_red(y) = 0.5 Phi^T x0
+    model, sub = burgers_subspace()
+    coeffs = (np.array([1.0, -0.5]), np.array([1.0, 0.0]))
+    bad = LmmScheme(k=1, coeffs=lambda n: coeffs, name="inconsistent")
+    gap = analysis.commutativity_gap(model, sub, [(bad, 0.01)], 3,
+                                     np.random.default_rng(0))
+    expected = 0.5 * np.max(np.abs(sub.basis.T @ sub.reference))
+    assert abs(gap - expected) <= 1e-12 * max(expected, 1.0)
+
+
+def test_bound_violations_names_the_steps_over_the_bound():
+    sub = random_subspace(4, 2, seed=3, reference=np.ones(4))
+    rng = np.random.default_rng(4)
+    rom = Trajectory(dt=0.1, states=rng.standard_normal((5, 2)),
+                     kind="galerkin")
+    lifted = sub.reference + rom.states @ sub.basis.T
+    shift = np.array([0.0, 1.0, 2.0, 3.0, 4.0])
+    ref = Trajectory(dt=0.1, states=lifted + shift[:, None] * 0.5,
+                     kind="full")
+    errors = shift  # ||(shift / 2) (1, 1, 1, 1)||
+    report = bounds.BoundReport(
+        mode="test", kind="galerkin", per_step_local=np.zeros(5),
+        per_step_bound=np.array([0.0, 1.01, 1.5, 3.01, 3.9]),
+        term_projection=np.zeros(5), coeff=np.zeros(5))
+    assert np.allclose(np.linalg.norm(ref.states - lifted, axis=1), errors)
+    assert analysis.bound_violations(ref, rom, sub, report) == [2, 4]
+    assert analysis.bound_violations(ref, rom, sub, report, atol=0.2) == [2]
+    assert analysis.bound_violations(ref, rom, sub, report, rtol=0.5) == []
+    ref.states[3, 0] = np.nan
+    assert analysis.bound_violations(ref, rom, sub, report, rtol=0.5) == [3]
 
 
 # ------------------------------------------------------------------ sweeps

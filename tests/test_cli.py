@@ -166,6 +166,15 @@ def test_run_pipeline_stage_selection(tmp_path):
     assert os.path.exists(os.path.join(out, "rom_trajectory.csv"))
 
 
+def test_run_default_pipeline_includes_pod(tmp_path):
+    # the default stages are fom,pod,rom; `run` has no --snapshots flag
+    cfg = write_config(tmp_path, BASE)
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 0
+    assert (out / "basis.csv").exists()
+    assert (out / "rom_trajectory.csv").exists()
+
+
 def test_unknown_model_exit_1(tmp_path, capsys):
     cfg = write_config(tmp_path, BASE.replace("advection_diffusion",
                                               "heat_kernel"))
@@ -174,14 +183,20 @@ def test_unknown_model_exit_1(tmp_path, capsys):
     assert "unknown model" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("model", ["gradient_flow", "burgers"])
+@pytest.mark.parametrize("model", ["gradient_flow", "burgers",
+                                   "advection_diffusion",
+                                   pytest.param(None, id="default")])
 def test_verify_exit_zero(tmp_path, capsys, model):
     out = str(tmp_path / "out")
-    assert cli.main(["verify", "--model", model,
-                     "--out", out, "--seed", "3"]) == 0
+    flag = [] if model is None else ["--model", model]
+    assert cli.main(["verify", *flag, "--out", out, "--seed", "3"]) == 0
     text = capsys.readouterr().out
     assert "PASS" in text and "FAIL" not in text
     assert os.path.exists(os.path.join(out, "verify.txt"))
+    # without --model verify checks the gradient flow, the only model with
+    # an SPD residual Jacobian to weight by
+    assert ("SPD-weighted equivalence" in text) \
+        == (model in (None, "gradient_flow"))
 
 
 def test_verify_rejects_unknown_model(tmp_path, capsys):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from morrow import fom
-from morrow.core import Model, SolverOptions
+from morrow.core import Model, SolverOptions, Trajectory
 from morrow.schemes import make_butcher, make_lmm
 
 from conftest import (NEWTON_CASES, counting, linear_model, newton_case,
@@ -150,6 +150,20 @@ def test_trajectory_csv_round_trip(tmp_path, tight_opts):
         assert np.array_equal(np.asarray(x, float), np.asarray(y, float))
     header = path.read_text().splitlines()[0]
     assert header == "t,x_0,x_1"
+
+
+def test_trajectory_csv_recovers_dt_bitwise(tmp_path):
+    # t[0] is written as 0.0 and t[1] as repr(1 * dt), so t[1] - t[0] reads
+    # back as dt itself
+    rng = np.random.default_rng(0)
+    dts = [0.1, 1 / 3, 2.5e-4, 7.8125e-5, 1e-2 / 3] \
+        + [0.64 / k for k in range(1, 200)] \
+        + list(10.0 ** rng.uniform(-8.0, 1.0, 200))
+    path = tmp_path / "traj.csv"
+    for dt in dts:
+        fom.write_trajectory_csv(
+            Trajectory(dt=dt, states=np.ones((3, 2)), kind="full"), path)
+        assert fom.read_trajectory_csv(path).dt == dt, dt
 
 
 def test_rk_integrate_records_stages_and_lmm_does_not(tight_opts):
