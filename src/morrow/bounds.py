@@ -23,8 +23,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (Model, SolverOptions, TrialSubspace, Trajectory, dense,
-                   reconstruct)
+from .core import (JacobianKey, Model, SolverOptions, TrialSubspace,
+                   Trajectory, norm2, norm2_at_most, reconstruct)
 from . import fom, lspg as lspg_mod
 from .schemes import ButcherTableau, LmmScheme, classify
 
@@ -85,18 +85,38 @@ def estimate_lipschitz(model: Model, sample_states, t_grid) -> float:
     samples = [np.asarray(x, float) for x in sample_states]
     if len(samples) < 2:
         raise ValueError("need at least 2 sample states")
-    kappa = 0.0
+    kappa = max_jacobian_norm(model, samples * len(t_grid),
+                              [t for t in t_grid for _ in samples])
     for t in t_grid:
         fs = [model.velocity(x, t) for x in samples]
         for i in range(len(samples)):
-            kappa = max(kappa, float(np.linalg.norm(
-                dense(model.jacobian(samples[i], t)), 2)))
             for j in range(i + 1, len(samples)):
                 dx = np.linalg.norm(samples[i] - samples[j])
                 if dx > 0:
                     kappa = max(kappa, float(
                         np.linalg.norm(fs[i] - fs[j]) / dx))
     return kappa
+
+
+def max_jacobian_norm(model: Model, states, times) -> float:
+    """max_n ||J(states[n], times[n])||_2 (0 for no states), to roundoff.
+
+    The last state's 2-norm is taken first; every other state's J is then
+    only certified to be at most the largest norm so far
+    (``norm2_at_most``) and normed when that fails, so a trajectory whose
+    norm peaks at either end takes two 2-norms.  A J whose entries repeat
+    the previous one's is skipped, so a linear model takes one.
+    """
+    largest, key = 0.0, None
+    order = list(range(len(states)))
+    for i in order[-1:] + order[:-1]:
+        jac = model.jacobian(states[i], times[i])
+        if key is not None and key.matches(jac):
+            continue
+        key = JacobianKey(jac)
+        if largest == 0.0 or not norm2_at_most(jac, largest):
+            largest = max(largest, norm2(jac))
+    return largest
 
 
 class _ObliqueProjector:

@@ -41,7 +41,7 @@ class ConfigError(ValueError):
 
 
 def _load_config(path):
-    cp = configparser.ConfigParser()
+    cp = configparser.ConfigParser(inline_comment_prefixes=(";",))
     try:
         with open(path, encoding="utf-8") as fh:
             cp.read_file(fh, source=path)
@@ -435,6 +435,11 @@ def cmd_bounds(run):
     run.record("bound_report.csv")
     run.notes["kappa"] = kappa
     run.notes["kappa_caveat"] = "valid modulo kappa under-estimation"
+    # the Jacobian's 2-norm at the states the bound visited: a kappa below
+    # it under-estimates the Lipschitz constant on this trajectory
+    kmax = bounds.max_jacobian_norm(model, lifted.states, lifted.times)
+    run.notes["kappa_trajectory_max"] = kmax
+    run.notes["kappa_underestimated"] = kmax > kappa
     return EXIT_OK
 
 

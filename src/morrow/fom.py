@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 
-from .core import Model, SolverOptions, Trajectory
+from .core import JacobianKey, Model, SolverOptions, Trajectory
 from .schemes import ButcherTableau, LmmScheme, classify
 
 
@@ -96,12 +96,10 @@ class NewtonMatrix:
         self._basis = self._product = None
 
     def _use(self, c0, c1, jac):
-        entries = _entries(jac)
         key = self._key
-        if key is not None and key[:2] == (c0, c1) \
-                and _same_entries(entries, key[2]):
+        if key is not None and key[:2] == (c0, c1) and key[2].matches(jac):
             return
-        self._key = (c0, c1, [a.copy() for a in entries])
+        self._key = (c0, c1, JacobianKey(jac))
         self._solve = None
         self._basis = self._product = None
 
@@ -125,21 +123,6 @@ class NewtonMatrix:
         if self._basis is not basis:
             self._basis, self._product = basis, shifted(c0, c1, jac) @ basis
         return self._product
-
-
-def _entries(jac):
-    """The arrays that hold J's entries: the ndarray itself, or the index
-    and value arrays of its CSR form."""
-    if isinstance(jac, np.ndarray):
-        return (jac,)
-    csr = jac.tocsr()
-    return csr.indptr, csr.indices, csr.data
-
-
-def _same_entries(entries, key):
-    """Whether J's entry arrays equal the stored copies bitwise."""
-    return len(entries) == len(key) and all(map(np.array_equal, entries,
-                                                 key))
 
 
 def _block(blocks):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from morrow import benchmodels, fom, galerkin, hyperreduction, lspg, pod
-from morrow.core import Model, SolverOptions, TrialSubspace
+from morrow.core import JacobianKey, Model, SolverOptions, TrialSubspace
 from morrow.schemes import make_butcher, make_lmm
 
 
@@ -103,9 +103,9 @@ def refilled_cubic(n=4):
 
 @pytest.fixture
 def always_miss(monkeypatch):
-    """Make every fom.NewtonMatrix rebuild on every call, as if no two
-    Jacobians were ever equal."""
-    monkeypatch.setattr(fom, "_same_entries", lambda entries, key: False)
+    """Make every Jacobian content key miss, as if no two Jacobians were
+    ever equal: fom.NewtonMatrix rebuilds on every call."""
+    monkeypatch.setattr(JacobianKey, "matches", lambda self, jac: False)
 
 
 def counting(monkeypatch, owner, attr):

@@ -9,13 +9,13 @@ import numpy as np
 import pytest
 from scipy.linalg import lu_factor, lu_solve
 
-from morrow import bounds, fom, galerkin, lspg
+from morrow import benchmodels, bounds, fom, galerkin, lspg
 from morrow.bounds import BoundHypothesisError, LocalStepTerms
 from morrow.core import (Model, SolverOptions, Trajectory, TrialSubspace,
-                         reconstruct)
+                         dense, reconstruct)
 from morrow.schemes import ButcherTableau, make_butcher, make_lmm
 
-from conftest import linear_model, random_subspace
+from conftest import counting, linear_model, random_subspace
 
 
 # ------------------------------------------------------------- lipschitz
@@ -44,6 +44,66 @@ def test_lipschitz_scalar_square_dense_scan():
     grid = [np.array([v]) for v in np.linspace(0.0, 2.0, 101)]
     kappa = bounds.estimate_lipschitz(m, grid, [0.0])
     assert abs(kappa - 4.0) < 1e-9  # sup |f'| on [0, 2]
+
+
+def test_lipschitz_takes_one_norm_for_a_linear_model(monkeypatch):
+    m = benchmodels.gradient_flow_spd(benchmodels.BenchmarkSpec(
+        name="g", spectrum=tuple(np.geomspace(0.1, 50.0, 24)), seed=3))
+    rng = np.random.default_rng(0)
+    x0 = m.initial_state
+    samples = [x0] + [x0 + 0.1 * rng.standard_normal(m.dim)
+                      for _ in range(4)]
+    # reference: a dense 2-norm at every sample, and the pairwise quotients
+    want = max([float(np.linalg.norm(m.jacobian(x, 0.0), 2))
+                for x in samples]
+               + [float(np.linalg.norm(m.velocity(x, 0.0)
+                                       - m.velocity(y, 0.0))
+                        / np.linalg.norm(x - y))
+                  for i, x in enumerate(samples) for y in samples[i + 1:]])
+    calls = counting(monkeypatch, bounds, "norm2")
+    assert bounds.estimate_lipschitz(m, samples, [0.0]) == want
+    assert len(calls) == 1
+
+
+def test_jacobian_norm_is_retaken_when_one_buffer_is_refilled():
+    # the model hands back one array refilled in place: equal identity,
+    # different entries, so each state's J must be checked on its own
+    buf = np.zeros((2, 2))
+
+    def jacobian(x, t):
+        buf[:] = np.diag(3.0 * x**2)
+        return buf
+
+    m = Model(dim=2, velocity=lambda x, t: x**3, jacobian=jacobian,
+              initial_state=np.zeros(2))
+    states = [np.array([v, 0.0]) for v in (1.0, 2.0, 1.0)]
+    assert bounds.max_jacobian_norm(m, states, [0.0] * 3) == 12.0
+
+
+@pytest.mark.parametrize("jac_kind", ["sparse", "dense"])
+@pytest.mark.parametrize("bc", ["dirichlet0", "periodic"])
+def test_max_jacobian_norm_certifies_the_states_below_the_peak(
+        monkeypatch, bc, jac_kind):
+    # ||J|| moves monotonically along a diffusing step, so only the end
+    # states get a 2-norm; every other state is certified below the peak
+    m = benchmodels.burgers1d(benchmodels.BenchmarkSpec(
+        name="b", n=64, viscosity=0.01, bc=bc, initial="step"))
+    if jac_kind == "dense":
+        sparse_jac = m.jacobian
+        m = Model(dim=m.dim, velocity=m.velocity,
+                  jacobian=lambda x, t: sparse_jac(x, t).toarray(),
+                  initial_state=m.initial_state)
+    traj = fom.integrate(m, make_lmm("bdf2"), 5e-4, 0.02)
+    want = max(np.linalg.norm(dense(m.jacobian(x, 0.0)), 2)
+               for x in traj.states)
+    calls = counting(monkeypatch, bounds, "norm2")
+    got = bounds.max_jacobian_norm(m, traj.states, traj.times)
+    assert abs(got - want) <= 1e-13 * want
+    assert len(calls) <= 2
+    # any order finds the same peak
+    perm = np.random.default_rng(0).permutation(len(traj.states))
+    assert bounds.max_jacobian_norm(m, traj.states[perm],
+                                    traj.times[perm]) == got
 
 
 # ---------------------------------------------------------- local terms

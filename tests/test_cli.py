@@ -410,3 +410,81 @@ def test_sweep_reuses_reference_at_finest_dt(tmp_path, monkeypatch):
                      "--dt", "0.008,0.004,0.002"]) == 0
     # the reference at dt 0.002 and the points at 0.008 and 0.004
     assert sorted(args[2] for args in runs) == [0.002, 0.004, 0.008]
+
+
+GRADFLOW_BE = """\
+[model]
+name = gradient_flow
+spectrum = 0.5,1.0,1.5,2.0,2.5,3.0,3.5,4.0
+
+[time]
+scheme = backward_euler
+dt = 0.05
+T = 0.5
+
+[pod]
+nu = 0.99
+
+[bounds]
+kappa = {kappa!r}
+"""
+
+
+@pytest.mark.parametrize("scale", [0.9, 1.0])
+def test_bounds_flags_a_kappa_below_the_jacobian_norm(tmp_path, scale):
+    from morrow import benchmodels
+    a = benchmodels.gradient_flow_spd(benchmodels.BenchmarkSpec(
+        name="gradient_flow", spectrum=(0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5,
+                                        4.0))).jacobian(None, 0.0)
+    norm = float(np.linalg.norm(a, 2))
+    cfg = write_config(tmp_path, GRADFLOW_BE.format(kappa=scale * norm))
+    out = str(tmp_path / "out")
+    assert cli.main(["bounds", "--config", cfg, "--out", out]) == 0
+    notes = json.load(open(os.path.join(out, "manifest.json")))["notes"]
+    assert notes["kappa_trajectory_max"] == norm
+    assert notes["kappa_underestimated"] is (scale < 1.0)
+
+
+STEEPENING_BURGERS = """\
+[model]
+name = burgers
+n = 64
+viscosity = 0.002
+bc = periodic
+initial = sine
+
+[time]
+scheme = backward_euler
+dt = 0.002
+T = 0.2
+
+[pod]
+nu = 0.9999
+"""
+
+
+def test_bounds_flags_a_sampled_kappa_on_a_steepening_wave(tmp_path):
+    # the sine steepens into a front, so ||J|| grows along the trajectory
+    # past the estimate sampled around the initial state
+    cfg = write_config(tmp_path, STEEPENING_BURGERS)
+    manifests = []
+    for tag in ("a", "b"):  # a rerun writes the same bytes
+        out = str(tmp_path / tag)
+        assert cli.main(["bounds", "--config", cfg, "--out", out]) == 0
+        manifests.append(open(os.path.join(out, "manifest.json"),
+                              "rb").read())
+    assert manifests[1] == manifests[0]
+    notes = json.loads(manifests[0])["notes"]
+    assert notes["kappa_trajectory_max"] > 1.2 * notes["kappa"]
+    assert notes["kappa_underestimated"] is True
+
+
+def test_readme_config_example_runs(tmp_path):
+    readme = open(os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                               os.pardir, "README.md"),
+                  encoding="utf-8").read()
+    section = readme.split("### Config grammar (INI)", 1)[1]
+    block = section.split("```ini\n", 1)[1].split("```", 1)[0]
+    cfg = write_config(tmp_path, block)
+    assert cli.main(["rom", "--config", cfg, "--out",
+                     str(tmp_path / "out")]) == 0

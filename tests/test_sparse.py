@@ -12,7 +12,7 @@ import pytest
 
 from morrow import benchmodels as bm
 from morrow import bounds, fom, galerkin, hyperreduction, lspg, pod
-from morrow.core import Model, SolverOptions
+from morrow.core import Model, SolverOptions, norm2, norm2_at_most
 from morrow.schemes import ButcherTableau, make_lmm
 
 SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
@@ -39,6 +39,78 @@ def test_burgers_jacobian_is_sparse_and_matches_dense(bc):
     dense = jac.toarray()
     assert (dense[0, -1] != 0.0) == (bc == "periodic")
     assert np.count_nonzero(np.triu(dense, 2)[:-1, :-1]) == 0
+
+
+def coo_burgers_jacobian(spec, u):
+    """Reference: Burgers' Jacobian entry by entry, assembled from COO."""
+    from scipy import sparse
+    n, nu = spec.n, spec.viscosity
+    _, dx = bm._grid(spec)
+    periodic = spec.bc == "periodic"
+    rows, cols, vals = [], [], []
+    for i in range(n):
+        ip, im = (i + 1) % n, (i - 1) % n
+        up = u[ip] if periodic or i + 1 < n else 0.0
+        um = u[im] if periodic or i > 0 else 0.0
+        entries = [(i, -(up - um) / (2.0 * dx) - 2.0 * nu / dx**2)]
+        if periodic or i + 1 < n:
+            entries.append((ip, -u[i] / (2.0 * dx) + nu / dx**2))
+        if periodic or i > 0:
+            entries.append((im, u[i] / (2.0 * dx) + nu / dx**2))
+        for j, v in entries:
+            rows.append(i), cols.append(j), vals.append(v)
+    return sparse.csr_array((np.array(vals), (rows, cols)), shape=(n, n))
+
+
+def csr_arrays(mat):
+    return mat.indptr, mat.indices, mat.data
+
+
+@pytest.mark.parametrize("n", [4, 5, 16, 64, 513])
+@pytest.mark.parametrize("bc", ["dirichlet0", "periodic"])
+def test_burgers_jacobian_is_bitwise_the_coo_assembly(bc, n):
+    spec = bm.BenchmarkSpec(name="b", n=n, viscosity=0.01, bc=bc)
+    m = bm.burgers1d(spec)
+    u = m.initial_state + 0.3 * np.sin(np.arange(n) * 0.7)
+    ref = coo_burgers_jacobian(spec, u)
+    first = m.jacobian(u, 0.0)
+    for got, want in zip(csr_arrays(first), csr_arrays(ref)):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    # the structure is shared by every call: a caller that writes into
+    # one returned matrix must not change the next one
+    for arr in csr_arrays(first):
+        arr[:] = 0
+    for got, want in zip(csr_arrays(m.jacobian(u, 0.0)), csr_arrays(ref)):
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("case", [
+    "dirichlet0-64", "dirichlet0-512", "periodic-64", "periodic-512",
+    "random", "zero", "one-by-one"])
+def test_sparse_norm2_matches_the_dense_svd(case):
+    from scipy import sparse
+    if case == "random":  # no band structure for the reordering to find
+        mat = sparse.random_array((120, 120), density=0.05, format="csr",
+                                  rng=np.random.default_rng(4))
+    elif case == "zero":  # the tolerance below is then exactly 0
+        mat = sparse.csr_array((7, 7))
+    elif case == "one-by-one":
+        mat = sparse.csr_array(np.array([[-3.0]]))
+    else:
+        bc, n = case.split("-")
+        m = bm.burgers1d(bm.BenchmarkSpec(name="b", n=int(n), bc=bc,
+                                          viscosity=0.01))
+        rng = np.random.default_rng(1)
+        mat = m.jacobian(m.initial_state + 0.1 * rng.standard_normal(m.dim),
+                         0.0)
+    want = np.linalg.norm(mat.toarray(), 2)
+    got = norm2(mat)
+    assert abs(got - want) <= 1e-13 * want
+    assert norm2(mat) == got  # repeatable bitwise
+    # the Cholesky certificate, on the sparse matrix and its dense copy
+    for m in (mat, mat.toarray()):
+        assert norm2_at_most(m, want * (1 + 1e-13) or 1.0)
+        assert want == 0.0 or not norm2_at_most(m, want * (1 - 1e-13))
 
 
 @pytest.mark.parametrize("scheme", ["backward_euler", "bdf2"])
@@ -68,7 +140,9 @@ def test_sparse_and_dense_jacobians_agree(bc, scheme):
     w_ident = lspg.scaled_identity(m_sparse.dim)
     samples = [x[0], x[-1], x[len(x) // 2]]
     kappa = bounds.estimate_lipschitz(m_dense, samples, [0.0])
-    assert bounds.estimate_lipschitz(m_sparse, samples, [0.0]) == kappa
+    # the sparse 2-norm comes from a banded eigenvalue, not the dense SVD
+    assert abs(bounds.estimate_lipschitz(m_sparse, samples, [0.0])
+               - kappa) <= 1e-13 * kappa
 
     out = {}
     for tag, m in (("sparse", m_sparse), ("dense", m_dense)):
@@ -119,7 +193,8 @@ def test_sparse_coupled_rk_and_auxiliary_bound_match_dense(tight_opts):
 
 
 def test_dense_runs_do_not_import_scipy_sparse(tmp_path):
-    # an LMM LSPG run and the sdirk2 GNAT sweep of the benchmark
+    # an LMM LSPG run, its bounds (kappa estimate and trajectory check) and
+    # the sdirk2 GNAT sweep of the benchmark
     configs = []
     for scheme in ("backward_euler", "sdirk2"):
         path = tmp_path / f"{scheme}.ini"
@@ -133,6 +208,8 @@ def test_dense_runs_do_not_import_scipy_sparse(tmp_path):
         "from morrow import cli\n"
         f"out, lmm, rk = {str(tmp_path)!r}, {configs[0]!r}, {configs[1]!r}\n"
         "assert cli.main(['rom', '--config', lmm, '--out', out + '/rom']) "
+        "== 0\n"
+        "assert cli.main(['bounds', '--config', lmm, '--out', out + '/b']) "
         "== 0\n"
         "assert cli.main(['sweep', '--config', rk, '--out', out + '/sw',"
         " '--dt', '0.01,0.005', '--rom', 'gnat', '--parallel', '2']) == 0\n"
