@@ -133,6 +133,7 @@ def advection_diffusion_matrix(spec: BenchmarkSpec) -> np.ndarray:
 
 def advection_diffusion(spec: BenchmarkSpec) -> Model:
     a = advection_diffusion_matrix(spec)
+    a.setflags(write=False)  # a constant Jacobian, keyed by identity
     g = spec.forcing
 
     def velocity(x, t):
@@ -162,6 +163,7 @@ def gradient_flow_spd(spec: BenchmarkSpec) -> Model:
     q = q * np.sign(np.diag(r))  # fix QR sign convention
     a = q @ np.diag(lam) @ q.T
     neg_a = -0.5 * (a + a.T)  # built once: both callbacks return -A
+    neg_a.setflags(write=False)  # a constant Jacobian, keyed by identity
     x_init = rng.standard_normal(n)
 
     def velocity(x, t):

@@ -19,7 +19,11 @@ class Model:
     velocity and jacobian must be deterministic; jacobian(x, t) is expected
     to match central finite differences of velocity (see jacobian_fd_check).
     jacobian may return a dense ndarray or a scipy.sparse matrix, and may
-    return the same array on every call; callers must not mutate it.
+    return the same array on every call; callers must not mutate it.  A
+    Jacobian returned as a read-only ndarray that owns its memory must
+    never change: it is keyed by identity (``JacobianKey``).  A writeable
+    buffer, or a read-only view of one, may be refilled between calls and
+    is compared by content.
     """
 
     dim: int
@@ -128,18 +132,27 @@ def dense(mat) -> np.ndarray:
 
 
 class JacobianKey:
-    """A private copy of a Jacobian's entries: the ndarray itself, or the
-    index and value arrays of its CSR form.  ``matches(jac)`` compares
-    jac's entries with the copy bitwise.  A Jacobian is keyed by content,
-    never by identity, since a model may refill one buffer in place."""
+    """A Jacobian's entries at one call: the ndarray itself, or the index
+    and value arrays of its CSR form.  ``matches(jac)`` tells whether jac
+    has the same entries bitwise.
+
+    A read-only array that owns its memory never changes (see ``Model``),
+    so it is kept by reference and matched by identity while it stays
+    read-only.  Every other array is copied and compared by content, since
+    a model may refill one buffer in place."""
 
     def __init__(self, jac):
-        self._arrays = [a.copy() for a in _entries(jac)]
+        self._arrays = [a if _frozen(a) else a.copy() for a in _entries(jac)]
 
     def matches(self, jac) -> bool:
         entries = _entries(jac)
         return len(entries) == len(self._arrays) and all(
-            map(np.array_equal, entries, self._arrays))
+            _frozen(b) if a is b else np.array_equal(a, b)
+            for a, b in zip(entries, self._arrays))
+
+
+def _frozen(a) -> bool:
+    return not a.flags.writeable and a.flags.owndata
 
 
 def _entries(jac):

@@ -83,11 +83,12 @@ class NewtonMatrix:
     its product with a basis formed on first use and kept while c0, c1 and
     the entries of J repeat bitwise.
 
-    J is keyed by a private copy of its contents, never by identity, since
-    a model may refill one buffer in place.  The product is kept for the
-    basis object it was formed with; callers must not mutate either.  One
-    object serves one integration or bound call: it is not shared between
-    threads.
+    J is keyed by a ``core.JacobianKey``: by identity when it is a
+    read-only array that owns its memory, else by a private copy of its
+    contents, since a model may refill one buffer in place.  The product is
+    kept for the basis object it was formed with; callers must not mutate
+    either.  One object serves one integration or bound call: it is not
+    shared between threads.
     """
 
     def __init__(self):
@@ -205,9 +206,10 @@ def rk_stage_residual(model: Model, stages: RkStageSet, i: int) -> np.ndarray:
 
 
 def _solve_rk_stage(model, base_state, t_base, tableau, dt, prev_stages, i,
-                    opts, newton):
+                    opts, newton, warm):
     """Newton solve of the stagewise residual for explicit/DIRK stage i
-    (0-based): w = f(x + dt a_ii w + dt sum_{j<i} a_ij w_j, t_i)."""
+    (0-based): w = f(x + dt a_ii w + dt sum_{j<i} a_ij w_j, t_i).  warm,
+    the Newton warm start f(x, t_base), is shared by the step's stages."""
     known = base_state.copy()
     for j in range(i):
         if tableau.a[i, j] != 0.0:
@@ -217,7 +219,7 @@ def _solve_rk_stage(model, base_state, t_base, tableau, dt, prev_stages, i,
     if aii == 0.0:
         return model.velocity(known, ti)
 
-    w = model.velocity(base_state, t_base)  # standard warm start
+    w = warm
     r = w - model.velocity(known + dt * aii * w, ti)
     tol = max(opts.newton_abs_tol, opts.newton_rel_tol * np.linalg.norm(r))
     for _ in range(opts.max_iters):
@@ -277,11 +279,14 @@ def solve_rk_step(model: Model, base_state: np.ndarray,
         stage_values = _solve_rk_coupled(model, base_state, t_base, tableau,
                                          dt, opts, newton)
     else:
+        # the standard warm start of every implicit stage: f(x^{n-1})
+        warm = None if kind == "explicit" \
+            else model.velocity(base_state, t_base)
         stage_values = []
         for i in range(tableau.s):
             stage_values.append(_solve_rk_stage(
                 model, base_state, t_base, tableau, dt, stage_values, i, opts,
-                newton))
+                newton, warm))
     next_state = base_state + dt * sum(
         bi * wi for bi, wi in zip(tableau.b, stage_values))
     return stage_values, next_state

@@ -213,6 +213,7 @@ class RkStageContext:
     tableau: ButcherTableau
     i: int
     prev_stage_coords: tuple
+    yhat_warm: np.ndarray   # Phi^T f(x^{n-1}, t^{n-1}), shared by the stages
 
 
 def solve_lspg_rk_stage(model, sub, W, stage_ctx: RkStageContext, opts,
@@ -240,10 +241,8 @@ def solve_lspg_rk_stage(model, sub, W, stage_ctx: RkStageContext, opts,
         jf = model.jacobian(known + dt * aii * (phi @ y), ti)
         return newton.times(1.0, dt * aii, jf, phi)
 
-    y0 = phi.T @ model.velocity(stage_ctx.base_full, stage_ctx.t_base)
-    yhat, report = _gauss_newton(residual, jacobian, y0, W, opts,
-                                 callback=callback)
-    return yhat, report
+    return _gauss_newton(residual, jacobian, stage_ctx.yhat_warm, W, opts,
+                         callback=callback)
 
 
 def solve_lspg_rk_coupled(model, sub, W, base_full, t_base, tableau, dt, opts):
@@ -309,11 +308,13 @@ def _integrate_lspg_rk(model, sub, W, tableau, dt, nsteps, opts, callback):
                 model, sub, W, base_full, t_base, tableau, dt, opts)
             reports.append(report)
         else:
+            warm = sub.basis.T @ model.velocity(base_full, t_base)
             stage_coords = []
             for i in range(tableau.s):
                 ctx = RkStageContext(base_full=base_full, t_base=t_base,
                                      dt=dt, tableau=tableau, i=i,
-                                     prev_stage_coords=tuple(stage_coords))
+                                     prev_stage_coords=tuple(stage_coords),
+                                     yhat_warm=warm)
                 yi, report = solve_lspg_rk_stage(model, sub, W, ctx, opts,
                                                  callback=callback,
                                                  newton=newton)

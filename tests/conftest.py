@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -87,18 +89,24 @@ def newton_case_states(name, kind):
 
 
 def refilled_cubic(n=4):
-    """f(x) = -x^3 - x twice: with a Jacobian written into one buffer on
-    every call, and with a fresh array per call."""
-    buf = np.zeros((n, n))
+    """f(x) = -x^3 - x three ways: with a Jacobian written into one buffer
+    on every call and returned as is, or as a read-only view of that
+    buffer, and with a fresh array per call."""
+    def buffered(read_only):
+        buf = np.zeros((n, n))
+        out = buf.view() if read_only else buf
+        out.setflags(write=not read_only)
 
-    def refill(x, t):
-        buf[...] = np.diag(-3.0 * x**2 - 1.0)
-        return buf
+        def refill(x, t):
+            buf[...] = np.diag(-3.0 * x**2 - 1.0)
+            return out
+        return refill
 
     x0 = np.linspace(0.5, 1.0, n)
     return [Model(dim=n, velocity=lambda x, t: -x**3 - x, jacobian=jac,
                   initial_state=x0)
-            for jac in (refill, lambda x, t: np.diag(-3.0 * x**2 - 1.0))]
+            for jac in (buffered(False), buffered(True),
+                        lambda x, t: np.diag(-3.0 * x**2 - 1.0))]
 
 
 @pytest.fixture
@@ -120,3 +128,21 @@ def counting(monkeypatch, owner, attr):
 
     monkeypatch.setattr(owner, attr, counted)
     return calls
+
+
+def logging_velocity(model):
+    """model with a velocity that logs the (x, t) of each call, and the
+    log."""
+    calls = []
+
+    def velocity(x, t):
+        calls.append((x.copy(), t))
+        return model.velocity(x, t)
+
+    return replace(model, velocity=velocity), calls
+
+
+def calls_at_base(calls, bases, dt):
+    """Per step n >= 1: the logged calls made at (bases[n-1], (n-1) dt)."""
+    return [sum(t == (n - 1) * dt and np.array_equal(x, bases[n - 1])
+                for x, t in calls) for n in range(1, len(bases))]

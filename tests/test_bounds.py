@@ -66,18 +66,21 @@ def test_lipschitz_takes_one_norm_for_a_linear_model(monkeypatch):
 
 
 def test_jacobian_norm_is_retaken_when_one_buffer_is_refilled():
-    # the model hands back one array refilled in place: equal identity,
-    # different entries, so each state's J must be checked on its own
+    # the model hands back one array refilled in place, as is or as a
+    # read-only view: equal identity, different entries, so each state's J
+    # must be checked on its own
     buf = np.zeros((2, 2))
-
-    def jacobian(x, t):
-        buf[:] = np.diag(3.0 * x**2)
-        return buf
-
-    m = Model(dim=2, velocity=lambda x, t: x**3, jacobian=jacobian,
-              initial_state=np.zeros(2))
+    view = buf.view()
+    view.setflags(write=False)
     states = [np.array([v, 0.0]) for v in (1.0, 2.0, 1.0)]
-    assert bounds.max_jacobian_norm(m, states, [0.0] * 3) == 12.0
+    for out in (buf, view):
+        def jacobian(x, t, out=out):
+            buf[:] = np.diag(3.0 * x**2)
+            return out
+
+        m = Model(dim=2, velocity=lambda x, t: x**3, jacobian=jacobian,
+                  initial_state=np.zeros(2))
+        assert bounds.max_jacobian_norm(m, states, [0.0] * 3) == 12.0
 
 
 @pytest.mark.parametrize("jac_kind", ["sparse", "dense"])
