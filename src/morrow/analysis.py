@@ -151,8 +151,9 @@ def commutativity_gap(model, sub: TrialSubspace, schemes, draws,
     """Max |Phi^T r(x0 + Phi y) - r_red(y)|, r_red the residual of the
     Galerkin model, over `draws` rounds of one random draw per (scheme, dt)
     in schemes: a multistep residual at a step n in [2, 6) with random
-    coordinates and history, or every stage residual of a Runge-Kutta step
-    from t = 0.1 with random stage values and base state."""
+    coordinates and history, or every stage residual of an explicit/DIRK
+    Runge-Kutta step from t = 0.1 with random stage values and base
+    state."""
     gm = galerkin.make_galerkin_model(model, sub)
     phi, p = sub.basis, sub.p
     lift = partial(reconstruct, sub)
@@ -169,16 +170,17 @@ def commutativity_gap(model, sub: TrialSubspace, schemes, draws,
                           fom.lmm_residual(model, ctx(history=tuple(
                               map(lift, hist))), lift(w)))]
             else:
-                stages = [rng.standard_normal(p) for _ in range(scheme.s)]
+                ys = [rng.standard_normal(p) for _ in range(scheme.s)]
                 base = rng.standard_normal(p)
-                step = partial(fom.RkStageSet, t_base=0.1, dt=dt,
-                               tableau=scheme)
-                red = step(stage_values=tuple(stages), base_state=base)
-                full = step(stage_values=tuple(phi @ v for v in stages),
-                            base_state=lift(base))
-                pairs = [(fom.rk_stage_residual(gm, red, i),
-                          fom.rk_stage_residual(model, full, i))
-                         for i in range(1, scheme.s + 1)]
+                ws = [phi @ y for y in ys]
+                ctx = partial(fom.rk_stage_context, t_base=0.1,
+                              tableau=scheme, dt=dt)
+                pairs = [(fom.rk_residual(gm, ctx(base, prev_stages=ys[:i]),
+                                          ys[i]),
+                          fom.rk_residual(model, ctx(lift(base),
+                                                     prev_stages=ws[:i]),
+                                          ws[i]))
+                         for i in range(scheme.s)]
             for lhs, r in pairs:
                 worst = max(worst, float(np.max(np.abs(lhs - phi.T @ r))))
     return worst

@@ -15,6 +15,8 @@ increment bound all propagate local terms by forward recursion, which
 equals the path-sum over coefficient tuples (and the closed sums under
 backward Euler).  Runge-Kutta bounds read the stage values that the
 integrators record in ``Trajectory.stages``; they never re-solve a stage.
+The a posteriori and a priori Runge-Kutta bounds are one stage loop: f at
+the ROM's or the FOM's stage points, LSPG projectors from the ROM's stages.
 All kappa-dependent bounds are valid modulo under-estimation of the
 Lipschitz constant.
 """
@@ -411,17 +413,17 @@ def auxiliary_increment_bound(model, lspg_traj, sub, dt, kappa,
         degenerate=degenerate)
 
 
-def _rk_dinv(tableau, kappa, dt):
-    """D with d_ij = delta_ij - kappa dt |a_ij|; checked to be inverse-
-    nonnegative via the strict row-sum condition."""
-    absa = np.abs(tableau.a).astype(float)
+def _rk_dinv(tableau, kappa, dt, scale=1.0):
+    """D^{-1} for D with d_ij = delta_ij - kappa dt |a_ij| s_j (s_j =
+    ||P_j||_2 in the a priori LSPG bound, 1 otherwise); checked to be
+    inverse-nonnegative via the strict row-sum condition."""
+    absa = np.abs(tableau.a) * scale
     row_sum = kappa * dt * np.max(np.sum(absa, axis=1))
     if row_sum >= 1.0:
         raise BoundHypothesisError(
-            f"kappa dt max_i sum_j |a_ij| = {row_sum:.3e} >= 1; "
+            f"kappa dt max_i sum_j |a_ij| s_j = {row_sum:.3e} >= 1; "
             "D may not be inverse-nonnegative")
-    d = np.eye(tableau.s) - kappa * dt * absa
-    dinv = np.linalg.inv(d)
+    dinv = np.linalg.inv(np.eye(tableau.s) - kappa * dt * absa)
     if np.min(dinv) < -1e-12:
         raise BoundHypothesisError("D^{-1} has negative entries")
     return dinv
@@ -434,91 +436,112 @@ def _stages(traj):
     return traj.stages
 
 
-def rk_aposteriori_bound(traj, kind, tableau, kappa, model, sub, W=None,
-                         opts=SolverOptions(), mode="stagewise") -> BoundReport:
-    """Global a posteriori bound for Runge-Kutta schemes.
+def _rk_bound(rom, kind, tableau, kappa, model, sub, W, fom_traj=None,
+              mode="stagewise") -> BoundReport:
+    """The Runge-Kutta bound B^n = a^n B^{n-1} + dt sum_i w_i^n term_i^n
+    along a ROM run, with w^n = |b|^T D^{-1}, a^n = 1 + kappa dt sum_i w_i^n
+    and term_i^n = ||(I - P_i^n) f(x_i^n, t_i^n)||.
 
-    Stage values are read from the trajectory's stage records, so traj must
-    come from a Runge-Kutta integrator (opts is unused).  Galerkin uses the
-    orthogonal projector on every stage; LSPG uses the per-stage oblique
-    projector; mode='general' adds the cross-stage coupling term (zero for
-    explicit/DIRK tableaus).
+    The stage points x_i^n are the ROM's (a posteriori) or, given fom_traj,
+    the FOM's (a priori), read from the trajectories' stage records.  P_i^n
+    is Phi Phi^T for Galerkin and for LSPG the oblique projector built at
+    the ROM's stage i either way; a priori, ||P_j^n||_2 scales column j of
+    D.  mode='general' adds the cross-stage coupling term of the a
+    posteriori LSPG bound (zero for explicit/DIRK tableaus).
     """
     if kind not in ("galerkin", "lspg"):
         raise ValueError(f"unknown ROM kind {kind!r}")
-    stages = _stages(traj)
-    dt = traj.dt
-    phi = sub.basis
-    dinv = _rk_dinv(tableau, kappa, dt)
-    s = tableau.s
-    # weight of stage i: sum_k |b_k| [D^-1]_{ki}
-    wstage = np.abs(tableau.b) @ dinv
-    amp = 1.0 + kappa * dt * float(np.sum(wstage))
-
-    nsteps = len(traj.states) - 1
-    svals = np.zeros(nsteps + 1)
-    term0 = np.zeros(nsteps + 1)
+    apriori = fom_traj is not None
+    if apriori and kind == "lspg" \
+            and classify(tableau).tag == "fully_implicit":
+        raise BoundHypothesisError(
+            "a priori LSPG RK bound implemented for explicit/DIRK")
+    rom_stages = _stages(rom) if kind == "lspg" or not apriori else None
+    f_stages = _stages(fom_traj) if apriori else None
+    dt, phi = rom.dt, sub.basis
+    nsteps = len(rom.states) - 1
+    svals, term0, coeff, bound = np.zeros((4, nsteps + 1))
+    amps = np.ones(nsteps + 1)
     newton = fom.NewtonMatrix()
     for n in range(1, nsteps + 1):
         t_base = (n - 1) * dt
-        base_full = reconstruct(sub, traj.states[n - 1])
-        stage_coords = stages[n - 1]
-        sn = 0.0
-        args = [base_full + dt * phi @ (tableau.a[i] @ stage_coords)
-                for i in range(s)]
-        times = [t_base + tableau.c[i] * dt for i in range(s)]
-        for i in range(s):
-            fval = model.velocity(args[i], times[i])
-            if kind == "galerkin":
-                term = np.linalg.norm(fval - phi @ (phi.T @ fval))
-            else:
-                jf = model.jacobian(args[i], times[i])
-                psi_ii = W.gram_mat(
-                    newton.times(1.0, dt * tableau.a[i, i], jf, phi))
-                proj = _ObliqueProjector(sub, psi_ii)
-                term = np.linalg.norm(proj.deflate(fval))
+        if rom_stages is not None:
+            base = reconstruct(sub, rom.states[n - 1])
+            rom_points = [(base + dt * phi @ (a_i @ rom_stages[n - 1]),
+                           t_base + c_i * dt)
+                          for a_i, c_i in zip(tableau.a, tableau.c)]
+        points = fom.rk_stage_points(
+            fom_traj.states[n - 1], t_base, tableau, dt, f_stages[n - 1]) \
+            if apriori else rom_points
+        fvals = [model.velocity(x, t) for x, t in points]
+        scale = 1.0
+        if kind == "galerkin":
+            terms = [np.linalg.norm(f - phi @ (phi.T @ f)) for f in fvals]
+        else:
+            terms, norms = [], []
+            for i, (x, t) in enumerate(rom_points):
+                jf = model.jacobian(x, t)
+                proj = _ObliqueProjector(sub, W.gram_mat(
+                    newton.times(1.0, dt * tableau.a[i, i], jf, phi)))
+                term = np.linalg.norm(proj.deflate(fvals[i]))
                 if mode == "general":
-                    coupling = np.zeros(sub.p)
-                    for e in range(s):
-                        if e == i or tableau.a[i, e] == 0.0:
-                            continue
-                        psi_ie = W.gram_mat(-dt * tableau.a[i, e] * (jf @ phi))
-                        mismatch = (phi @ stage_coords[e]
-                                    - model.velocity(args[e], times[e]))
-                        coupling += psi_ie.T @ mismatch
+                    coupling = sum(
+                        (W.gram_mat(-dt * tableau.a[i, e] * (jf @ phi)).T
+                         @ (phi @ rom_stages[n - 1][e] - fvals[e])
+                         for e in range(tableau.s)
+                         if e != i and tableau.a[i, e] != 0.0),
+                        np.zeros(sub.p))
                     term += np.linalg.norm(
                         phi @ np.linalg.solve(proj.m, coupling))
-            sn += wstage[i] * term
-            if i == 0:
-                term0[n] = term
-        svals[n] = sn
+                terms.append(term)
+                norms.append(proj.norm() if apriori else 1.0)
+            if apriori:
+                scale = np.array(norms)
+        wstage = np.abs(tableau.b) @ _rk_dinv(tableau, kappa, dt, scale)
+        sn = 0.0
+        for w_i, term in zip(wstage, terms):
+            sn += w_i * term
+        svals[n], term0[n] = sn, terms[0]
+        coeff[n] = dt * float(np.sum(wstage))
+        amps[n] = 1.0 + kappa * dt * float(np.sum(wstage))
+        bound[n] = amps[n] * bound[n - 1] + dt * svals[n]
+    return BoundReport(
+        mode="rk_apriori" if apriori else f"rk_aposteriori_{mode}",
+        kind=kind, per_step_local=dt * svals, per_step_bound=bound,
+        term_projection=term0, coeff=coeff, details={"amplifications": amps})
 
-    bounds = np.zeros(nsteps + 1)
-    for n in range(1, nsteps + 1):
-        bounds[n] = amp * bounds[n - 1] + dt * svals[n]
-    return BoundReport(mode=f"rk_aposteriori_{mode}", kind=kind,
-                       per_step_local=dt * svals, per_step_bound=bounds,
-                       term_projection=term0,
-                       coeff=np.full(nsteps + 1, dt * float(np.sum(wstage))),
-                       details={"amplification": amp, "dinv": dinv})
+
+def rk_aposteriori_bound(traj, kind, tableau, kappa, model, sub, W=None,
+                         mode="stagewise") -> BoundReport:
+    """Global a posteriori bound for Runge-Kutta schemes.
+
+    Stage values are read from the trajectory's stage records, so traj must
+    come from a Runge-Kutta integrator.  Galerkin uses the orthogonal
+    projector on every stage; LSPG uses the per-stage oblique projector;
+    mode='general' adds the cross-stage coupling term (zero for
+    explicit/DIRK tableaus).
+    """
+    return _rk_bound(traj, kind, tableau, kappa, model, sub, W, mode=mode)
 
 
 def apriori_bounds_lmm_rk(fom_traj, rom_traj, kind, model, sub, scheme,
                           kappa, W=None, mode="global",
-                          epsilon=0.5, opts=SolverOptions()) -> BoundReport:
+                          epsilon=0.5) -> BoundReport:
     """A priori bounds: projection terms evaluated at FOM states.
 
     For LSPG the projector (and its norm, which enters the h constants) is
     still built from the ROM solution.  mode 'global' runs the recursion;
     'timestep_independent' evaluates the backward-Euler style closed form
-    2 (exp(t^n kappa / eps ...) - 1) / kappa * max term.
+    2 (exp(t^n kappa / eps ...) - 1) / kappa * max term.  A Runge-Kutta
+    scheme takes f at the FOM's stage points and, for LSPG
+    (explicit/DIRK), scales D by the stage projectors' norms.
     """
-    if isinstance(scheme, ButcherTableau):
-        return _rk_apriori(fom_traj, rom_traj, kind, model, sub, scheme,
-                           kappa, W, opts)
     dt = fom_traj.dt
     if abs(dt - rom_traj.dt) > 1e-14:
         raise ValueError("a priori bounds need FOM and ROM at the same dt")
+    if isinstance(scheme, ButcherTableau):
+        return _rk_bound(rom_traj, kind, scheme, kappa, model, sub, W,
+                         fom_traj=fom_traj)
     local_terms = _lmm_local_terms(rom_traj, kind, model, sub, scheme, kappa,
                                    W, f_states=fom_traj.states,
                                    proj_in_h=True)
@@ -539,77 +562,6 @@ def apriori_bounds_lmm_rk(fom_traj, rom_traj, kind, model, sub, scheme,
             / p_star * max_term
         return rep
     raise ValueError(f"unknown a priori mode {mode!r}")
-
-
-def _rk_apriori(fom_traj, rom_traj, kind, model, sub, tableau, kappa, W,
-                opts):
-    """RK a priori bounds with FOM stage arguments; LSPG (explicit/DIRK)
-    uses per-step matrices Dbar with entries scaled by ||P_i^n||_2.  Stage
-    values come from the FOM's (and for LSPG the ROM's) stage records."""
-    dt = fom_traj.dt
-    phi = sub.basis
-    s = tableau.s
-    nsteps = len(fom_traj.states) - 1
-    gm_tag = classify(tableau).tag
-
-    fom_stages = _stages(fom_traj)
-    rom_stages = _stages(rom_traj) if kind == "lspg" else None
-    svals = np.zeros(nsteps + 1)
-    amps = np.ones(nsteps + 1)
-    newton = fom.NewtonMatrix()
-    for n in range(1, nsteps + 1):
-        base = fom_traj.states[n - 1]
-        t_base = (n - 1) * dt
-        stage_vals = fom_stages[n - 1]
-        proj_norms = np.ones(s)
-        projs = [None] * s
-        if kind == "lspg":
-            if gm_tag == "fully_implicit":
-                raise BoundHypothesisError(
-                    "a priori LSPG RK bound implemented for explicit/DIRK")
-            base_rom = reconstruct(sub, rom_traj.states[n - 1])
-            for i in range(s):
-                # a_ij = 0 for j > i: later stages do not enter
-                arg_rom = base_rom + dt * phi @ (tableau.a[i]
-                                                 @ rom_stages[n - 1])
-                jf = model.jacobian(arg_rom, t_base + tableau.c[i] * dt)
-                psi = W.gram_mat(
-                    newton.times(1.0, dt * tableau.a[i, i], jf, phi))
-                projs[i] = _ObliqueProjector(sub, psi)
-                proj_norms[i] = projs[i].norm()
-            absa = np.abs(tableau.a) * proj_norms[None, :]
-            row = kappa * dt * np.max(np.sum(absa, axis=1))
-            if row >= 1.0:
-                raise BoundHypothesisError("Dbar M-matrix condition failed")
-            dinv = np.linalg.inv(np.eye(s) - kappa * dt * absa)
-        else:
-            dinv = _rk_dinv(tableau, kappa, dt)
-        if np.min(dinv) < -1e-12:
-            raise BoundHypothesisError("Dbar^{-1} has negative entries")
-        wstage = np.abs(tableau.b) @ dinv
-        amps[n] = 1.0 + kappa * dt * float(np.sum(wstage))
-
-        sn = 0.0
-        for i in range(s):
-            arg = base + dt * sum(
-                tableau.a[i, j] * stage_vals[j] for j in range(s))
-            fval = model.velocity(arg, t_base + tableau.c[i] * dt)
-            if kind == "galerkin":
-                term = np.linalg.norm(fval - phi @ (phi.T @ fval))
-            else:
-                term = np.linalg.norm(projs[i].deflate(fval))
-            sn += wstage[i] * term
-        svals[n] = sn
-
-    # per-step amplification products (a priori Dbar varies with n)
-    bounds = np.zeros(nsteps + 1)
-    for n in range(1, nsteps + 1):
-        bounds[n] = amps[n] * bounds[n - 1] + dt * svals[n]
-    return BoundReport(mode="rk_apriori", kind=kind,
-                       per_step_local=dt * svals, per_step_bound=bounds,
-                       term_projection=np.zeros(nsteps + 1),
-                       coeff=np.zeros(nsteps + 1),
-                       details={"amplifications": amps})
 
 
 def write_bound_report_csv(report: BoundReport, path):

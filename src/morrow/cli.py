@@ -52,11 +52,6 @@ def _load_config(path):
     return cp
 
 
-_BUILDERS = {"burgers": benchmodels.burgers1d,
-             "advection_diffusion": benchmodels.advection_diffusion,
-             "gradient_flow": benchmodels.gradient_flow_spd}
-
-
 def _model_from_config(cp, seed):
     sec = cp["model"]
     name = sec.get("name")
@@ -71,9 +66,10 @@ def _model_from_config(cp, seed):
         spectrum=None if spectrum is None
         else tuple(float(v) for v in spectrum.split(",")),
         seed=seed)
-    if name not in _BUILDERS:
-        raise ConfigError(f"unknown model {name!r}")
-    return _BUILDERS[name](spec)
+    try:
+        return benchmodels.build(spec)
+    except ValueError as err:
+        raise ConfigError(str(err))
 
 
 def _scheme_from_config(cp):
@@ -90,8 +86,7 @@ def _solver_from_config(cp):
     return SolverOptions(
         newton_abs_tol=sec.getfloat("newton_abs_tol", 1e-12),
         newton_rel_tol=sec.getfloat("newton_rel_tol", 1e-3),
-        max_iters=sec.getint("max_iters", 50),
-        fd_step=sec.getfloat("fd_step", 1e-6))
+        max_iters=sec.getint("max_iters", 50))
 
 
 def _sha256(path):
@@ -355,8 +350,8 @@ def _sweep_point(run, index, model, scheme, dt, T, opts, ref, probe,
         bval = np.nan
         if kappa is not None and stable:
             try:
-                bval = _bound_report(traj, model, sub, scheme, kappa, W,
-                                     opts).global_bound
+                bval = _bound_report(traj, model, sub, scheme, kappa,
+                                     W).global_bound
             except bounds.BoundHypothesisError:
                 pass  # dt outside the theorem's cap: no bound, run still valid
         return dt, err, wall, bval, stable
@@ -409,14 +404,14 @@ def cmd_sweep(run):
     return EXIT_OK
 
 
-def _bound_report(traj, model, sub, scheme, kappa, W, opts):
+def _bound_report(traj, model, sub, scheme, kappa, W):
     """Global a posteriori bound of a ROM run with the W it ran with: the
     local-term recursion for a multistep scheme, the stage-record bound
     for a Runge-Kutta tableau."""
     kind = "galerkin" if traj.kind == "galerkin" else "lspg"
     if isinstance(scheme, ButcherTableau):
         return bounds.rk_aposteriori_bound(traj, kind, scheme, kappa, model,
-                                           sub, W, opts)
+                                           sub, W)
     lt = bounds.local_aposteriori_lmm(traj, kind, model, sub, scheme, kappa,
                                       W)
     return bounds.global_aposteriori_lmm(lt, kind)
@@ -429,8 +424,7 @@ def cmd_bounds(run):
     rom_traj, lifted, W = _run_rom(run, model, result.basis)
     kappa = _kappa(run, model)
     rep = _bound_report(rom_traj, model, result.basis,
-                        _scheme_from_config(run.cp), kappa, W,
-                        _solver_from_config(run.cp))
+                        _scheme_from_config(run.cp), kappa, W)
     bounds.write_bound_report_csv(rep, run.path("bound_report.csv"))
     run.record("bound_report.csv")
     run.notes["kappa"] = kappa
@@ -496,7 +490,7 @@ def _verify_checks(model_name, seed):
     """Equivalence and soundness rows (name, ok, detail), each measured by
     the analysis function that acceptance criteria 03-07 use."""
     opts = SolverOptions()
-    model = _BUILDERS[model_name](benchmodels.BenchmarkSpec(
+    model = benchmodels.build(benchmodels.BenchmarkSpec(
         name=model_name, seed=seed, **_VERIFY_SPECS[model_name]))
     be = make_lmm("backward_euler")
     eye = lspg.scaled_identity(model.dim)
@@ -543,7 +537,7 @@ def _verify_checks(model_name, seed):
     subl = pod.compute_pod(pod.SnapshotSet(vectors=_centered(refl.states)),
                            0.95, reference=refl.states[0]).basis
     gl = galerkin.integrate_galerkin(lin, subl, be, dtl, 10 * dtl, opts)
-    rep = _bound_report(gl, lin, subl, be, kappa, None, opts)
+    rep = _bound_report(gl, lin, subl, be, kappa, None)
     rows.append(("a posteriori bound soundness (linear)",
                  not analysis.bound_violations(refl, gl, subl, rep,
                                                rtol=1e-9),
@@ -618,7 +612,9 @@ def main(argv=None):
         code = EXIT_USAGE
     except (StepSolveError, GaussNewtonError,
             bounds.BoundHypothesisError) as err:
-        print(f"numerical failure: {err}", file=sys.stderr)
+        step = getattr(err, "time_index", None)
+        where = "" if step is None else f" at step {step}"
+        print(f"numerical failure{where}: {err}", file=sys.stderr)
         code = EXIT_NUMERICAL
     finally:
         try:

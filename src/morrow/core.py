@@ -103,7 +103,6 @@ class SolverOptions:
     newton_abs_tol: float = 1e-12
     newton_rel_tol: float = 1e-3
     max_iters: int = 50
-    fd_step: float = 1e-6
 
     def __post_init__(self):
         if self.newton_abs_tol <= 0 or self.newton_rel_tol <= 0:

@@ -9,7 +9,12 @@ and for a Runge-Kutta scheme the stage unknowns w_i (velocity values) satisfy
 
     r_i^n(w_1..w_s) = w_i - f(x^{n-1} + dt sum_j a_ij w_j, t^{n-1} + c_i dt) = 0
 
-with the explicit state update x^n = x^{n-1} + dt sum_i b_i w_i.
+with the explicit state update x^n = x^{n-1} + dt sum_i b_i w_i.  An
+explicit or DIRK stage i depends on the earlier stages only through the
+known part x^{n-1} + dt sum_{j<i} a_ij w_j of its point (``RkStageContext``),
+so its residual is w - f(known + dt a_ii w, t_i); a fully implicit tableau
+couples all s stages (``rk_stage_points``, ``rk_coupled_residual``).  LSPG
+minimizes these same residuals at stage values Phi y.
 
 Model Jacobians may be dense arrays or ``scipy.sparse`` matrices; every
 Newton matrix is c0 I - c1 J (``shifted``) and keeps J's type.  A
@@ -20,6 +25,7 @@ only when a sparse Jacobian shows up.
 """
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
@@ -60,13 +66,27 @@ class LmmStepContext:
                 f"coefficients at n={self.n} (expected {len(alpha) - 1})")
 
 
-@dataclass(frozen=True)
-class RkStageSet:
-    stage_values: tuple   # s vectors w_i
-    base_state: np.ndarray  # x^{n-1}
-    t_base: float
-    dt: float
-    tableau: ButcherTableau
+class RkStageContext(NamedTuple):
+    """One explicit/DIRK Runge-Kutta stage i: the known part
+    x^{n-1} + dt sum_{j<i} a_ij w_j of its point, its time
+    t^{n-1} + c_i dt and c1 = dt a_ii."""
+
+    known: np.ndarray
+    t: float
+    c1: float
+
+
+def rk_stage_context(base_state, t_base, tableau: ButcherTableau, dt,
+                     prev_stages) -> RkStageContext:
+    """The context of stage i = len(prev_stages), given the values of the
+    stages before it."""
+    i = len(prev_stages)
+    known = base_state
+    for j, wj in enumerate(prev_stages):
+        if tableau.a[i, j] != 0.0:
+            known = known + dt * tableau.a[i, j] * wj
+    return RkStageContext(known=known, t=t_base + tableau.c[i] * dt,
+                          c1=dt * tableau.a[i, i])
 
 
 def shifted(c0: float, c1: float, jac):
@@ -159,6 +179,25 @@ def lmm_residual_jacobian(model: Model, ctx: LmmStepContext, w: np.ndarray):
     return shifted(*lmm_jacobian_terms(model, ctx, w))
 
 
+def _newton(residual, jacobian_terms, w, opts, newton):
+    """Newton from w on residual(w) = 0, whose Jacobian c0 I - c1 J is
+    given by jacobian_terms(w) = (c0, c1, J); converged once |r| <=
+    max(abs_tol, rel_tol |r(w)|)."""
+    r = residual(w)
+    tol = max(opts.newton_abs_tol, opts.newton_rel_tol * np.linalg.norm(r))
+    for _ in range(opts.max_iters):
+        if np.linalg.norm(r) <= tol:
+            return w
+        w = w - newton.solve(*jacobian_terms(w), r)
+        r = residual(w)
+    if np.linalg.norm(r) <= tol:
+        return w
+    raise StepSolveError(
+        f"Newton failed to converge in {opts.max_iters} iterations "
+        f"(|r| = {np.linalg.norm(r):.3e})",
+        last_iterate=w, residual_norm=float(np.linalg.norm(r)))
+
+
 def solve_lmm_step(model: Model, ctx: LmmStepContext,
                    opts: SolverOptions, newton=None) -> np.ndarray:
     """One multistep step by Newton; newton, a NewtonMatrix, may carry a
@@ -174,98 +213,56 @@ def solve_lmm_step(model: Model, ctx: LmmStepContext,
                 rhs += ctx.dt * beta[j] * model.velocity(
                     xj, (ctx.n - j) * ctx.dt)
         return rhs / alpha[0]
-
-    w = ctx.history[0].copy()  # warm start from previous state
-    r = lmm_residual(model, ctx, w)
-    r0 = np.linalg.norm(r)
-    tol = max(opts.newton_abs_tol, opts.newton_rel_tol * r0)
-    if r0 <= tol:
-        return w
-    newton = NewtonMatrix() if newton is None else newton
-    for _ in range(opts.max_iters):
-        w = w - newton.solve(*lmm_jacobian_terms(model, ctx, w), r)
-        r = lmm_residual(model, ctx, w)
-        if np.linalg.norm(r) <= tol:
-            return w
-    raise StepSolveError(
-        f"Newton failed to converge in {opts.max_iters} iterations "
-        f"(|r| = {np.linalg.norm(r):.3e})",
-        last_iterate=w, residual_norm=float(np.linalg.norm(r)),
-        time_index=ctx.n)
+    # warm start from the previous state
+    return _newton(lambda w: lmm_residual(model, ctx, w),
+                   lambda w: lmm_jacobian_terms(model, ctx, w),
+                   ctx.history[0].copy(), opts,
+                   NewtonMatrix() if newton is None else newton)
 
 
-def rk_stage_residual(model: Model, stages: RkStageSet, i: int) -> np.ndarray:
-    """Residual of stage i (1-based) given all stage values."""
-    tab = stages.tableau
-    arg = stages.base_state.copy()
-    for j in range(tab.s):
-        if tab.a[i - 1, j] != 0.0:
-            arg = arg + stages.dt * tab.a[i - 1, j] * stages.stage_values[j]
-    ti = stages.t_base + tab.c[i - 1] * stages.dt
-    return stages.stage_values[i - 1] - model.velocity(arg, ti)
+def rk_residual(model: Model, ctx: RkStageContext, w: np.ndarray):
+    """Stage residual w - f(known + c1 w, t_i)."""
+    return w - model.velocity(ctx.known + ctx.c1 * w, ctx.t)
 
 
-def _solve_rk_stage(model, base_state, t_base, tableau, dt, prev_stages, i,
-                    opts, newton, warm):
-    """Newton solve of the stagewise residual for explicit/DIRK stage i
-    (0-based): w = f(x + dt a_ii w + dt sum_{j<i} a_ij w_j, t_i).  warm,
-    the Newton warm start f(x, t_base), is shared by the step's stages."""
-    known = base_state.copy()
-    for j in range(i):
-        if tableau.a[i, j] != 0.0:
-            known = known + dt * tableau.a[i, j] * prev_stages[j]
-    ti = t_base + tableau.c[i] * dt
-    aii = tableau.a[i, i]
-    if aii == 0.0:
-        return model.velocity(known, ti)
+def rk_jacobian_terms(model: Model, ctx: RkStageContext, w: np.ndarray):
+    """(c0, c1, J) of the stage residual's Jacobian c0 I - c1 J: 1,
+    dt a_ii and df/dx at the stage point."""
+    return 1.0, ctx.c1, model.jacobian(ctx.known + ctx.c1 * w, ctx.t)
 
-    w = warm
-    r = w - model.velocity(known + dt * aii * w, ti)
-    tol = max(opts.newton_abs_tol, opts.newton_rel_tol * np.linalg.norm(r))
-    for _ in range(opts.max_iters):
-        if np.linalg.norm(r) <= tol:
-            return w
-        w = w - newton.solve(1.0, dt * aii,
-                             model.jacobian(known + dt * aii * w, ti), r)
-        r = w - model.velocity(known + dt * aii * w, ti)
-    if np.linalg.norm(r) <= tol:
-        return w
-    raise StepSolveError(
-        f"RK stage {i + 1} Newton failed (|r| = {np.linalg.norm(r):.3e})",
-        last_iterate=w, residual_norm=float(np.linalg.norm(r)))
+
+def rk_stage_points(base_state, t_base, tableau: ButcherTableau, dt, ws):
+    """Every stage's point x^{n-1} + dt sum_j a_ij w_j and time
+    t^{n-1} + c_i dt, as (x_i, t_i) pairs; ws holds the stage values as
+    rows."""
+    return [(base_state + dt * (a_i @ ws), t_base + c_i * dt)
+            for a_i, c_i in zip(tableau.a, tableau.c)]
+
+
+def rk_coupled_residual(model: Model, points, ws) -> np.ndarray:
+    """The stacked stage residuals w_i - f(x_i, t_i) at the stage points."""
+    return np.concatenate([w - model.velocity(x, t)
+                           for w, (x, t) in zip(ws, points)])
 
 
 def _solve_rk_coupled(model, base_state, t_base, tableau, dt, opts, newton):
     """Coupled Newton on the stacked s*N system for fully implicit tableaus."""
     s, ndof = tableau.s, model.dim
-    w = np.tile(model.velocity(base_state, t_base), s)
 
-    def residual_and_jac(wvec):
-        ws = wvec.reshape(s, ndof)
-        r = np.empty((s, ndof))
-        blocks = []
-        for i in range(s):
-            arg = base_state + dt * (tableau.a[i] @ ws)
-            ti = t_base + tableau.c[i] * dt
-            r[i] = ws[i] - model.velocity(arg, ti)
-            jf = model.jacobian(arg, ti)
-            blocks.append([dt * tableau.a[i, j] * jf for j in range(s)])
+    def points(wvec):
+        return rk_stage_points(base_state, t_base, tableau, dt,
+                               wvec.reshape(s, ndof))
+
+    def jacobian_terms(wvec):
         # block (i, j) of the stacked Jacobian: delta_ij I - dt a_ij J_i
-        return r.ravel(), _block(blocks)
+        jacs = (model.jacobian(x, t) for x, t in points(wvec))
+        return 1.0, 1.0, _block([[dt * a_ij * jf for a_ij in a_i]
+                                 for a_i, jf in zip(tableau.a, jacs)])
 
-    r, jac = residual_and_jac(w)
-    tol = max(opts.newton_abs_tol, opts.newton_rel_tol * np.linalg.norm(r))
-    for _ in range(opts.max_iters):
-        if np.linalg.norm(r) <= tol:
-            break
-        w = w - newton.solve(1.0, 1.0, jac, r)
-        r, jac = residual_and_jac(w)
-    else:
-        if np.linalg.norm(r) > tol:
-            raise StepSolveError(
-                f"coupled RK Newton failed (|r| = {np.linalg.norm(r):.3e})",
-                last_iterate=w, residual_norm=float(np.linalg.norm(r)))
-    return [w[i * ndof:(i + 1) * ndof].copy() for i in range(s)]
+    w = _newton(lambda wvec: rk_coupled_residual(
+        model, points(wvec), wvec.reshape(s, ndof)), jacobian_terms,
+        np.tile(model.velocity(base_state, t_base), s), opts, newton)
+    return list(w.reshape(s, ndof))
 
 
 def solve_rk_step(model: Model, base_state: np.ndarray,
@@ -283,10 +280,14 @@ def solve_rk_step(model: Model, base_state: np.ndarray,
         warm = None if kind == "explicit" \
             else model.velocity(base_state, t_base)
         stage_values = []
-        for i in range(tableau.s):
-            stage_values.append(_solve_rk_stage(
-                model, base_state, t_base, tableau, dt, stage_values, i, opts,
-                newton, warm))
+        for _ in range(tableau.s):
+            ctx = rk_stage_context(base_state, t_base, tableau, dt,
+                                   stage_values)
+            stage_values.append(
+                model.velocity(ctx.known, ctx.t) if ctx.c1 == 0.0
+                else _newton(lambda w: rk_residual(model, ctx, w),
+                             lambda w: rk_jacobian_terms(model, ctx, w),
+                             warm, opts, newton))
     next_state = base_state + dt * sum(
         bi * wi for bi, wi in zip(tableau.b, stage_values))
     return stage_values, next_state

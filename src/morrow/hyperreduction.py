@@ -49,8 +49,7 @@ def collect_residual_snapshots(model: Model, sub: TrialSubspace, scheme,
 def build_residual_basis(snaps: ResidualSnapshotSet, nu: float) -> np.ndarray:
     if snaps.vectors.shape[1] == 0:
         raise ValueError("no residual snapshots to build a basis from")
-    result = pod.compute_pod(pod.SnapshotSet(vectors=snaps.vectors,
-                                             centered=False), nu)
+    result = pod.compute_pod(pod.SnapshotSet(vectors=snaps.vectors), nu)
     return result.basis.basis
 
 

@@ -8,7 +8,9 @@ stationary point satisfies the Petrov-Galerkin condition (Psi^n)^T r^n = 0
 with test basis Psi^n = W^T W (alpha_0 I - dt beta_0 df/dx) Phi (W is
 constant, so the dW/dw term vanishes).  Runge-Kutta variants minimize per
 stage (explicit/DIRK) or over the coupled stacked stage system, whose stage
-blocks are each weighted by W.
+blocks are each weighted by W.  The Runge-Kutta residuals are fom's own
+(``fom.rk_residual``, ``fom.rk_coupled_residual``) at stage values Phi y, as
+the multistep one is ``fom.lmm_residual`` at x0 + Phi yhat.
 """
 
 from dataclasses import dataclass
@@ -201,151 +203,126 @@ def solve_lspg_step_lmm(model, sub, W, ctx, opts, yhat_warm=None,
                          callback=callback)
 
 
-@dataclass(frozen=True)
-class RkStageContext:
-    """Stage i (0-based) of a Runge-Kutta LSPG step for explicit/DIRK
-    tableaus; prev_stage_coords are the converged reduced stage velocities
-    yhat_1..yhat_{i-1}."""
-
-    base_full: np.ndarray   # x^{n-1} in full space
-    t_base: float
-    dt: float
-    tableau: ButcherTableau
-    i: int
-    prev_stage_coords: tuple
-    yhat_warm: np.ndarray   # Phi^T f(x^{n-1}, t^{n-1}), shared by the stages
-
-
-def solve_lspg_rk_stage(model, sub, W, stage_ctx: RkStageContext, opts,
-                        callback=None, newton=None):
-    """One explicit/DIRK stage; newton, a fom.NewtonMatrix, may carry the
-    stage Jacobian times Phi from earlier stages and steps."""
-    tab = stage_ctx.tableau
-    i, dt = stage_ctx.i, stage_ctx.dt
+def solve_lspg_rk_stage(model, sub, W, ctx, opts, yhat_warm, callback=None,
+                        newton=None):
+    """One explicit/DIRK stage: minimizes fom's stage residual at the
+    stage value Phi y, with ctx a fom.RkStageContext in full space.
+    newton, a fom.NewtonMatrix, may carry the stage Jacobian times Phi
+    from earlier stages and steps."""
     phi = sub.basis
-    known = stage_ctx.base_full.copy()
-    for j in range(i):
-        if tab.a[i, j] != 0.0:
-            known = known + dt * tab.a[i, j] * (phi @ stage_ctx.prev_stage_coords[j])
-    ti = stage_ctx.t_base + tab.c[i] * dt
-    aii = tab.a[i, i]
     newton = fom.NewtonMatrix() if newton is None else newton
 
     def residual(y):
-        w = phi @ y
-        return w - model.velocity(known + dt * aii * w, ti)
+        return fom.rk_residual(model, ctx, phi @ y)
 
     def jacobian(y):
-        if aii == 0.0:
+        if ctx.c1 == 0.0:
             return phi
-        jf = model.jacobian(known + dt * aii * (phi @ y), ti)
-        return newton.times(1.0, dt * aii, jf, phi)
+        return newton.times(*fom.rk_jacobian_terms(model, ctx, phi @ y), phi)
 
-    return _gauss_newton(residual, jacobian, stage_ctx.yhat_warm, W, opts,
+    return _gauss_newton(residual, jacobian, yhat_warm, W, opts,
                          callback=callback)
 
 
-def solve_lspg_rk_coupled(model, sub, W, base_full, t_base, tableau, dt, opts):
-    """Coupled minimization over all s stages at once (any tableau), each
-    stage block of the stacked residual weighted by W."""
+def solve_lspg_rk_coupled(model, sub, W, base_full, t_base, tableau, dt, opts,
+                          callback=None):
+    """Coupled minimization of fom's stacked stage residual over all s
+    stages at once (any tableau), at stage values Phi y_i, each stage block
+    weighted by W.  callback, if given, receives each stage block of the
+    residual."""
     s, p = tableau.s, sub.p
     phi = sub.basis
-    times = t_base + tableau.c * dt
 
-    def stage_args(z):
-        ys = z.reshape(s, p)
-        return ys, [base_full + dt * phi @ (tableau.a[i] @ ys)
-                    for i in range(s)]
+    def stages(z):
+        ws = z.reshape(s, p) @ phi.T
+        return ws, fom.rk_stage_points(base_full, t_base, tableau, dt, ws)
 
     def residual(z):
-        ys, args = stage_args(z)
-        return np.concatenate([phi @ ys[i] - model.velocity(args[i], times[i])
-                               for i in range(s)])
+        ws, points = stages(z)
+        return fom.rk_coupled_residual(model, points, ws)
 
     def jacobian(z):
-        _, args = stage_args(z)
-        jf_phi = [model.jacobian(args[i], times[i]) @ phi for i in range(s)]
+        jf_phi = [model.jacobian(x, t) @ phi for x, t in stages(z)[1]]
         return np.block([[(i == j) * phi - dt * tableau.a[i, j] * jf_phi[i]
                           for j in range(s)] for i in range(s)])
 
+    def blocks(r):
+        for block in r.reshape(s, -1):
+            callback(block)
+
     z0 = np.tile(phi.T @ model.velocity(base_full, t_base), s)
-    z, report = _gauss_newton(residual, jacobian, z0, W.stacked(s), opts)
+    z, report = _gauss_newton(residual, jacobian, z0, W.stacked(s), opts,
+                              callback=None if callback is None else blocks)
     return z.reshape(s, p), report
 
 
-def _integrate_lspg_lmm(model, sub, W, scheme, dt, nsteps, opts, callback):
-    yhats = [np.zeros(sub.p)]
-    lifted = [reconstruct(sub, yhats[0])]
-    reports = []
-    newton = fom.NewtonMatrix()
-    for n in range(1, nsteps + 1):
-        hist = tuple(lifted[n - j] for j in range(1, min(scheme.k, n) + 1))
-        ctx = fom.LmmStepContext(history=hist, n=n, dt=dt, scheme=scheme)
-        try:
-            yhat, report = solve_lspg_step_lmm(
-                model, sub, W, ctx, opts, yhat_warm=yhats[-1],
-                callback=callback, newton=newton)
-        except GaussNewtonError as err:
-            err.time_index = n
-            raise
-        yhats.append(yhat)
-        lifted.append(reconstruct(sub, yhat))
+def _lspg_rk_step(model, sub, W, tableau, coupled, dt, base_full, t_base,
+                  opts, callback, newton):
+    """The reduced stage values of one Runge-Kutta step from the lifted
+    state base_full (all stages at once when coupled), and the Gauss-Newton
+    reports of its solves."""
+    if coupled:
+        coords, report = solve_lspg_rk_coupled(
+            model, sub, W, base_full, t_base, tableau, dt, opts, callback)
+        return coords, [report]
+    phi = sub.basis
+    warm = phi.T @ model.velocity(base_full, t_base)
+    coords, full, reports = [], [], []
+    for _ in range(tableau.s):
+        ctx = fom.rk_stage_context(base_full, t_base, tableau, dt, full)
+        yi, report = solve_lspg_rk_stage(model, sub, W, ctx, opts, warm,
+                                         callback=callback, newton=newton)
+        coords.append(yi)
+        full.append(phi @ yi)
         reports.append(report)
-    return yhats, reports
-
-
-def _integrate_lspg_rk(model, sub, W, tableau, dt, nsteps, opts, callback):
-    tag = classify(tableau).tag
-    yhats = [np.zeros(sub.p)]
-    stages = np.empty((nsteps, tableau.s, sub.p))
-    reports = []
-    newton = fom.NewtonMatrix()
-    for n in range(1, nsteps + 1):
-        base_full = reconstruct(sub, yhats[-1])
-        t_base = (n - 1) * dt
-        if tag == "fully_implicit":
-            stage_coords, report = solve_lspg_rk_coupled(
-                model, sub, W, base_full, t_base, tableau, dt, opts)
-            reports.append(report)
-        else:
-            warm = sub.basis.T @ model.velocity(base_full, t_base)
-            stage_coords = []
-            for i in range(tableau.s):
-                ctx = RkStageContext(base_full=base_full, t_base=t_base,
-                                     dt=dt, tableau=tableau, i=i,
-                                     prev_stage_coords=tuple(stage_coords),
-                                     yhat_warm=warm)
-                yi, report = solve_lspg_rk_stage(model, sub, W, ctx, opts,
-                                                 callback=callback,
-                                                 newton=newton)
-                stage_coords.append(yi)
-                reports.append(report)
-        stages[n - 1] = stage_coords
-        nxt = yhats[-1] + dt * sum(
-            bi * yi for bi, yi in zip(tableau.b, stage_coords))
-        yhats.append(nxt)
-    return yhats, reports, stages
+    return coords, reports
 
 
 def integrate_lspg(model, sub, W, scheme, dt, T,
                    opts: SolverOptions = SolverOptions(), callback=None):
     """LSPG trajectory in generalized coordinates; returns
     (Trajectory(kind='lspg'), per-step GaussNewtonReport list).  Runge-Kutta
-    runs record the reduced stage values in the trajectory's stages.
+    runs record the reduced stage values in the trajectory's stages.  A
+    failed Gauss-Newton solve names its step in time_index.
 
     callback, if given, receives the full-space residual vector at every
-    Gauss-Newton iterate (used for residual-snapshot collection).
+    Gauss-Newton iterate, each stage block of it for a fully implicit
+    tableau (used for residual-snapshot collection).
     """
-    nsteps = fom._num_steps(dt, T)
-    stages = None
-    if isinstance(scheme, LmmScheme):
-        yhats, reports = _integrate_lspg_lmm(model, sub, W, scheme, dt,
-                                             nsteps, opts, callback)
-    elif isinstance(scheme, ButcherTableau):
-        yhats, reports, stages = _integrate_lspg_rk(
-            model, sub, W, scheme, dt, nsteps, opts, callback)
-    else:
+    if not isinstance(scheme, (ButcherTableau, LmmScheme)):
         raise TypeError(f"unsupported scheme type {type(scheme)!r}")
+    nsteps = fom._num_steps(dt, T)
+    rk = isinstance(scheme, ButcherTableau)
+    coupled = rk and classify(scheme).tag == "fully_implicit"
+    yhats = [np.zeros(sub.p)]
+    lifted = [reconstruct(sub, yhats[0])]
+    stages = np.empty((nsteps, scheme.s, sub.p)) if rk else None
+    reports = []
+    newton = fom.NewtonMatrix()
+    try:
+        for n in range(1, nsteps + 1):
+            if rk:
+                coords, step_reports = _lspg_rk_step(
+                    model, sub, W, scheme, coupled, dt, lifted[-1],
+                    (n - 1) * dt, opts, callback, newton)
+                stages[n - 1] = coords
+                yhat = yhats[-1] + dt * sum(
+                    bi * yi for bi, yi in zip(scheme.b, coords))
+            else:
+                hist = tuple(lifted[n - j]
+                             for j in range(1, min(scheme.k, n) + 1))
+                ctx = fom.LmmStepContext(history=hist, n=n, dt=dt,
+                                         scheme=scheme)
+                yhat, report = solve_lspg_step_lmm(
+                    model, sub, W, ctx, opts, yhat_warm=yhats[-1],
+                    callback=callback, newton=newton)
+                step_reports = [report]
+            yhats.append(yhat)
+            lifted.append(reconstruct(sub, yhat))
+            reports += step_reports
+    except GaussNewtonError as err:
+        err.time_index = n
+        raise
     traj = Trajectory(dt=dt, states=yhats, kind="lspg", stages=stages)
     return traj, reports
 

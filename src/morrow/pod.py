@@ -14,14 +14,9 @@ from .core import TrialSubspace
 
 @dataclass(frozen=True)
 class SnapshotSet:
-    """Columns of the snapshot matrix (N x n_w).
-
-    centered records that the snapshots are initial-condition-centered
-    states x(k dt) - x0.
-    """
+    """Columns of the snapshot matrix (N x n_w)."""
 
     vectors: np.ndarray
-    centered: bool = True
 
     def __post_init__(self):
         if self.vectors.ndim != 2 or self.vectors.shape[1] < 1:
@@ -86,7 +81,7 @@ def write_snapshots_csv(snaps: SnapshotSet, path):
             fh.write(",".join(repr(float(v)) for v in row) + "\n")
 
 
-def read_snapshots_csv(path, centered=True) -> SnapshotSet:
+def read_snapshots_csv(path) -> SnapshotSet:
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().rstrip("\n").split(",")
         rows = []
@@ -100,4 +95,4 @@ def read_snapshots_csv(path, centered=True) -> SnapshotSet:
                     f"ragged snapshot file at line {lineno}: expected "
                     f"{len(header)} columns, got {len(vals)}")
             rows.append([float(v) for v in vals])
-    return SnapshotSet(vectors=np.array(rows), centered=centered)
+    return SnapshotSet(vectors=np.array(rows))

@@ -5,7 +5,7 @@ import pytest
 
 from morrow import benchmodels, fom, galerkin, hyperreduction, lspg, pod
 from morrow.core import JacobianKey, Model, SolverOptions, TrialSubspace
-from morrow.schemes import make_butcher, make_lmm
+from morrow.schemes import ButcherTableau, make_butcher, make_lmm
 
 
 @pytest.fixture
@@ -29,6 +29,17 @@ def linear_model(a, x_init=None, forcing=None):
 
     return Model(dim=n, velocity=velocity, jacobian=lambda x, t: a,
                  initial_state=np.asarray(x_init, float))
+
+
+def gauss2_tableau():
+    """The two-stage Gauss tableau: fully implicit, so Runge-Kutta solvers
+    take the coupled path."""
+    r3 = np.sqrt(3.0)
+    return ButcherTableau(s=2, a=np.array([[0.25, 0.25 - r3 / 6],
+                                           [0.25 + r3 / 6, 0.25]]),
+                          b=np.array([0.5, 0.5]),
+                          c=np.array([0.5 - r3 / 6, 0.5 + r3 / 6]),
+                          name="gauss2")
 
 
 def random_subspace(n, p, seed=0, reference=None):

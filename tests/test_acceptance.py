@@ -241,7 +241,7 @@ def test_criterion_07_bound_soundness():
         else:
             rom_rk, _ = lspg.integrate_lspg(model, sub, W, tab, dt, T, OPTS)
         rk = bounds.rk_aposteriori_bound(rom_rk, kind, tab, kappa, model,
-                                         sub, W, OPTS)
+                                         sub, W)
         checks.append((f"{kind}/rk", not analysis.bound_violations(
             ref_rk, rom_rk, sub, rk, rtol=1e-9, atol=1e-14)))
     elapsed = time.perf_counter() - t0

@@ -15,7 +15,8 @@ from morrow.core import (Model, SolverOptions, Trajectory, TrialSubspace,
                          dense, reconstruct)
 from morrow.schemes import ButcherTableau, make_butcher, make_lmm
 
-from conftest import counting, linear_model, random_subspace
+from conftest import (counting, gauss2_tableau, linear_model,
+                      random_subspace)
 
 
 # ------------------------------------------------------------- lipschitz
@@ -439,7 +440,7 @@ def test_rk_s1_reduces_to_lmm_backward_euler():
     for a, b in zip(traj_rk.states, traj_lmm.states):
         assert np.linalg.norm(np.asarray(a) - np.asarray(b)) < 1e-10
     rep_rk = bounds.rk_aposteriori_bound(traj_rk, "galerkin", be_tableau(),
-                                         kappa, m, sub, opts=opts)
+                                         kappa, m, sub)
     rep_be = bounds.backward_euler_aposteriori(traj_lmm, m, sub, kappa)
     assert np.max(np.abs(rep_rk.per_step_bound - rep_be.per_step_bound)) \
         < 1e-8
@@ -452,7 +453,7 @@ def test_rk_explicit_full_basis_zero():
     traj = galerkin.integrate_galerkin(m, sub, make_butcher("rk4"), dt,
                                        4 * dt, opts)
     rep = bounds.rk_aposteriori_bound(traj, "galerkin", make_butcher("rk4"),
-                                      kappa, m, sub, opts=opts)
+                                      kappa, m, sub)
     assert rep.global_bound < 1e-12
 
 
@@ -482,18 +483,9 @@ def test_rk_lspg_stagewise_bound_runs():
     traj, _ = lspg.integrate_lspg(m, sub, W, make_butcher("sdirk2"), dt,
                                   4 * dt, opts)
     rep = bounds.rk_aposteriori_bound(traj, "lspg", make_butcher("sdirk2"),
-                                      kappa, m, sub, W=W, opts=opts)
+                                      kappa, m, sub, W=W)
     assert np.all(rep.per_step_bound[1:] > 0.0)
     assert np.all(np.diff(rep.per_step_bound) >= 0.0)
-
-
-def gauss2_tableau():
-    r3 = np.sqrt(3.0)
-    return ButcherTableau(s=2, a=np.array([[0.25, 0.25 - r3 / 6],
-                                           [0.25 + r3 / 6, 0.25]]),
-                          b=np.array([0.5, 0.5]),
-                          c=np.array([0.5 - r3 / 6, 0.5 + r3 / 6]),
-                          name="gauss2")
 
 
 def test_rk_bounds_read_stage_records_not_solvers(monkeypatch):
@@ -505,7 +497,9 @@ def test_rk_bounds_read_stage_records_not_solvers(monkeypatch):
     g = galerkin.integrate_galerkin(m, sub, sd, dt, 4 * dt, opts)
     l, _ = lspg.integrate_lspg(m, sub, W, sd, dt, 4 * dt, opts)
     lg, _ = lspg.integrate_lspg(m, sub, W, gauss, dt, 4 * dt, opts)
+    gg = galerkin.integrate_galerkin(m, sub, gauss, dt, 4 * dt, opts)
     ref = fom.integrate(m, sd, dt, 4 * dt, opts)
+    ref_gauss = fom.integrate(m, gauss, dt, 4 * dt, opts)
 
     # the records are the stage values a re-solve from each state gives
     gm = galerkin.make_galerkin_model(m, sub)
@@ -514,6 +508,9 @@ def test_rk_bounds_read_stage_records_not_solvers(monkeypatch):
         stages, _ = fom.solve_rk_step(gm, g.states[n - 1], sd, dt, opts,
                                       t_base=t_base)
         assert np.array_equal(g.stages[n - 1], stages)
+        stages, _ = fom.solve_rk_step(gm, gg.states[n - 1], gauss, dt, opts,
+                                      t_base=t_base)
+        assert np.array_equal(gg.stages[n - 1], stages)
         stages, _ = fom.solve_rk_step(m, ref.states[n - 1], sd, dt, opts,
                                       t_base=t_base)
         assert np.array_equal(ref.stages[n - 1], stages)
@@ -530,17 +527,21 @@ def test_rk_bounds_read_stage_records_not_solvers(monkeypatch):
     monkeypatch.setattr(lspg, "solve_lspg_rk_coupled", forbidden)
     reports = {
         "galerkin_sdirk2": bounds.rk_aposteriori_bound(
-            g, "galerkin", sd, kappa, m, sub, opts=opts),
+            g, "galerkin", sd, kappa, m, sub),
         "lspg_sdirk2": bounds.rk_aposteriori_bound(
-            l, "lspg", sd, kappa, m, sub, W, opts),
+            l, "lspg", sd, kappa, m, sub, W),
         "lspg_sdirk2_general": bounds.rk_aposteriori_bound(
-            l, "lspg", sd, kappa, m, sub, W, opts, mode="general"),
+            l, "lspg", sd, kappa, m, sub, W, mode="general"),
         "lspg_gauss": bounds.rk_aposteriori_bound(
-            lg, "lspg", gauss, kappa, m, sub, W, opts),
+            lg, "lspg", gauss, kappa, m, sub, W),
+        "galerkin_gauss": bounds.rk_aposteriori_bound(
+            gg, "galerkin", gauss, kappa, m, sub),
         "apriori_galerkin": bounds.apriori_bounds_lmm_rk(
-            ref, g, "galerkin", m, sub, sd, kappa, opts=opts),
+            ref, g, "galerkin", m, sub, sd, kappa),
         "apriori_lspg": bounds.apriori_bounds_lmm_rk(
-            ref, l, "lspg", m, sub, sd, kappa, W=W, opts=opts),
+            ref, l, "lspg", m, sub, sd, kappa, W=W),
+        "apriori_galerkin_gauss": bounds.apriori_bounds_lmm_rk(
+            ref_gauss, gg, "galerkin", m, sub, gauss, kappa),
     }
     # per-step bounds of the implementation that re-solved every stage
     resolved = {
@@ -556,6 +557,12 @@ def test_rk_bounds_read_stage_records_not_solvers(monkeypatch):
                              0.040792810630042094, 0.054549081168408925],
         "apriori_lspg": [0.01352397580258066, 0.02711969226346073,
                          0.04079283567689383, 0.0545491145781236],
+        # the coupled Galerkin cases, from the stage-record bounds before
+        # the a posteriori and a priori loops were merged
+        "galerkin_gauss": [0.01360515972986655, 0.02742337639566768,
+                           0.04145978682465126, 0.0557196202542212],
+        "apriori_galerkin_gauss": [0.013534400830574785, 0.027140812615078648,
+                                   0.04082493134723161, 0.05459247548029329],
     }
     for name, rep in reports.items():
         want = np.array(resolved[name])
@@ -718,7 +725,7 @@ def test_apriori_rk_galerkin_runs_and_bounds_error():
     ref = fom.integrate(m, tab, dt, 5 * dt, opts)
     rom = galerkin.integrate_galerkin(m, sub, tab, dt, 5 * dt, opts)
     rep = bounds.apriori_bounds_lmm_rk(ref, rom, "galerkin", m, sub, tab,
-                                       kappa, opts=opts)
+                                       kappa)
     for n in range(1, 6):
         err = np.linalg.norm(np.asarray(ref.states[n])
                              - reconstruct(sub, rom.states[n]))

@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from morrow import analysis, cli, fom, pod
+from morrow import analysis, benchmodels, cli, fom, pod
 from morrow.core import reconstruct
 
 from conftest import counting
@@ -181,6 +181,39 @@ def test_unknown_model_exit_1(tmp_path, capsys):
     assert cli.main(["fom", "--config", cfg,
                      "--out", str(tmp_path / "o")]) == 1
     assert "unknown model" in capsys.readouterr().err
+
+
+def test_models_are_built_by_the_module_builder(tmp_path, monkeypatch):
+    # a builder replaced on benchmodels (as a tracer does) is the one used
+    built = counting(monkeypatch, benchmodels, "advection_diffusion")
+    assert cli.main(["fom", "--config", write_config(tmp_path, BASE),
+                     "--out", str(tmp_path / "o")]) == 0
+    assert len(built) == 1
+
+
+def test_unused_solver_keys_are_ignored(tmp_path):
+    # [solver] fd_step is no longer read; a config that sets it still runs
+    plain = tmp_path / "plain"
+    cfg = write_config(tmp_path, BASE)
+    assert cli.main(["fom", "--config", cfg, "--out", str(plain)]) == 0
+    cfg = write_config(tmp_path, BASE + "\n[solver]\nfd_step = 1e-7\n")
+    out = tmp_path / "out"
+    assert cli.main(["fom", "--config", cfg, "--out", str(out)]) == 0
+    assert (out / "fom_trajectory.csv").read_bytes() \
+        == (plain / "fom_trajectory.csv").read_bytes()
+
+
+@pytest.mark.parametrize("scheme", ["bdf2", "sdirk2", "rk4"])
+def test_numerical_failure_names_its_step(tmp_path, capsys, scheme):
+    # one collocation row cannot determine the POD coordinates
+    rows = tmp_path / "rows.txt"
+    rows.write_text("3\n")
+    body = BASE.replace("backward_euler", scheme) \
+        + f"\n[rom]\nkind = lspg\nweighting = collocation:{rows}\n"
+    assert cli.main(["rom", "--config", write_config(tmp_path, body),
+                     "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "numerical failure at step 1: underdetermined" in err
 
 
 @pytest.mark.parametrize("model", ["gradient_flow", "burgers",

@@ -114,10 +114,10 @@ def test_rk_stage_residual_vanishes_at_solution(tight_opts):
     base = np.array([0.7])
     stage_values, nxt = fom.solve_rk_step(m, base, tab, 0.05, tight_opts,
                                           t_base=0.3)
-    stages = fom.RkStageSet(stage_values=tuple(stage_values),
-                            base_state=base, t_base=0.3, dt=0.05, tableau=tab)
-    for i in (1, 2):
-        assert np.linalg.norm(fom.rk_stage_residual(m, stages, i)) < 1e-10
+    for i in range(tab.s):
+        ctx = fom.rk_stage_context(base, 0.3, tab, 0.05, stage_values[:i])
+        assert np.linalg.norm(
+            fom.rk_residual(m, ctx, stage_values[i])) < 1e-10
 
 
 def test_newton_failure_carries_diagnostics():

@@ -70,15 +70,14 @@ def test_commutativity_rk_stage_residual():
     for _ in range(10):
         red_stages = tuple(rng.standard_normal(6) for _ in range(tab.s))
         base_red = rng.standard_normal(6)
-        red = fom.RkStageSet(stage_values=red_stages, base_state=base_red,
-                             t_base=0.1, dt=0.02, tableau=tab)
-        full = fom.RkStageSet(
-            stage_values=tuple(sub.basis @ w for w in red_stages),
-            base_state=reconstruct(sub, base_red), t_base=0.1, dt=0.02,
-            tableau=tab)
-        for i in (1, 2):
-            lhs = fom.rk_stage_residual(gm, red, i)
-            rhs = sub.basis.T @ fom.rk_stage_residual(m, full, i)
+        full_stages = tuple(sub.basis @ w for w in red_stages)
+        for i in range(tab.s):
+            red = fom.rk_stage_context(base_red, 0.1, tab, 0.02,
+                                       red_stages[:i])
+            full = fom.rk_stage_context(reconstruct(sub, base_red), 0.1, tab,
+                                        0.02, full_stages[:i])
+            lhs = fom.rk_residual(gm, red, red_stages[i])
+            rhs = sub.basis.T @ fom.rk_residual(m, full, full_stages[i])
             assert np.max(np.abs(lhs - rhs)) < 1e-12
 
 

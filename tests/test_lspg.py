@@ -8,9 +8,9 @@ from morrow import benchmodels, fom, galerkin, hyperreduction, lspg
 from morrow.core import SolverOptions, TrialSubspace, reconstruct
 from morrow.schemes import make_butcher, make_lmm
 
-from conftest import (NEWTON_CASES, calls_at_base, counting, linear_model,
-                      logging_velocity, newton_case, newton_case_states,
-                      random_subspace, refilled_cubic)
+from conftest import (NEWTON_CASES, calls_at_base, counting, gauss2_tableau,
+                      linear_model, logging_velocity, newton_case,
+                      newton_case_states, random_subspace, refilled_cubic)
 
 
 def burgers_small(n=32):
@@ -152,6 +152,19 @@ def test_rank_deficient_system_raises():
     assert err.value.smallest_singular_value is not None
 
 
+@pytest.mark.parametrize("scheme", [make_lmm("bdf2"), make_butcher("sdirk2"),
+                                    make_butcher("rk4")],
+                         ids=lambda sch: sch.name)
+def test_gauss_newton_failure_names_its_step(scheme):
+    # one collocation row for ten unknowns fails at the first step
+    m = burgers_small()
+    sub = random_subspace(32, 10, seed=5, reference=m.initial_state)
+    with pytest.raises(lspg.GaussNewtonError, match="underdetermined") as err:
+        lspg.integrate_lspg(m, sub, lspg.collocation(32, [3]), scheme, 1e-3,
+                            3e-3)
+    assert err.value.time_index == 1
+
+
 def test_gn_diagnostics_csv_schema(tmp_path, tight_opts):
     m = burgers_small()
     sub = random_subspace(32, 4, seed=6, reference=m.initial_state)
@@ -279,3 +292,76 @@ def test_refilled_jacobian_buffer_gives_fresh_products(tight_opts):
         assert np.array_equal(lspg.integrate_lspg(
             m, sub, W, make_butcher("sdirk2"), 0.1, 0.5,
             tight_opts)[0].states, want)
+
+
+# ------------------------------------------------ the shared stage residual
+
+def handed_to_callback(monkeypatch, run):
+    """Run run(callback) and return its trajectory, the residuals handed to
+    callback and, per Gauss-Newton solve, the iterates they were taken at."""
+    handed, iterates = [], []
+    solve = lspg._gauss_newton
+
+    def spy(residual, jacobian, y0, W, opts, callback=None):
+        last, at = {}, []
+        iterates.append(at)
+
+        def remembered(y):
+            last["y"], last["r"] = y.copy(), residual(y)
+            return last["r"]
+
+        def forward(r):
+            assert r is last["r"]  # Gauss-Newton hands on its last residual
+            at.append(last["y"])
+            callback(r)
+
+        return solve(remembered, jacobian, y0, W, opts, forward)
+
+    monkeypatch.setattr(lspg, "_gauss_newton", spy)
+    traj, _ = run(lambda r: handed.append(r.copy()))
+    return traj, handed, iterates
+
+
+def test_rk_stage_lspg_minimizes_fom_stage_residual(monkeypatch, tight_opts):
+    # each stage solve hands on fom's stage residual at the stage value
+    # Phi y, in the context of the recorded earlier stages
+    m = burgers_small()
+    sub = random_subspace(32, 4, seed=13, reference=m.initial_state)
+    phi, tab, dt = sub.basis, make_butcher("sdirk2"), 2e-3
+    traj, handed, iterates = handed_to_callback(
+        monkeypatch, lambda cb: lspg.integrate_lspg(
+            m, sub, lspg.scaled_identity(32), tab, dt, 4 * dt, tight_opts,
+            callback=cb))
+    want = []
+    for k, ys in enumerate(iterates):
+        n, i = divmod(k, tab.s)
+        ctx = fom.rk_stage_context(
+            reconstruct(sub, traj.states[n]), n * dt, tab, dt,
+            [phi @ traj.stages[n, j] for j in range(i)])
+        want += [fom.rk_residual(m, ctx, phi @ y) for y in ys]
+    assert len(iterates) == 4 * tab.s and len(want) > len(iterates)
+    assert len(handed) == len(want)
+    assert all(np.array_equal(a, b) for a, b in zip(handed, want))
+
+
+def test_coupled_lspg_minimizes_fom_coupled_residual(monkeypatch,
+                                                     tight_opts):
+    # a fully implicit step hands on each stage block of fom's stacked
+    # residual at the stage values Phi y_i
+    m = burgers_small(16)
+    sub = random_subspace(16, 4, seed=9, reference=m.initial_state)
+    phi, tab, dt = sub.basis, gauss2_tableau(), 1e-3
+    traj, handed, iterates = handed_to_callback(
+        monkeypatch, lambda cb: lspg.integrate_lspg(
+            m, sub, lspg.scaled_identity(16), tab, dt, 3 * dt, tight_opts,
+            callback=cb))
+    want = []
+    for n, zs in enumerate(iterates):
+        for z in zs:
+            ws = z.reshape(tab.s, sub.p) @ phi.T
+            want += list(fom.rk_coupled_residual(m, fom.rk_stage_points(
+                reconstruct(sub, traj.states[n]), n * dt, tab, dt, ws),
+                ws).reshape(tab.s, -1))
+    assert len(iterates) == 3 and len(want) > 3 * tab.s
+    assert len(handed) == len(want)
+    assert all(np.array_equal(a, b) for a, b in zip(handed, want))
