@@ -9,7 +9,8 @@ from functools import partial
 
 import numpy as np
 
-from .core import SolverOptions, TrialSubspace, Trajectory, reconstruct
+from .core import (SolverOptions, TrialSubspace, Trajectory, read_csv,
+                   reconstruct, write_csv)
 from . import fom, galerkin, lspg
 from .schemes import LmmScheme
 
@@ -206,29 +207,12 @@ class SweepResult:
 
 
 def write_sweep_csv(sweep: SweepResult, path):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("dt,error,walltime_s,bound,stable\n")
-        for i in range(len(sweep.dt)):
-            b = "" if np.isnan(sweep.bound[i]) else repr(float(sweep.bound[i]))
-            fh.write(f"{float(sweep.dt[i])!r},{float(sweep.error[i])!r},"
-                     f"{float(sweep.walltime_s[i])!r},{b},"
-                     f"{1 if sweep.stable[i] else 0}\n")
+    write_csv(path, ["dt", "error", "walltime_s", "bound", "stable"],
+              zip(sweep.dt, sweep.error, sweep.walltime_s, sweep.bound,
+                  np.asarray(sweep.stable, int)))
 
 
 def read_sweep_csv(path) -> SweepResult:
-    dts, errs, wts, bounds, stables = [], [], [], [], []
-    with open(path, encoding="utf-8") as fh:
-        fh.readline()
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            dt, err, wt, b, st = line.split(",")
-            dts.append(float(dt))
-            errs.append(float(err))
-            wts.append(float(wt))
-            bounds.append(float(b) if b else np.nan)
-            stables.append(bool(int(st)))
-    return SweepResult(dt=np.array(dts), error=np.array(errs),
-                       walltime_s=np.array(wts), bound=np.array(bounds),
-                       stable=np.array(stables))
+    dt, error, walltime_s, bound, stable = read_csv(path)[1].T
+    return SweepResult(dt=dt, error=error, walltime_s=walltime_s,
+                       bound=bound, stable=stable == 1)

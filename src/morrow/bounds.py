@@ -21,12 +21,13 @@ All kappa-dependent bounds are valid modulo under-estimation of the
 Lipschitz constant.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .core import (JacobianKey, Model, SolverOptions, TrialSubspace,
-                   Trajectory, norm2, norm2_at_most, reconstruct)
+                   Trajectory, norm2, norm2_at_most, reconstruct,
+                   write_csv)
 from . import fom, lspg as lspg_mod
 from .schemes import ButcherTableau, LmmScheme, classify
 
@@ -60,7 +61,6 @@ class BoundReport:
     per_step_bound: np.ndarray   # global bound B^n, B^0 = 0
     term_projection: np.ndarray  # l=0 raw projection term per step
     coeff: np.ndarray            # gamma1_0 per step
-    details: dict = field(default_factory=dict)
 
     @property
     def global_bound(self) -> float:
@@ -72,7 +72,6 @@ class AuxiliaryIncrementReport:
     mu: np.ndarray
     mu_bar: np.ndarray
     f_norms: np.ndarray
-    aux_states: list
     bound_increment_form: np.ndarray   # (1 + k dt) sum mu^{n-j} / h^{j+1}
     bound_relative_form: np.ndarray    # dt (1 + k dt) sum mu_bar .. ||f||
     degenerate: np.ndarray             # flags where the increment vanished
@@ -214,7 +213,7 @@ def local_aposteriori_lmm(traj: Trajectory, kind: str, model: Model,
                             f_states=None, proj_in_h=False)
 
 
-def _report(local_terms, mode, kind, bound, local=None, **details):
+def _report(local_terms, mode, kind, bound, local=None):
     """BoundReport carrying each step's l = 0 term and gamma1_0."""
     term0 = np.zeros(len(bound))
     coeff0 = np.zeros(len(bound))
@@ -224,7 +223,7 @@ def _report(local_terms, mode, kind, bound, local=None, **details):
     return BoundReport(mode=mode, kind=kind,
                        per_step_local=np.zeros(len(bound)) if local is None
                        else local, per_step_bound=bound,
-                       term_projection=term0, coeff=coeff0, details=details)
+                       term_projection=term0, coeff=coeff0)
 
 
 def _propagate(local_terms, mode, kind):
@@ -337,9 +336,7 @@ def simplified_global_bounds(local_terms, scheme, kappa, dt, mode,
             bounds = (k + 1) * growth * frac * max_res
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    return _report(local_terms, mode, kind, bounds,
-                   alpha0_star=a0s, beta0_star=b0s, alpha_star=a_s,
-                   beta_star=b_s, beta_max=beta_max, epsilon=epsilon)
+    return _report(local_terms, mode, kind, bounds)
 
 
 def backward_euler_aposteriori(traj, model, sub, kappa, W=None) -> BoundReport:
@@ -371,7 +368,6 @@ def auxiliary_increment_bound(model, lspg_traj, sub, dt, kappa,
     mu_bar = np.zeros(n + 1)
     f_norms = np.zeros(n + 1)
     degenerate = np.zeros(n + 1, dtype=bool)
-    aux_states = [None]
     newton = fom.NewtonMatrix()
     for j in range(1, n + 1):
         anchor = phi @ lspg_traj.states[j - 1]
@@ -387,7 +383,6 @@ def auxiliary_increment_bound(model, lspg_traj, sub, dt, kappa,
             if np.linalg.norm(g) > max(opts.newton_abs_tol, 1e-8):
                 raise fom.StepSolveError(
                     f"auxiliary Newton failed at step {j}", time_index=j)
-        aux_states.append(xbar)
         d_rom = phi @ (lspg_traj.states[j] - lspg_traj.states[j - 1])
         d_aux = xbar - anchor
         mu[j] = np.linalg.norm(d_rom - d_aux)
@@ -408,7 +403,7 @@ def auxiliary_increment_bound(model, lspg_traj, sub, dt, kappa,
         b_rel[m] = (b_rel[m - 1]
                     + dt * (1.0 + kappa * dt) * mu_bar[m] * f_norms[m]) / h
     return AuxiliaryIncrementReport(
-        mu=mu, mu_bar=mu_bar, f_norms=f_norms, aux_states=aux_states,
+        mu=mu, mu_bar=mu_bar, f_norms=f_norms,
         bound_increment_form=b_inc, bound_relative_form=b_rel,
         degenerate=degenerate)
 
@@ -461,7 +456,6 @@ def _rk_bound(rom, kind, tableau, kappa, model, sub, W, fom_traj=None,
     dt, phi = rom.dt, sub.basis
     nsteps = len(rom.states) - 1
     svals, term0, coeff, bound = np.zeros((4, nsteps + 1))
-    amps = np.ones(nsteps + 1)
     newton = fom.NewtonMatrix()
     for n in range(1, nsteps + 1):
         t_base = (n - 1) * dt
@@ -503,12 +497,12 @@ def _rk_bound(rom, kind, tableau, kappa, model, sub, W, fom_traj=None,
             sn += w_i * term
         svals[n], term0[n] = sn, terms[0]
         coeff[n] = dt * float(np.sum(wstage))
-        amps[n] = 1.0 + kappa * dt * float(np.sum(wstage))
-        bound[n] = amps[n] * bound[n - 1] + dt * svals[n]
+        bound[n] = (1.0 + kappa * dt * float(np.sum(wstage))) * bound[n - 1] \
+            + dt * svals[n]
     return BoundReport(
         mode="rk_apriori" if apriori else f"rk_aposteriori_{mode}",
         kind=kind, per_step_local=dt * svals, per_step_bound=bound,
-        term_projection=term0, coeff=coeff, details={"amplifications": amps})
+        term_projection=term0, coeff=coeff)
 
 
 def rk_aposteriori_bound(traj, kind, tableau, kappa, model, sub, W=None,
@@ -565,13 +559,11 @@ def apriori_bounds_lmm_rk(fom_traj, rom_traj, kind, model, sub, scheme,
 
 
 def write_bound_report_csv(report: BoundReport, path):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("n,term_projection,coeff,local_bound,global_bound\n")
-        for n in range(1, len(report.per_step_bound)):
-            fh.write(f"{n},{float(report.term_projection[n])!r},"
-                     f"{float(report.coeff[n])!r},"
-                     f"{float(report.per_step_local[n])!r},"
-                     f"{float(report.per_step_bound[n])!r}\n")
+    write_csv(path, ["n", "term_projection", "coeff", "local_bound",
+                     "global_bound"],
+              ((n, report.term_projection[n], report.coeff[n],
+                report.per_step_local[n], report.per_step_bound[n])
+               for n in range(1, len(report.per_step_bound))))
 
 
 def write_auxiliary_report_csv(report: AuxiliaryIncrementReport, path, dt,
@@ -580,10 +572,8 @@ def write_auxiliary_report_csv(report: AuxiliaryIncrementReport, path, dt,
     final-time relative-form bound."""
     n = len(report.mu) - 1
     h = 1.0 - kappa * dt
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("j,mu,mu_bar,f_norm,partial_bound\n")
-        for j in range(1, n + 1):
-            partial = dt * (1.0 + kappa * dt) * report.mu_bar[j] \
-                * report.f_norms[j] / h ** (n - j + 1)
-            fh.write(f"{j},{float(report.mu[j])!r},{float(report.mu_bar[j])!r},"
-                     f"{float(report.f_norms[j])!r},{float(partial)!r}\n")
+    write_csv(path, ["j", "mu", "mu_bar", "f_norm", "partial_bound"],
+              ((j, report.mu[j], report.mu_bar[j], report.f_norms[j],
+                dt * (1.0 + kappa * dt) * report.mu_bar[j]
+                * report.f_norms[j] / h ** (n - j + 1))
+               for j in range(1, n + 1)))

@@ -26,7 +26,8 @@ import numpy as np
 
 from . import analysis, benchmodels, bounds, fom, galerkin, hyperreduction, \
     lspg, pod
-from .core import SolverOptions, TrialSubspace, Trajectory
+from .core import (SolverOptions, TrialSubspace, Trajectory, write_csv,
+                   write_text)
 from .fom import StepSolveError
 from .lspg import GaussNewtonError
 from .schemes import ButcherTableau, make_butcher, make_lmm
@@ -52,8 +53,25 @@ def _load_config(path):
     return cp
 
 
+def _section(cp, name):
+    if not cp.has_section(name):
+        raise ConfigError(f"config has no [{name}] section")
+    return cp[name]
+
+
+def _number(cp, section, key):
+    """A required float from the config."""
+    value = _section(cp, section).get(key)
+    if value is None:
+        raise ConfigError(f"config has no [{section}] {key}")
+    try:
+        return float(value)
+    except ValueError:
+        raise ConfigError(f"[{section}] {key} = {value!r} is not a number")
+
+
 def _model_from_config(cp, seed):
-    sec = cp["model"]
+    sec = _section(cp, "model")
     name = sec.get("name")
     spectrum = sec.get("spectrum")
     spec = benchmodels.BenchmarkSpec(
@@ -73,10 +91,13 @@ def _model_from_config(cp, seed):
 
 
 def _scheme_from_config(cp):
-    name = cp["time"].get("scheme", "backward_euler")
+    name = _section(cp, "time").get("scheme", "backward_euler")
     if name in _LMM_NAMES:
         return make_lmm(name)
-    return make_butcher(name)
+    try:
+        return make_butcher(name)
+    except ValueError:
+        raise ConfigError(f"unknown [time] scheme {name!r}")
 
 
 def _solver_from_config(cp):
@@ -131,14 +152,10 @@ class _Run:
             "artifacts": dict(sorted(self.artifacts.items())),
             "notes": dict(sorted(self.notes.items())),
         }
-        with open(self.path("manifest.json"), "w", encoding="utf-8",
-                  newline="\n") as fh:
-            json.dump(manifest, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        with open(self.path("timings.json"), "w", encoding="utf-8",
-                  newline="\n") as fh:
-            json.dump(self.timings, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        for name, obj in (("manifest.json", manifest),
+                          ("timings.json", self.timings)):
+            write_text(self.path(name),
+                       [json.dumps(obj, indent=2, sort_keys=True)])
 
 
 def _timed(run, key, fn):
@@ -164,8 +181,7 @@ def _run_fom(run):
     cp = run.cp
     model = _model_from_config(cp, run.seed)
     scheme = _scheme_from_config(cp)
-    dt = cp["time"].getfloat("dt")
-    T = cp["time"].getfloat("T")
+    dt, T = _number(cp, "time", "dt"), _number(cp, "time", "T")
     opts = _solver_from_config(cp)
     traj = _timed(run, "fom", lambda: fom.integrate(model, scheme, dt, T, opts))
     fom.write_trajectory_csv(traj, run.path("fom_trajectory.csv"))
@@ -199,18 +215,13 @@ def _pod_from_config(run, model, traj):
 
 def _write_pod(run, result):
     sub = result.basis
-    with open(run.path("basis.csv"), "w", encoding="utf-8",
-              newline="\n") as fh:
-        fh.write(",".join(f"phi_{j}" for j in range(sub.p)) + "\n")
-        for row in sub.basis:
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+    write_csv(run.path("basis.csv"), [f"phi_{j}" for j in range(sub.p)],
+              sub.basis)
     run.record("basis.csv")
-    with open(run.path("singular_values.csv"), "w", encoding="utf-8",
-              newline="\n") as fh:
-        fh.write("i,sigma,cumulative_energy\n")
-        for i, (s, e) in enumerate(zip(result.singular_values,
-                                       result.energy_fractions)):
-            fh.write(f"{i},{s!r},{e!r}\n")
+    write_csv(run.path("singular_values.csv"),
+              ["i", "sigma", "cumulative_energy"],
+              zip(range(len(result.singular_values)), result.singular_values,
+                  result.energy_fractions))
     run.record("singular_values.csv")
 
 
@@ -245,6 +256,9 @@ def _weighting_from_config(run, model, sub, scheme, dt, T, opts,
     nu_r = cp["rom"].getfloat("nu_residual", 1.0)
     snaps = hyperreduction.collect_residual_snapshots(
         model, sub, scheme, dt, T, opts)
+    if not snaps.vectors.shape[1]:
+        raise ConfigError(f"gnat cannot train on [time] scheme "
+                          f"{scheme.name!r}: it leaves no residual snapshots")
     rbasis = hyperreduction.build_residual_basis(snaps, nu_r)
     n_samples = cp["rom"].getint("n_samples", 2 * rbasis.shape[1])
     n_samples = min(max(n_samples, rbasis.shape[1]), model.dim)
@@ -268,8 +282,7 @@ def _run_rom(run, model, sub):
     weighting that ran (None for Galerkin)."""
     cp = run.cp
     scheme = _scheme_from_config(cp)
-    dt = cp["time"].getfloat("dt")
-    T = cp["time"].getfloat("T")
+    dt, T = _number(cp, "time", "dt"), _number(cp, "time", "T")
     opts = _solver_from_config(cp)
     W = _weighting_from_config(run, model, sub, scheme, dt, T, opts)
     traj, reports = _timed(run, "rom", lambda: _integrate_rom(
@@ -362,19 +375,19 @@ def _sweep_point(run, index, model, scheme, dt, T, opts, ref, probe,
 
 def cmd_sweep(run):
     cp = run.cp
-    if run.args.dt:
-        dts = [float(v) for v in run.args.dt.split(",")]
-    else:
-        dts = [float(v) for v in cp["time"].get("dt_grid").split(",")]
+    grid = getattr(run.args, "dt", None) or _section(cp, "time").get("dt_grid")
+    if grid is None:
+        raise ConfigError("sweep needs --dt or [time] dt_grid")
+    dts = [float(v) for v in grid.split(",")]
     diffs = np.diff(dts)
     if not (np.all(diffs > 0) or np.all(diffs < 0)):
         raise ConfigError("dt grid must be strictly monotone")
-    T_total = cp["time"].getfloat("T")
+    T_total = _number(cp, "time", "T")
     for d in dts:
         steps = T_total / d
         if abs(steps - round(steps)) > 1e-9 * max(1.0, abs(steps)):
             raise ConfigError(f"T = {T_total} is not a multiple of dt = {d}")
-    if run.args.rom:
+    if getattr(run.args, "rom", None):  # `run` has no --dt or --rom
         if not cp.has_section("rom"):
             cp.add_section("rom")
         cp["rom"]["kind"] = run.args.rom
@@ -442,19 +455,15 @@ def cmd_spectral(run):
     result = _pod_from_config(run, model, traj)
     sub = result.basis
     coords = (traj.states - sub.reference) @ sub.basis
-    rep = analysis.spectral_analysis(coords, traj.dt)
-    with open(run.path("psd.csv"), "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("frequency," + ",".join(
-            f"mode_{j}" for j in range(rep.psd.shape[1])) + "\n")
-        for i, f in enumerate(rep.frequencies):
-            fh.write(repr(float(f)) + "," + ",".join(
-                repr(float(v)) for v in rep.psd[i]) + "\n")
+    try:
+        rep = analysis.spectral_analysis(coords, traj.dt)
+    except ValueError as err:
+        raise ConfigError(f"spectral: {err}; lengthen [time] T / dt")
+    write_csv(run.path("psd.csv"),
+              ["frequency", *(f"mode_{j}" for j in range(sub.p))],
+              ((f, *row) for f, row in zip(rep.frequencies, rep.psd)))
     run.record("psd.csv")
-    with open(run.path("tau95.csv"), "w", encoding="utf-8",
-              newline="\n") as fh:
-        fh.write("mode,tau95\n")
-        for j, tau in enumerate(rep.tau95):
-            fh.write(f"{j},{'' if np.isnan(tau) else repr(float(tau))}\n")
+    write_csv(run.path("tau95.csv"), ["mode", "tau95"], enumerate(rep.tau95))
     run.record("tau95.csv")
     return EXIT_OK
 
@@ -553,10 +562,9 @@ def cmd_verify(run):
         status = "PASS" if ok else "FAIL"
         all_ok &= ok
         print(f"{name.ljust(width)}  {status}  {detail}")
-    with open(run.path("verify.txt"), "w", encoding="utf-8",
-              newline="\n") as fh:
-        for name, ok, detail in rows:
-            fh.write(f"{name}\t{'PASS' if ok else 'FAIL'}\t{detail}\n")
+    write_text(run.path("verify.txt"),
+               (f"{name}\t{'PASS' if ok else 'FAIL'}\t{detail}"
+                for name, ok, detail in rows))
     run.record("verify.txt")
     return EXIT_OK if all_ok else EXIT_VERIFY
 

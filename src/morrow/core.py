@@ -1,9 +1,10 @@
-"""Foundational types shared by every other module.
+"""Foundational types shared by every other module, and the artifact format.
 
 A ``Model`` is the full-order system dx/dt = f(x, t) with an analytic
 Jacobian; a ``TrialSubspace`` is an orthonormal basis Phi together with the
 reference state so approximate solutions live on the affine set
-x0 + range(Phi).  All types are immutable after construction.
+x0 + range(Phi).  All types are immutable after construction.  Every
+artifact is written by ``write_text``, every CSV by ``write_csv``.
 """
 
 from dataclasses import dataclass
@@ -211,6 +212,44 @@ def _gram_band(mat):
     band = np.zeros((u + 1, g.shape[0]))
     band[u + rows - cols, cols] = g.data[upper]
     return band
+
+
+def write_text(path, lines):
+    """Write an artifact: each line (a str without terminator) ends in LF,
+    and the file is UTF-8."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.writelines(line + "\n" for line in lines)
+
+
+def _cell(value) -> str:
+    if isinstance(value, (str, int, np.integer)):
+        return str(value)
+    value = float(value)
+    return "" if value != value else repr(value)
+
+
+def write_csv(path, header, rows):
+    """CSV with a header line.  A float cell (numpy scalars included) is the
+    shortest repr that round-trips binary64, NaN an empty cell; an int or a
+    str is written as is."""
+    write_text(path, [",".join(header),
+                      *(",".join(map(_cell, row)) for row in rows)])
+
+
+def read_csv(path):
+    """(header, values) of a ``write_csv`` file: values is a rows x columns
+    float array, an empty cell read as NaN; blank lines are skipped."""
+    with open(path, encoding="utf-8") as fh:
+        header = fh.readline().strip().split(",")
+        rows = [(lineno, line.strip().split(","))
+                for lineno, line in enumerate(fh, start=2) if line.strip()]
+    for lineno, cells in rows:
+        if len(cells) != len(header):
+            raise ValueError(
+                f"ragged CSV file at line {lineno}: expected "
+                f"{len(header)} columns, got {len(cells)}")
+    values = [[float(v) if v else np.nan for v in cells] for _, cells in rows]
+    return header, np.array(values, float).reshape(-1, len(header))
 
 
 def jacobian_fd_check(model: Model, x: np.ndarray, t: float,

@@ -30,7 +30,8 @@ from typing import NamedTuple
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 
-from .core import JacobianKey, Model, SolverOptions, Trajectory
+from .core import (JacobianKey, Model, SolverOptions, Trajectory, read_csv,
+                   write_csv)
 from .schemes import ButcherTableau, LmmScheme, classify
 
 
@@ -333,22 +334,15 @@ def integrate(model: Model, scheme, dt: float, T: float,
 
 
 def write_trajectory_csv(traj: Trajectory, path, labels=None):
-    """Export as CSV with header t,x_0,...  Values use shortest decimal
-    representation that round-trips binary64."""
-    d = len(traj.states[0])
+    """Export as a ``core.write_csv`` file with header t,x_0,..."""
     if labels is None:
-        labels = [f"x_{i}" for i in range(d)]
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("t," + ",".join(labels) + "\n")
-        for n, x in enumerate(traj.states):
-            t = n * traj.dt
-            fh.write(repr(float(t)) + ","
-                     + ",".join(repr(float(v)) for v in x) + "\n")
+        labels = [f"x_{i}" for i in range(len(traj.states[0]))]
+    write_csv(path, ["t", *labels],
+              ((n * traj.dt, *x) for n, x in enumerate(traj.states)))
 
 
 def read_trajectory_csv(path, kind="full") -> Trajectory:
-    data = np.genfromtxt(path, delimiter=",", skip_header=1)
-    data = np.atleast_2d(data)
+    data = read_csv(path)[1]
     t = data[:, 0]
     dt = float(t[1] - t[0]) if len(t) > 1 else 0.0
     return Trajectory(dt=dt, states=data[:, 1:], kind=kind)

@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Model, SolverOptions, TrialSubspace
+from .core import Model, SolverOptions, TrialSubspace, write_text
 from . import lspg, pod
 
 
@@ -108,9 +108,7 @@ def gnat_weighting(samples: SampleSet, residual_basis: np.ndarray
 
 
 def write_sample_set(samples: SampleSet, path):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for i in samples.indices:
-            fh.write(f"{i}\n")
+    write_text(path, map(str, samples.indices))
 
 
 def read_sample_set(path) -> SampleSet:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import block_diag, solve_triangular
 
-from .core import SolverOptions, Trajectory, reconstruct
+from .core import SolverOptions, Trajectory, reconstruct, write_csv
 from . import fom
 from .schemes import ButcherTableau, LmmScheme, classify
 
@@ -328,8 +328,6 @@ def integrate_lspg(model, sub, W, scheme, dt, T,
 
 
 def write_gn_diagnostics_csv(reports, path):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("n,iters,objective_final,grad_norm\n")
-        for n, rep in enumerate(reports, start=1):
-            fh.write(f"{n},{rep.iterations},{rep.objective_final!r},"
-                     f"{rep.grad_norm!r}\n")
+    write_csv(path, ["n", "iters", "objective_final", "grad_norm"],
+              ((n, rep.iterations, rep.objective_final, rep.grad_norm)
+               for n, rep in enumerate(reports, start=1)))

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import TrialSubspace
+from .core import TrialSubspace, read_csv, write_csv
 
 
 @dataclass(frozen=True)
@@ -28,7 +28,6 @@ class PodResult:
     basis: TrialSubspace
     singular_values: np.ndarray
     energy_fractions: np.ndarray
-    nu: float
 
 
 def _fix_signs(u: np.ndarray) -> np.ndarray:
@@ -69,30 +68,14 @@ def compute_pod(snaps: SnapshotSet, nu: float,
         reference = np.zeros(w.shape[0])
     basis = TrialSubspace(basis=_fix_signs(u[:, :n]), reference=reference)
     return PodResult(basis=basis, singular_values=sigma,
-                     energy_fractions=energy, nu=nu)
+                     energy_fractions=energy)
 
 
 def write_snapshots_csv(snaps: SnapshotSet, path):
     """One snapshot per column; first row holds column labels."""
-    n_w = snaps.vectors.shape[1]
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(f"s_{j}" for j in range(n_w)) + "\n")
-        for row in snaps.vectors:
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+    write_csv(path, [f"s_{j}" for j in range(snaps.vectors.shape[1])],
+              snaps.vectors)
 
 
 def read_snapshots_csv(path) -> SnapshotSet:
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n").split(",")
-        rows = []
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            vals = line.split(",")
-            if len(vals) != len(header):
-                raise ValueError(
-                    f"ragged snapshot file at line {lineno}: expected "
-                    f"{len(header)} columns, got {len(vals)}")
-            rows.append([float(v) for v in vals])
-    return SnapshotSet(vectors=np.array(rows))
+    return SnapshotSet(vectors=read_csv(path)[1])

@@ -278,7 +278,7 @@ def test_bound_violations_names_the_steps_over_the_bound():
 def test_sweep_csv_round_trip(tmp_path):
     sweep = analysis.SweepResult(
         dt=np.array([0.008, 0.004]),
-        error=np.array([0.1, 0.02]),
+        error=np.array([0.1, np.nan]),
         walltime_s=np.array([1.5, 3.0]),
         bound=np.array([0.5, np.nan]),
         stable=np.array([True, False]))
@@ -286,7 +286,10 @@ def test_sweep_csv_round_trip(tmp_path):
     analysis.write_sweep_csv(sweep, path)
     lines = path.read_text().splitlines()
     assert lines[0] == "dt,error,walltime_s,bound,stable"
+    # a failed point's error and a missing bound are empty cells
+    assert lines[2] == "0.004,,3.0,,0"
     back = analysis.read_sweep_csv(path)
     assert np.array_equal(back.dt, sweep.dt)
+    assert back.error[0] == 0.1 and np.isnan(back.error[1])
     assert np.isnan(back.bound[1])
     assert list(back.stable) == [True, False]

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -521,3 +522,43 @@ def test_readme_config_example_runs(tmp_path):
     cfg = write_config(tmp_path, block)
     assert cli.main(["rom", "--config", cfg, "--out",
                      str(tmp_path / "out")]) == 0
+
+
+# every stage `run` can chain, over 16 steps so that `spectral` runs
+SIX_STAGES = BASE.replace("T = 0.04", "T = 0.064\ndt_grid = 0.016,0.008,0.004") \
+    + "\n[rom]\nkind = lspg\n[bounds]\nkappa = 60.0\n" \
+    + "[pipeline]\nstages = fom,pod,rom,sweep,bounds,spectral\n"
+
+
+def test_run_chains_every_stage_and_writes_one_cell_format(tmp_path):
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", write_config(tmp_path, SIX_STAGES),
+                     "--out", str(out)]) == 0
+    names = set(os.listdir(out))
+    assert {"sweep_notime.csv", "bound_report.csv", "psd.csv",
+            "tau95.csv", "gn_diagnostics.csv"} <= names
+    for name in sorted(n for n in names if n.endswith(".csv")):
+        for line in (out / name).read_bytes().decode().split("\n")[1:-1]:
+            for cell in line.split(","):
+                assert cell == "" or re.fullmatch(r"-?\d+", cell) \
+                    or cell == repr(float(cell)), (name, cell)
+
+
+@pytest.mark.parametrize("sub, body, extra, names", [
+    ("rom", BASE.replace("backward_euler", "explicit_euler")
+     + "\n[rom]\nkind = gnat\n", [], "'explicit_euler'"),
+    ("sweep", BASE.replace("backward_euler", "explicit_euler")
+     + "\n[rom]\nkind = gnat\n", ["--dt", "0.008,0.004"], "'explicit_euler'"),
+    ("fom", BASE.replace("backward_euler", "leapfrog"), [], "'leapfrog'"),
+    ("fom", "[time]" + BASE.split("[time]")[1], [], "[model]"),
+    ("fom", BASE.replace("dt = 0.004\n", ""), [], "[time] dt"),
+    ("sweep", BASE, [], "dt_grid"),
+    ("spectral", BASE, [], "[time] T"),
+], ids=["gnat-explicit-rom", "gnat-explicit-sweep", "unknown-scheme",
+        "no-model", "no-dt", "sweep-no-grid", "spectral-short-run"])
+def test_config_errors_name_their_cause(tmp_path, capsys, sub, body, extra,
+                                        names):
+    assert cli.main([sub, "--config", write_config(tmp_path, body),
+                     "--out", str(tmp_path / "o"), *extra]) == 1
+    err = capsys.readouterr().err
+    assert names in err and err.count("\n") == 1, err

@@ -3,7 +3,8 @@ import pytest
 from scipy import sparse
 
 from morrow.core import (Model, SolverOptions, TrialSubspace, Trajectory,
-                         check_orthonormality, jacobian_fd_check, reconstruct)
+                         check_orthonormality, jacobian_fd_check, read_csv,
+                         reconstruct, write_csv)
 
 from conftest import linear_model, random_subspace
 
@@ -84,3 +85,23 @@ def test_trajectory_states_are_one_float_array():
     staged = Trajectory(dt=0.1, states=traj.states[:2], kind="full",
                         stages=[[[1, 2, 3]]])
     assert staged.stages.shape == (1, 1, 3) and staged.stages.dtype == float
+
+
+def test_csv_round_trips_float64_bitwise(tmp_path):
+    values = np.array([[0.1, -0.0, np.inf], [-np.inf, 5e-324, 1 / 3],
+                       [2.2250738585072014e-308, -1.7976931348623157e308,
+                        np.nan]])
+    path = tmp_path / "v.csv"
+    write_csv(path, ["a", "b", "c"], values)
+    assert path.read_bytes().endswith(b",-1.7976931348623157e+308,\n")
+    header, back = read_csv(path)
+    assert header == ["a", "b", "c"]
+    assert back.tobytes() == values.tobytes()
+    # numpy scalars are written exactly like the equal Python values
+    rows = [(3, 1 / 3, -0.0, 5e-324, np.nan, "x")]
+    plain, scalars = tmp_path / "plain.csv", tmp_path / "numpy.csv"
+    write_csv(plain, ["i", "a", "b", "c", "d", "s"], rows)
+    write_csv(scalars, ["i", "a", "b", "c", "d", "s"],
+              [(np.int64(3), *map(np.float64, rows[0][1:5]), "x")])
+    assert scalars.read_bytes() == plain.read_bytes() \
+        == b"i,a,b,c,d,s\n3,0.3333333333333333,-0.0,5e-324,,x\n"
