@@ -20,7 +20,8 @@ import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import replace
+from dataclasses import fields, replace
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -59,55 +60,32 @@ def _section(cp, name):
     return cp[name]
 
 
-def _number(cp, section, key):
-    """A required float from the config."""
-    value = _section(cp, section).get(key)
+def _convert(text, kind, label):
+    """text as a kind (float or int), else a ConfigError naming label."""
+    try:
+        return kind(text)
+    except ValueError:
+        noun = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{label} is not {noun}")
+
+
+def _number(cp, section, key, default=None, low=-np.inf, high=np.inf,
+            kind=float):
+    """[section] key as a float (kind=int: an integer) in [low, high], or
+    default when the key is absent; a key without a default is required."""
+    value = cp.get(section, key, fallback=None)
     if value is None:
-        raise ConfigError(f"config has no [{section}] {key}")
-    try:
-        return float(value)
-    except ValueError:
-        raise ConfigError(f"[{section}] {key} = {value!r} is not a number")
+        if default is None:
+            raise ConfigError(f"config has no [{section}] {key}")
+        return default
+    x = _convert(value, kind, f"[{section}] {key} = {value!r}")
+    if not low <= x <= high:
+        raise ConfigError(f"[{section}] {key} = {value!r} must lie in "
+                          f"[{low}, {high}]")
+    return x
 
 
-def _model_from_config(cp, seed):
-    sec = _section(cp, "model")
-    name = sec.get("name")
-    spectrum = sec.get("spectrum")
-    spec = benchmodels.BenchmarkSpec(
-        name=name,
-        n=sec.getint("n", 256),
-        viscosity=sec.getfloat("viscosity", 0.005),
-        speed=sec.getfloat("speed", 1.0),
-        bc=sec.get("bc", "dirichlet0"),
-        initial=sec.get("initial", "step"),
-        spectrum=None if spectrum is None
-        else tuple(float(v) for v in spectrum.split(",")),
-        seed=seed)
-    try:
-        return benchmodels.build(spec)
-    except ValueError as err:
-        raise ConfigError(str(err))
-
-
-def _scheme_from_config(cp):
-    name = _section(cp, "time").get("scheme", "backward_euler")
-    if name in _LMM_NAMES:
-        return make_lmm(name)
-    try:
-        return make_butcher(name)
-    except ValueError:
-        raise ConfigError(f"unknown [time] scheme {name!r}")
-
-
-def _solver_from_config(cp):
-    if not cp.has_section("solver"):
-        return SolverOptions()
-    sec = cp["solver"]
-    return SolverOptions(
-        newton_abs_tol=sec.getfloat("newton_abs_tol", 1e-12),
-        newton_rel_tol=sec.getfloat("newton_rel_tol", 1e-3),
-        max_iters=sec.getint("max_iters", 50))
+_integer = partial(_number, kind=int)
 
 
 def _sha256(path):
@@ -118,29 +96,48 @@ def _sha256(path):
     return h.hexdigest()
 
 
+def _is_unstable(states):
+    norms = np.linalg.norm(states, axis=1)
+    return bool(np.any(norms > 1e6 * max(norms[0], 1.0)))
+
+
+def _centered(states):
+    """Snapshot matrix with columns x^n - x^0, n >= 1.  C order: the POD's
+    column norms sum in a layout-dependent order, and C order keeps the
+    basis bitwise equal to one built from stacked columns."""
+    return np.ascontiguousarray((states[1:] - states[0]).T)
+
+
 class _Run:
-    """Shared state for one invocation: config, output dir, manifest."""
+    """One invocation: its config, output dir and manifest, and what its
+    stages share.  The parsed config values, the full-order run and POD
+    result at each dt, the configured ROM run and kappa are each computed
+    on first use and then kept, so every stage and sweep point reads them
+    instead of solving again."""
 
     def __init__(self, args):
         self.args = args
-        self.cp = _load_config(args.config) if args.config else None
-        self.seed = args.seed if args.seed is not None else (
-            self.cp["output"].getint("seed", 0)
-            if self.cp and self.cp.has_section("output") else 0)
-        out = args.out or (self.cp["output"].get("dir", "out")
-                           if self.cp and self.cp.has_section("output")
-                           else "out")
-        self.out = out
-        os.makedirs(out, exist_ok=True)
+        self.cp = cp = _load_config(args.config) if args.config \
+            else configparser.ConfigParser()
+        self.seed = args.seed if args.seed is not None \
+            else _integer(cp, "output", "seed", 0)
+        self.out = args.out or cp.get("output", "dir", fallback="out")
+        os.makedirs(self.out, exist_ok=True)
         self.artifacts = {}
         self.timings = {}
         self.notes = {}
+        self._foms = {}  # dt -> (full-order Trajectory, seconds)
+        self._pods = {}  # dt -> PodResult
 
     def path(self, name):
         return os.path.join(self.out, name)
 
-    def record(self, name):
-        self.artifacts[name] = _sha256(self.path(name))
+    def emit(self, name, write):
+        """Write the artifact name by write(path) and record its hash, once
+        per invocation: a later stage that emits it records the same file."""
+        if name not in self.artifacts:
+            write(self.path(name))
+            self.artifacts[name] = _sha256(self.path(name))
 
     def finalize(self):
         from . import __version__
@@ -157,162 +154,198 @@ class _Run:
             write_text(self.path(name),
                        [json.dumps(obj, indent=2, sort_keys=True)])
 
+    @cached_property
+    def model(self):
+        cp = self.cp
+        sec = _section(cp, "model")
+        spectrum = sec.get("spectrum")
+        spec = dict(
+            name=sec.get("name"), n=_integer(cp, "model", "n", 256),
+            viscosity=_number(cp, "model", "viscosity", 0.005),
+            speed=_number(cp, "model", "speed", 1.0),
+            bc=sec.get("bc", "dirichlet0"), initial=sec.get("initial", "step"),
+            spectrum=None if spectrum is None else tuple(
+                _convert(v, float, f"[model] spectrum entry {v!r}")
+                for v in spectrum.split(",")),
+            seed=self.seed)
+        try:
+            return benchmodels.build(benchmodels.BenchmarkSpec(**spec))
+        except ValueError as err:
+            raise ConfigError(f"[model] {err}")
 
-def _timed(run, key, fn):
-    t0 = time.perf_counter()
-    result = fn()
-    run.timings[key] = time.perf_counter() - t0
-    return result
+    @cached_property
+    def scheme(self):
+        name = _section(self.cp, "time").get("scheme", "backward_euler")
+        try:
+            return make_lmm(name) if name in _LMM_NAMES else make_butcher(name)
+        except ValueError:
+            raise ConfigError(f"unknown [time] scheme {name!r}")
+
+    @cached_property
+    def opts(self):
+        values = {f.name: _number(self.cp, "solver", f.name, f.default,
+                                  kind=type(f.default))
+                  for f in fields(SolverOptions)}
+        try:
+            return SolverOptions(**values)
+        except ValueError as err:
+            raise ConfigError(f"[solver] {err}")
+
+    @cached_property
+    def dt(self):
+        dt = _number(self.cp, "time", "dt")
+        if dt <= 0.0:
+            raise ConfigError(f"[time] dt = {dt} must be positive")
+        return dt
+
+    @cached_property
+    def T(self):
+        return _number(self.cp, "time", "T")
+
+    @cached_property
+    def kind(self):
+        """The ROM kind: sweep's --rom, else [rom] kind."""
+        kind = getattr(self.args, "rom", None) \
+            or self.cp.get("rom", "kind", fallback="galerkin")
+        if kind not in ("galerkin", "lspg", "gnat"):
+            raise ConfigError(f"unknown rom kind {kind!r}")
+        return kind
+
+    @cached_property
+    def probe(self):
+        return _integer(self.cp, "output", "probe", 0, low=0,
+                        high=self.model.dim - 1)
+
+    def fom_at(self, dt):
+        """The full-order trajectory at dt, integrated on first use."""
+        if dt not in self._foms:
+            t0 = time.perf_counter()
+            traj = fom.integrate(self.model, self.scheme, dt, self.T,
+                                 self.opts)
+            self._foms[dt] = traj, time.perf_counter() - t0
+        return self._foms[dt][0]
+
+    def pod_at(self, dt):
+        """POD of the centered snapshots of the full-order run at dt: the
+        modes that meet the [pod] nu energy criterion, or the leading
+        [pod] p modes when p is set.  The singular vectors do not depend on
+        nu, so p modes are a slice of the untruncated basis."""
+        if dt not in self._pods:
+            nu = _number(self.cp, "pod", "nu", 1.0 - 1e-6, low=0.0, high=1.0)
+            p = _integer(self.cp, "pod", "p", 0, low=1)
+            x = self.fom_at(dt).states
+            result = pod.compute_pod(pod.SnapshotSet(vectors=_centered(x)),
+                                     1.0 if p else nu, reference=x[0])
+            if p:
+                result = replace(result, basis=TrialSubspace(
+                    basis=result.basis.basis[:, :p], reference=x[0]))
+            self._pods[dt] = result
+        return self._pods[dt]
+
+    @cached_property
+    def fom_run(self):
+        """The full-order run at [time] dt, with its trajectory and centered
+        snapshots written."""
+        traj = self.fom_at(self.dt)
+        self.timings["fom"] = self._foms[self.dt][1]
+        self.emit("fom_trajectory.csv",
+                  partial(fom.write_trajectory_csv, traj))
+        snaps = _centered(traj.states)
+        if snaps.shape[1]:
+            self.emit("snapshots.csv", partial(pod.write_snapshots_csv,
+                                               pod.SnapshotSet(vectors=snaps)))
+        self.notes["fom_unstable"] = _is_unstable(traj.states)
+        return traj
+
+    @cached_property
+    def rom_run(self):
+        """The configured ROM at [time] dt on the basis of fom_run, as
+        (traj, lifted, W) with W the LSPG weighting that ran (None for
+        Galerkin); writes the lifted trajectory and the Gauss-Newton
+        diagnostics."""
+        self.fom_run  # a stage that runs the ROM records the FOM run too
+        sub = self.pod_at(self.dt).basis
+        W = _weighting(self, sub, self.dt)
+        t0 = time.perf_counter()
+        traj, reports = _integrate_rom(self, sub, W, self.dt)
+        self.timings["rom"] = time.perf_counter() - t0
+        lifted = Trajectory(dt=traj.dt,
+                            states=sub.reference + traj.states @ sub.basis.T,
+                            kind=traj.kind)
+        self.emit("rom_trajectory.csv",
+                  partial(fom.write_trajectory_csv, lifted))
+        if reports:
+            self.emit("gn_diagnostics.csv",
+                      partial(lspg.write_gn_diagnostics_csv, reports))
+        self.notes["rom_unstable"] = _is_unstable(lifted.states)
+        return traj, lifted, W
+
+    @cached_property
+    def kappa(self):
+        """[bounds] kappa, else a Lipschitz estimate sampled around x0."""
+        if self.cp.has_option("bounds", "kappa"):
+            return _number(self.cp, "bounds", "kappa")
+        x0 = np.asarray(self.model.initial_state, float)
+        rng = np.random.default_rng(self.seed)
+        return bounds.estimate_lipschitz(self.model, [x0] + [
+            x0 + 0.1 * rng.standard_normal(x0.size) for _ in range(4)], [0.0])
 
 
-def _is_unstable(states):
-    norms = np.linalg.norm(states, axis=1)
-    return bool(np.any(norms > 1e6 * max(norms[0], 1.0)))
-
-
-def _centered(states):
-    """Snapshot matrix with columns x^n - x^0, n >= 1.  C order: the POD's
-    column norms sum in a layout-dependent order, and C order keeps the
-    basis bitwise equal to one built from stacked columns."""
-    return np.ascontiguousarray((states[1:] - states[0]).T)
-
-
-def _run_fom(run):
-    cp = run.cp
-    model = _model_from_config(cp, run.seed)
-    scheme = _scheme_from_config(cp)
-    dt, T = _number(cp, "time", "dt"), _number(cp, "time", "T")
-    opts = _solver_from_config(cp)
-    traj = _timed(run, "fom", lambda: fom.integrate(model, scheme, dt, T, opts))
-    fom.write_trajectory_csv(traj, run.path("fom_trajectory.csv"))
-    run.record("fom_trajectory.csv")
-    # initial-condition-centered snapshots for downstream POD
-    snaps = _centered(traj.states)
-    if snaps.shape[1]:
-        pod.write_snapshots_csv(pod.SnapshotSet(vectors=snaps),
-                                run.path("snapshots.csv"))
-        run.record("snapshots.csv")
-    run.notes["fom_unstable"] = _is_unstable(traj.states)
-    return model, traj
-
-
-def _pod_from_config(run, model, traj):
-    """POD of the run's centered snapshots: the modes that meet the [pod]
-    nu energy criterion, or the leading [pod] p modes when p is set."""
-    sec = run.cp["pod"] if run.cp.has_section("pod") else {}
-    x0 = traj.states[0]
-    snaps = pod.SnapshotSet(vectors=_centered(traj.states))
-    result = pod.compute_pod(snaps, float(sec.get("nu", 1.0 - 1e-6)),
-                             reference=x0)
-    if sec.get("p") is not None:
-        p = int(sec.get("p"))
-        full = result if p <= result.basis.p else \
-            pod.compute_pod(snaps, 1.0, reference=x0)
-        result = replace(result, basis=TrialSubspace(
-            basis=full.basis.basis[:, :p], reference=x0))
-    return result
-
-
-def _write_pod(run, result):
-    sub = result.basis
-    write_csv(run.path("basis.csv"), [f"phi_{j}" for j in range(sub.p)],
-              sub.basis)
-    run.record("basis.csv")
-    write_csv(run.path("singular_values.csv"),
-              ["i", "sigma", "cumulative_energy"],
-              zip(range(len(result.singular_values)), result.singular_values,
-                  result.energy_fractions))
-    run.record("singular_values.csv")
-
-
-def _rom_kind(cp):
-    """The configured ROM kind; raises ConfigError for an unknown one."""
-    kind = cp["rom"].get("kind", "galerkin") if cp.has_section("rom") \
-        else "galerkin"
-    if kind not in ("galerkin", "lspg", "gnat"):
-        raise ConfigError(f"unknown rom kind {kind!r}")
-    return kind
-
-
-def _weighting_from_config(run, model, sub, scheme, dt, T, opts,
-                           artifact="samples.txt"):
-    """The LSPG weighting the config asks for, None for Galerkin; GNAT
-    writes its sampled rows to the named artifact."""
-    cp = run.cp
-    kind = _rom_kind(cp)
-    if kind == "galerkin":
+def _weighting(run, sub, dt, artifact="samples.txt"):
+    """The LSPG weighting the config asks for at dt, None for Galerkin;
+    GNAT writes its sampled rows to the named artifact."""
+    model, cp, scheme = run.model, run.cp, run.scheme
+    if run.kind == "galerkin":
         return None
-    if kind == "lspg":
-        spec = cp["rom"].get("weighting", "identity")
+    if run.kind == "lspg":
+        spec = cp.get("rom", "weighting", fallback="identity")
         if spec == "identity":
             return lspg.scaled_identity(model.dim)
         if spec.startswith("gamma:"):
-            return lspg.scaled_identity(model.dim, float(spec[6:]))
+            return lspg.scaled_identity(model.dim, _convert(
+                spec[6:], float, f"[rom] weighting = {spec!r}"))
         if spec.startswith("collocation:"):
             return lspg.collocation(
                 model.dim, hyperreduction.read_sample_set(spec[12:]))
         raise ConfigError(f"unknown weighting {spec!r}")
     # GNAT: residual snapshots from a W=I training run on this config
-    nu_r = cp["rom"].getfloat("nu_residual", 1.0)
+    nu_r = _number(cp, "rom", "nu_residual", 1.0, low=0.0, high=1.0)
     snaps = hyperreduction.collect_residual_snapshots(
-        model, sub, scheme, dt, T, opts)
+        model, sub, scheme, dt, run.T, run.opts)
     if not snaps.vectors.shape[1]:
         raise ConfigError(f"gnat cannot train on [time] scheme "
                           f"{scheme.name!r}: it leaves no residual snapshots")
     rbasis = hyperreduction.build_residual_basis(snaps, nu_r)
-    n_samples = cp["rom"].getint("n_samples", 2 * rbasis.shape[1])
+    n_samples = _integer(cp, "rom", "n_samples", 2 * rbasis.shape[1])
     n_samples = min(max(n_samples, rbasis.shape[1]), model.dim)
     samples = hyperreduction.select_samples(rbasis, n_samples)
-    hyperreduction.write_sample_set(samples, run.path(artifact))
-    run.record(artifact)
+    run.emit(artifact, partial(hyperreduction.write_sample_set, samples))
     return hyperreduction.gnat_weighting(samples, rbasis)
 
 
-def _integrate_rom(model, sub, W, scheme, dt, T, opts):
+def _integrate_rom(run, sub, W, dt):
     """Galerkin when W is None, LSPG weighted by W otherwise; returns the
-    reduced trajectory and the Gauss-Newton reports (none for Galerkin)."""
+    reduced trajectory at dt and the Gauss-Newton reports (none for
+    Galerkin)."""
     if W is None:
-        return galerkin.integrate_galerkin(model, sub, scheme, dt, T,
-                                           opts), []
-    return lspg.integrate_lspg(model, sub, W, scheme, dt, T, opts)
+        return galerkin.integrate_galerkin(run.model, sub, run.scheme, dt,
+                                           run.T, run.opts), []
+    return lspg.integrate_lspg(run.model, sub, W, run.scheme, dt, run.T,
+                               run.opts)
 
 
-def _run_rom(run, model, sub):
-    """Run the configured ROM; returns (traj, lifted, W) with W the LSPG
-    weighting that ran (None for Galerkin)."""
-    cp = run.cp
-    scheme = _scheme_from_config(cp)
-    dt, T = _number(cp, "time", "dt"), _number(cp, "time", "T")
-    opts = _solver_from_config(cp)
-    W = _weighting_from_config(run, model, sub, scheme, dt, T, opts)
-    traj, reports = _timed(run, "rom", lambda: _integrate_rom(
-        model, sub, W, scheme, dt, T, opts))
-    lifted = Trajectory(dt=traj.dt,
-                        states=sub.reference + traj.states @ sub.basis.T,
-                        kind=traj.kind)
-    fom.write_trajectory_csv(lifted, run.path("rom_trajectory.csv"))
-    run.record("rom_trajectory.csv")
-    if reports:
-        lspg.write_gn_diagnostics_csv(reports, run.path("gn_diagnostics.csv"))
-        run.record("gn_diagnostics.csv")
-    run.notes["rom_unstable"] = _is_unstable(lifted.states)
-    return traj, lifted, W
-
-
-def _kappa(run, model):
-    cp = run.cp
-    if cp.has_section("bounds") and cp["bounds"].get("kappa") is not None:
-        return cp["bounds"].getfloat("kappa")
-    x0 = np.asarray(model.initial_state, float)
-    rng = np.random.default_rng(run.seed)
-    samples = [x0] + [x0 + 0.1 * rng.standard_normal(model.dim)
-                      for _ in range(4)]
-    return bounds.estimate_lipschitz(model, samples, [0.0])
+def _write_pod(run, result):
+    sub = result.basis
+    run.emit("basis.csv", lambda path: write_csv(
+        path, [f"phi_{j}" for j in range(sub.p)], sub.basis))
+    run.emit("singular_values.csv", lambda path: write_csv(
+        path, ["i", "sigma", "cumulative_energy"],
+        zip(range(len(result.singular_values)), result.singular_values,
+            result.energy_fractions)))
 
 
 def cmd_fom(run):
-    _run_fom(run)
-    return EXIT_OK
+    run.fom_run
 
 
 def cmd_pod(run):
@@ -321,49 +354,41 @@ def cmd_pod(run):
         nu = run.args.nu if run.args.nu is not None else 1.0 - 1e-6
         result = pod.compute_pod(snaps, nu)
     else:
-        model, traj = _run_fom(run)
-        result = _pod_from_config(run, model, traj)
+        run.fom_run
+        result = run.pod_at(run.dt)
     _write_pod(run, result)
-    return EXIT_OK
 
 
 def cmd_rom(run):
-    _rom_kind(run.cp)  # an unknown kind fails before any solve
-    model, traj = _run_fom(run)
-    result = _pod_from_config(run, model, traj)
-    _write_pod(run, result)
-    rom_traj, lifted, _ = _run_rom(run, model, result.basis)
-    probe = run.cp["output"].getint("probe", 0) \
-        if run.cp.has_section("output") else 0
-    err = analysis.trajectory_error(lifted.times, lifted.states[:, probe],
-                                    traj.times, traj.states[:, probe])
-    run.notes["probe_error"] = err
-    return EXIT_OK
+    run.kind  # an unknown kind fails before any solve
+    probe = run.probe
+    traj = run.fom_run
+    _write_pod(run, run.pod_at(run.dt))
+    _, lifted, _ = run.rom_run
+    run.notes["probe_error"] = analysis.trajectory_error(
+        lifted.times, lifted.states[:, probe], traj.times,
+        traj.states[:, probe])
 
 
-def _sweep_point(run, index, model, scheme, dt, T, opts, ref, probe,
-                 kappa):
-    """FOM, POD and the configured ROM at one grid dt, as the row
-    (dt, error, walltime_s, bound, stable) of a SweepResult; the bound (when
-    kappa is not None) is the one `morrow bounds` reports at that dt.  The
-    point at the reference's dt takes the reference as its FOM run."""
+def _sweep_point(run, index, dt, ref, kappa):
+    """The configured ROM at one grid dt on the basis of the full-order run
+    at that dt, as the row (dt, error, walltime_s, bound, stable) of a
+    SweepResult; the bound (when kappa is not None) is the one
+    `morrow bounds` reports at that dt."""
     t0 = time.perf_counter()
     try:
-        full = ref if dt == ref.dt else fom.integrate(model, scheme, dt, T,
-                                                      opts)
-        sub = _pod_from_config(run, model, full).basis
-        W = _weighting_from_config(run, model, sub, scheme, dt, T, opts,
-                                   artifact=f"samples_{index}.txt")
-        traj, _ = _integrate_rom(model, sub, W, scheme, dt, T, opts)
+        sub = run.pod_at(dt).basis
+        W = _weighting(run, sub, dt, artifact=f"samples_{index}.txt")
+        traj, _ = _integrate_rom(run, sub, W, dt)
         lifted = sub.reference + traj.states @ sub.basis.T
         wall = time.perf_counter() - t0
         stable = not _is_unstable(lifted)
-        err = analysis.trajectory_error(traj.times, lifted[:, probe],
-                                        ref.times, ref.states[:, probe])
+        err = analysis.trajectory_error(traj.times, lifted[:, run.probe],
+                                        ref.times, ref.states[:, run.probe])
         bval = np.nan
         if kappa is not None and stable:
             try:
-                bval = _bound_report(traj, model, sub, scheme, kappa,
+                bval = _bound_report(traj, run.model, sub, run.scheme, kappa,
                                      W).global_bound
             except bounds.BoundHypothesisError:
                 pass  # dt outside the theorem's cap: no bound, run still valid
@@ -374,47 +399,36 @@ def _sweep_point(run, index, model, scheme, dt, T, opts, ref, probe,
 
 
 def cmd_sweep(run):
-    cp = run.cp
-    grid = getattr(run.args, "dt", None) or _section(cp, "time").get("dt_grid")
+    flag = getattr(run.args, "dt", None)  # `run` has no --dt or --rom
+    grid = flag or _section(run.cp, "time").get("dt_grid")
     if grid is None:
         raise ConfigError("sweep needs --dt or [time] dt_grid")
-    dts = [float(v) for v in grid.split(",")]
+    where = "--dt" if flag else "[time] dt_grid"
+    dts = [_convert(v, float, f"{where} entry {v!r}") for v in grid.split(",")]
     diffs = np.diff(dts)
-    if not (np.all(diffs > 0) or np.all(diffs < 0)):
-        raise ConfigError("dt grid must be strictly monotone")
-    T_total = _number(cp, "time", "T")
+    if not (np.all(diffs > 0) or np.all(diffs < 0)) or min(dts) <= 0.0:
+        raise ConfigError("dt grid must be strictly monotone and positive")
     for d in dts:
-        steps = T_total / d
+        steps = run.T / d
         if abs(steps - round(steps)) > 1e-9 * max(1.0, abs(steps)):
-            raise ConfigError(f"T = {T_total} is not a multiple of dt = {d}")
-    if getattr(run.args, "rom", None):  # `run` has no --dt or --rom
-        if not cp.has_section("rom"):
-            cp.add_section("rom")
-        cp["rom"]["kind"] = run.args.rom
-    _rom_kind(cp)  # an unknown kind fails before any solve
-    probe = cp["output"].getint("probe", 0) if cp.has_section("output") else 0
+            raise ConfigError(f"T = {run.T} is not a multiple of dt = {d}")
+    run.kind, run.probe  # a bad kind or probe fails before any solve
 
-    # reference: FOM at the finest dt in the grid
-    model = _model_from_config(cp, run.seed)
-    scheme = _scheme_from_config(cp)
-    opts = _solver_from_config(cp)
-    ref = fom.integrate(model, scheme, min(dts), T_total, opts)
-    kappa = _kappa(run, model) if cp.has_section("bounds") else None
-
-    # the model's callbacks are pure, so the threads share it
-    workers = max(1, run.args.parallel)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
+    # the reference (the full-order run at the finest dt) fills its memo
+    # entry before the pool starts, and the monotone grid's dts are
+    # distinct, so no two threads fill one entry; the model's callbacks are
+    # pure, so the threads share it
+    ref = run.fom_at(min(dts))
+    kappa = run.kappa if run.cp.has_section("bounds") else None
+    with ThreadPoolExecutor(max_workers=max(1, run.args.parallel)) as pool:
         rows = list(pool.map(
-            lambda i: _sweep_point(run, i, model, scheme, dts[i], T_total,
-                                   opts, ref, probe, kappa),
+            lambda i: _sweep_point(run, i, dts[i], ref, kappa),
             range(len(dts))))
     sweep = analysis.SweepResult(*(np.array(col) for col in zip(*rows)))
     analysis.write_sweep_csv(sweep, run.path("sweep.csv"))
     # timing-free companion so reruns can be compared byte for byte
     sweep.walltime_s = np.zeros_like(sweep.dt)
-    analysis.write_sweep_csv(sweep, run.path("sweep_notime.csv"))
-    run.record("sweep_notime.csv")
-    return EXIT_OK
+    run.emit("sweep_notime.csv", partial(analysis.write_sweep_csv, sweep))
 
 
 def _bound_report(traj, model, sub, scheme, kappa, W):
@@ -431,41 +445,34 @@ def _bound_report(traj, model, sub, scheme, kappa, W):
 
 
 def cmd_bounds(run):
-    _rom_kind(run.cp)  # an unknown kind fails before any solve
-    model, ref = _run_fom(run)
-    result = _pod_from_config(run, model, ref)
-    rom_traj, lifted, W = _run_rom(run, model, result.basis)
-    kappa = _kappa(run, model)
-    rep = _bound_report(rom_traj, model, result.basis,
-                        _scheme_from_config(run.cp), kappa, W)
-    bounds.write_bound_report_csv(rep, run.path("bound_report.csv"))
-    run.record("bound_report.csv")
+    run.kind  # an unknown kind fails before any solve
+    rom_traj, lifted, W = run.rom_run
+    kappa = run.kappa
+    rep = _bound_report(rom_traj, run.model, run.pod_at(run.dt).basis,
+                        run.scheme, kappa, W)
+    run.emit("bound_report.csv", partial(bounds.write_bound_report_csv, rep))
     run.notes["kappa"] = kappa
     run.notes["kappa_caveat"] = "valid modulo kappa under-estimation"
     # the Jacobian's 2-norm at the states the bound visited: a kappa below
     # it under-estimates the Lipschitz constant on this trajectory
-    kmax = bounds.max_jacobian_norm(model, lifted.states, lifted.times)
+    kmax = bounds.max_jacobian_norm(run.model, lifted.states, lifted.times)
     run.notes["kappa_trajectory_max"] = kmax
     run.notes["kappa_underestimated"] = kmax > kappa
-    return EXIT_OK
 
 
 def cmd_spectral(run):
-    model, traj = _run_fom(run)
-    result = _pod_from_config(run, model, traj)
-    sub = result.basis
+    traj = run.fom_run
+    sub = run.pod_at(run.dt).basis
     coords = (traj.states - sub.reference) @ sub.basis
     try:
         rep = analysis.spectral_analysis(coords, traj.dt)
     except ValueError as err:
         raise ConfigError(f"spectral: {err}; lengthen [time] T / dt")
-    write_csv(run.path("psd.csv"),
-              ["frequency", *(f"mode_{j}" for j in range(sub.p))],
-              ((f, *row) for f, row in zip(rep.frequencies, rep.psd)))
-    run.record("psd.csv")
-    write_csv(run.path("tau95.csv"), ["mode", "tau95"], enumerate(rep.tau95))
-    run.record("tau95.csv")
-    return EXIT_OK
+    run.emit("psd.csv", lambda path: write_csv(
+        path, ["frequency", *(f"mode_{j}" for j in range(sub.p))],
+        ((f, *row) for f, row in zip(rep.frequencies, rep.psd))))
+    run.emit("tau95.csv", lambda path: write_csv(
+        path, ["mode", "tau95"], enumerate(rep.tau95)))
 
 
 # the subcommands that `run` can chain as pipeline stages
@@ -474,18 +481,12 @@ _STAGES = {"fom": cmd_fom, "pod": cmd_pod, "rom": cmd_rom, "sweep": cmd_sweep,
 
 
 def cmd_run(run):
-    cp = run.cp
-    stages = [s.strip() for s in cp["pipeline"].get(
-        "stages", "fom,pod,rom").split(",")] if cp.has_section("pipeline") \
-        else ["fom", "pod", "rom"]
-    for stage in stages:
+    for stage in run.cp.get("pipeline", "stages",
+                            fallback="fom,pod,rom").split(","):
+        stage = stage.strip()
         if stage not in _STAGES:
             raise ConfigError(f"unknown pipeline stage {stage!r}")
-        code = _STAGES[stage](run)
-        if code != EXIT_OK:
-            print(f"stage {stage} failed", file=sys.stderr)
-            return code
-    return EXIT_OK
+        _STAGES[stage](run)
 
 
 # the model instance each `verify --model` choice checks
@@ -562,10 +563,9 @@ def cmd_verify(run):
         status = "PASS" if ok else "FAIL"
         all_ok &= ok
         print(f"{name.ljust(width)}  {status}  {detail}")
-    write_text(run.path("verify.txt"),
-               (f"{name}\t{'PASS' if ok else 'FAIL'}\t{detail}"
-                for name, ok, detail in rows))
-    run.record("verify.txt")
+    run.emit("verify.txt", lambda path: write_text(
+        path, (f"{name}\t{'PASS' if ok else 'FAIL'}\t{detail}"
+               for name, ok, detail in rows)))
     return EXIT_OK if all_ok else EXIT_VERIFY
 
 
@@ -607,14 +607,11 @@ def main(argv=None):
     if args.command == "pod" and not args.config and not args.snapshots:
         print("pod requires --config or --snapshots", file=sys.stderr)
         return EXIT_USAGE
+    handlers = {"run": cmd_run, **_STAGES, "verify": cmd_verify}
+    run = None
     try:
         run = _Run(args)
-    except ConfigError as err:
-        print(str(err), file=sys.stderr)
-        return EXIT_USAGE
-    handlers = {"run": cmd_run, **_STAGES, "verify": cmd_verify}
-    try:
-        code = handlers[args.command](run)
+        code = handlers[args.command](run) or EXIT_OK
     except ConfigError as err:
         print(str(err), file=sys.stderr)
         code = EXIT_USAGE
@@ -626,7 +623,8 @@ def main(argv=None):
         code = EXIT_NUMERICAL
     finally:
         try:
-            run.finalize()
+            if run is not None:
+                run.finalize()
         except OSError:
             pass
     return code

@@ -1,12 +1,15 @@
 import json
 import os
 import re
+import sys
 
 import numpy as np
 import pytest
 
-from morrow import analysis, benchmodels, cli, fom, pod
-from morrow.core import reconstruct
+from morrow import analysis, benchmodels, bounds, cli, fom, hyperreduction, \
+    pod
+from morrow.core import reconstruct, write_csv
+from morrow.schemes import make_lmm
 
 from conftest import counting
 
@@ -554,11 +557,160 @@ def test_run_chains_every_stage_and_writes_one_cell_format(tmp_path):
     ("fom", BASE.replace("dt = 0.004\n", ""), [], "[time] dt"),
     ("sweep", BASE, [], "dt_grid"),
     ("spectral", BASE, [], "[time] T"),
+    ("fom", BASE.replace("dt = 0.004", "dt = 0"), [], "[time] dt"),
+    ("fom", BASE.replace("n = 24", "n = abc"), [], "[model] n"),
+    ("fom", BASE.replace("n = 24", "n = 2"), [], "[model] grid size"),
+    ("fom", BASE.replace("viscosity = 0.05", "viscosity = x"), [],
+     "[model] viscosity"),
+    ("fom", GRADFLOW_BE.format(kappa=4.0).replace("2.0,", "two,"), [],
+     "[model] spectrum"),
+    ("pod", BASE.replace("nu = 0.9999", "nu = 2"), [], "[pod] nu"),
+    ("pod", BASE.replace("nu = 0.9999", "nu = 0.9999\np = 0"), [],
+     "[pod] p"),
+    ("rom", BASE + "\n[rom]\nkind = gnat\nnu_residual = abc\n", [],
+     "[rom] nu_residual"),
+    ("rom", BASE + "\n[rom]\nkind = gnat\nn_samples = many\n", [],
+     "[rom] n_samples"),
+    ("rom", BASE + "\n[rom]\nkind = lspg\nweighting = gamma:big\n", [],
+     "[rom] weighting"),
+    ("fom", BASE + "\n[solver]\nmax_iters = ten\n", [],
+     "[solver] max_iters"),
+    ("fom", BASE + "\n[solver]\nmax_iters = 0\n", [], "[solver]"),
+    ("bounds", BASE + "\n[bounds]\nkappa = sixty\n", [], "[bounds] kappa"),
+    ("fom", BASE.replace("probe = 5", "probe = 5\nseed = s"), [],
+     "[output] seed"),
+    ("rom", BASE.replace("probe = 5", "probe = 999"), [], "[output] probe"),
+    ("sweep", BASE.replace("probe = 5", "probe = 999"),
+     ["--dt", "0.008,0.004"], "[output] probe"),
+    ("sweep", BASE, ["--dt", "0.004,abc"], "--dt"),
+    ("sweep", BASE, ["--dt", "0.004,0.0"], "positive"),
+    ("sweep", BASE.replace("T = 0.04", "T = 0.04\ndt_grid = 0.008,x"), [],
+     "[time] dt_grid"),
 ], ids=["gnat-explicit-rom", "gnat-explicit-sweep", "unknown-scheme",
-        "no-model", "no-dt", "sweep-no-grid", "spectral-short-run"])
+        "no-model", "no-dt", "sweep-no-grid", "spectral-short-run",
+        "dt-zero", "n-not-integer", "n-too-small", "viscosity-not-number",
+        "spectrum-not-numbers", "pod-nu-above-1", "pod-p-zero",
+        "nu-residual-not-number", "n-samples-not-integer",
+        "gamma-not-number", "max-iters-not-integer", "max-iters-zero",
+        "kappa-not-number", "seed-not-integer", "probe-out-of-range-rom",
+        "probe-out-of-range-sweep", "dt-flag-entry-not-number",
+        "dt-flag-entry-zero", "dt-grid-entry-not-number"])
 def test_config_errors_name_their_cause(tmp_path, capsys, sub, body, extra,
                                         names):
     assert cli.main([sub, "--config", write_config(tmp_path, body),
                      "--out", str(tmp_path / "o"), *extra]) == 1
     err = capsys.readouterr().err
     assert names in err and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("offset", [-1, 1], ids=["below-nu", "above-nu"])
+def test_pod_p_slices_one_svd(tmp_path, monkeypatch, offset):
+    # the two-call basis: the nu-truncated POD, or a second untruncated one
+    # when p exceeds its mode count
+    model = benchmodels.advection_diffusion(benchmodels.BenchmarkSpec(
+        name="advection_diffusion", n=24, viscosity=0.05, initial="gaussian"))
+    x = fom.integrate(model, make_lmm("backward_euler"), 0.004, 0.04).states
+    snaps = pod.SnapshotSet(vectors=np.ascontiguousarray((x[1:] - x[0]).T))
+    result = pod.compute_pod(snaps, 0.9999, reference=x[0])
+    p = result.basis.p + offset
+    assert p >= 1
+    full = result if p <= result.basis.p else \
+        pod.compute_pod(snaps, 1.0, reference=x[0])
+    want = tmp_path / "want"
+    want.mkdir()
+    write_csv(want / "basis.csv", [f"phi_{j}" for j in range(p)],
+              full.basis.basis[:, :p])
+    write_csv(want / "singular_values.csv",
+              ["i", "sigma", "cumulative_energy"],
+              zip(range(len(full.singular_values)), full.singular_values,
+                  full.energy_fractions))
+
+    svds = counting(monkeypatch, pod, "compute_pod")
+    cfg = write_config(tmp_path, BASE.replace("nu = 0.9999",
+                                              f"nu = 0.9999\np = {p}"))
+    out = tmp_path / "out"
+    assert cli.main(["pod", "--config", cfg, "--out", str(out)]) == 0
+    assert len(svds) == 1
+    for name in ("basis.csv", "singular_values.csv"):
+        assert (out / name).read_bytes() == (want / name).read_bytes(), name
+
+
+# the six-stage `run` of the CI workflow: no [bounds] kappa, so the bound
+# stage and the sweep share one sampled estimate
+SIX_STAGES_SAMPLED = BASE.replace("backward_euler", "bdf2").replace(
+    "T = 0.04", "T = 0.064\ndt_grid = 0.016,0.008,0.004") \
+    + "\n[rom]\nkind = {kind}\n[bounds]\n" \
+    + "[pipeline]\nstages = fom,pod,rom,sweep,bounds,spectral\n"
+
+
+@pytest.mark.parametrize("kind", ["galerkin", "lspg", "gnat"])
+@pytest.mark.parametrize("dt", ["0.004", "0.002"], ids=["in-grid", "off-grid"])
+def test_run_solves_each_dt_once(tmp_path, monkeypatch, kind, dt):
+    foms = counting(monkeypatch, fom, "integrate")
+    svds = counting(monkeypatch, pod, "compute_pod")
+    roms = counting(monkeypatch, cli, "_integrate_rom")
+    trainings = counting(monkeypatch, hyperreduction,
+                         "collect_residual_snapshots")
+    kappas = counting(monkeypatch, bounds, "estimate_lipschitz")
+    body = SIX_STAGES_SAMPLED.format(kind=kind).replace(
+        "dt = 0.004", f"dt = {dt}")
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", write_config(tmp_path, body),
+                     "--out", str(out), "--seed", "7"]) == 0
+    grid = [0.004, 0.008, 0.016]
+    dts = sorted({0.002, *grid}) if dt == "0.002" else grid
+    # Galerkin ROMs integrate their reduced model through fom.integrate
+    assert sorted(a[2] for a in foms if a[0].dim == 24) == dts
+    assert len(roms) == 1 + len(grid)
+    assert len(trainings) == (1 + len(grid) if kind == "gnat" else 0)
+    # GNAT's residual bases are PODs too
+    assert len(svds) == len(dts) + len(trainings)
+    assert len(kappas) == 1
+    # the FOM the stages record is the one at [time] dt
+    traj = fom.read_trajectory_csv(out / "fom_trajectory.csv")
+    assert len(traj.states) == round(0.064 / float(dt)) + 1
+    assert traj.times[1] == float(dt)
+
+
+@pytest.mark.parametrize("kind", ["galerkin", "lspg", "gnat"])
+def test_run_records_what_standalone_stages_record(tmp_path, kind):
+    cfg = write_config(tmp_path, SIX_STAGES_SAMPLED.format(kind=kind))
+
+    def manifest(*argv):
+        out = tmp_path / "-".join(argv)
+        assert cli.main([*argv, "--config", cfg, "--out", str(out),
+                         "--seed", "7"]) == 0
+        return json.loads((out / "manifest.json").read_text())
+
+    run = manifest("run")
+    assert manifest("run", "--parallel", "2") == run
+    standalone = {}
+    for sub in ("fom", "pod", "rom", "bounds", "spectral", "sweep"):
+        for name, digest in manifest(sub)["artifacts"].items():
+            standalone.setdefault(name, set()).add(digest)
+    assert set(standalone) == set(run["artifacts"])
+    for name, digest in run["artifacts"].items():
+        assert standalone[name] == {digest}, name
+
+
+def test_parallel_sweep_fills_each_memo_entry_once(tmp_path, monkeypatch):
+    # more threads than cores, switching often: a lost or doubled memo
+    # entry would show as a second FOM at one dt or a missing samples file
+    cfg = write_config(tmp_path, BASE.replace("T = 0.04", "T = 0.048")
+                       + "\n[rom]\nkind = gnat\n")
+    grid = "0.016,0.012,0.008,0.006,0.004,0.002"
+    out1 = tmp_path / "serial"
+    assert cli.main(["sweep", "--config", cfg, "--out", str(out1),
+                     "--dt", grid]) == 0
+    foms = counting(monkeypatch, fom, "integrate")
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        out6 = tmp_path / "parallel"
+        assert cli.main(["sweep", "--config", cfg, "--out", str(out6),
+                         "--dt", grid, "--parallel", "6"]) == 0
+    finally:
+        sys.setswitchinterval(interval)
+    assert sorted(a[2] for a in foms) == sorted(map(float, grid.split(",")))
+    assert (out6 / "manifest.json").read_bytes() \
+        == (out1 / "manifest.json").read_bytes()
