@@ -200,7 +200,14 @@ class _Run:
 
     @cached_property
     def T(self):
-        return _number(self.cp, "time", "T")
+        return _number(self.cp, "time", "T", low=0.0)
+
+    def steps(self, dt):
+        """The number of steps of length dt in [time] T."""
+        steps = self.T / dt
+        if abs(steps - round(steps)) > 1e-9 * max(1.0, abs(steps)):
+            raise ConfigError(f"T = {self.T} is not a multiple of dt = {dt}")
+        return round(steps)
 
     @cached_property
     def kind(self):
@@ -219,6 +226,7 @@ class _Run:
     def fom_at(self, dt):
         """The full-order trajectory at dt, integrated on first use."""
         if dt not in self._foms:
+            self.steps(dt)
             t0 = time.perf_counter()
             traj = fom.integrate(self.model, self.scheme, dt, self.T,
                                  self.opts)
@@ -233,6 +241,9 @@ class _Run:
         if dt not in self._pods:
             nu = _number(self.cp, "pod", "nu", 1.0 - 1e-6, low=0.0, high=1.0)
             p = _integer(self.cp, "pod", "p", 0, low=1)
+            if self.steps(dt) == 0:
+                raise ConfigError(f"[time] T = {self.T} is shorter than one "
+                                  f"step of dt = {dt}: no POD snapshots")
             x = self.fom_at(dt).states
             result = pod.compute_pod(pod.SnapshotSet(vectors=_centered(x)),
                                      1.0 if p else nu, reference=x[0])
@@ -305,8 +316,11 @@ def _weighting(run, sub, dt, artifact="samples.txt"):
             return lspg.scaled_identity(model.dim, _convert(
                 spec[6:], float, f"[rom] weighting = {spec!r}"))
         if spec.startswith("collocation:"):
-            return lspg.collocation(
-                model.dim, hyperreduction.read_sample_set(spec[12:]))
+            try:
+                rows = hyperreduction.read_sample_set(spec[12:])
+            except (OSError, ValueError) as err:
+                raise ConfigError(f"[rom] weighting = {spec!r}: {err}")
+            return lspg.collocation(model.dim, rows)
         raise ConfigError(f"unknown weighting {spec!r}")
     # GNAT: residual snapshots from a W=I training run on this config
     nu_r = _number(cp, "rom", "nu_residual", 1.0, low=0.0, high=1.0)
@@ -409,9 +423,7 @@ def cmd_sweep(run):
     if not (np.all(diffs > 0) or np.all(diffs < 0)) or min(dts) <= 0.0:
         raise ConfigError("dt grid must be strictly monotone and positive")
     for d in dts:
-        steps = run.T / d
-        if abs(steps - round(steps)) > 1e-9 * max(1.0, abs(steps)):
-            raise ConfigError(f"T = {run.T} is not a multiple of dt = {d}")
+        run.steps(d)
     run.kind, run.probe  # a bad kind or probe fails before any solve
 
     # the reference (the full-order run at the finest dt) fills its memo

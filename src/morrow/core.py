@@ -199,19 +199,29 @@ def norm2_at_most(mat, bound: float) -> bool:
 def _gram_band(mat):
     """G = mat^T mat of a sparse mat, symmetrically reordered by reverse
     Cuthill-McKee, in LAPACK's upper band storage."""
-    from scipy.sparse.csgraph import reverse_cuthill_mckee
     g = (mat.T @ mat).tocsr()
-    perm = reverse_cuthill_mckee(g, symmetric_mode=True)
-    where = np.empty_like(perm)
-    where[perm] = np.arange(len(perm), dtype=perm.dtype)
-    g = g.tocoo()
-    rows, cols = where[g.row], where[g.col]
+    _, rows, cols = band_order(g, symmetric=True)
     upper = cols >= rows
     rows, cols = rows[upper], cols[upper]
     u = int(np.max(cols - rows, initial=0))
     band = np.zeros((u + 1, g.shape[0]))
     band[u + rows - cols, cols] = g.data[upper]
     return band
+
+
+def band_order(csr, symmetric=False):
+    """The reverse Cuthill-McKee ordering of a square CSR matrix's
+    pattern, as (perm, rows, cols): row and column perm[i] become row and
+    column i, and the k-th stored entry moves to (rows[k], cols[k]).  The
+    ordering narrows a tridiagonal matrix with a periodic wrap to
+    bandwidth 2.  symmetric says that the pattern is symmetric, so it is
+    read as is rather than symmetrized first."""
+    from scipy.sparse.csgraph import reverse_cuthill_mckee
+    perm = reverse_cuthill_mckee(csr, symmetric_mode=symmetric)
+    where = np.empty_like(perm)
+    where[perm] = np.arange(len(perm), dtype=perm.dtype)
+    rows = np.repeat(where, np.diff(csr.indptr))
+    return perm, rows, where[csr.indices]
 
 
 def write_text(path, lines):

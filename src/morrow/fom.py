@@ -17,11 +17,13 @@ couples all s stages (``rk_stage_points``, ``rk_coupled_residual``).  LSPG
 minimizes these same residuals at stage values Phi y.
 
 Model Jacobians may be dense arrays or ``scipy.sparse`` matrices; every
-Newton matrix is c0 I - c1 J (``shifted``) and keeps J's type.  A
-``NewtonMatrix`` factors it with dense or sparse LU to match, or multiplies
-it with a basis, and keeps the result while (c0, c1, J) repeat bitwise, so
-a linear model factors once per step size.  ``scipy.sparse`` is imported
-only when a sparse Jacobian shows up.
+Newton matrix is c0 I - c1 J (``shifted``) and keeps J's type, a sparse
+one shifted on J's stored entries.  A ``NewtonMatrix`` factors it, with
+dense LU or, for a sparse matrix, with LAPACK's band LU after a reverse
+Cuthill-McKee reordering, or multiplies it with a basis, and keeps the
+result while (c0, c1, J) repeat bitwise, so a linear model factors once
+per step size.  ``scipy.sparse`` is imported only when a sparse Jacobian
+shows up.
 """
 
 from dataclasses import dataclass
@@ -29,9 +31,10 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
+from scipy.linalg.lapack import dgbtrf, dgbtrs
 
-from .core import (JacobianKey, Model, SolverOptions, Trajectory, read_csv,
-                   write_csv)
+from .core import (JacobianKey, Model, SolverOptions, Trajectory, band_order,
+                   read_csv, write_csv)
 from .schemes import ButcherTableau, LmmScheme, classify
 
 
@@ -92,11 +95,27 @@ def rk_stage_context(base_state, t_base, tableau: ButcherTableau, dt,
 
 def shifted(c0: float, c1: float, jac):
     """c0 I - c1 J with an identity of J's own type: an ndarray stays
-    dense, a scipy.sparse matrix stays sparse (CSR)."""
+    dense, a scipy.sparse matrix stays sparse (CSR).
+
+    A sparse J in canonical CSR form that stores its whole diagonal is
+    shifted on its stored entries: its data scaled by -c1, plus c0 on the
+    diagonal.  That is the matrix c0 I - c1 J of scipy.sparse arithmetic,
+    bitwise; any other sparse J takes that arithmetic."""
+    n = jac.shape[0]
     if isinstance(jac, np.ndarray):
-        return c0 * np.eye(jac.shape[0]) - c1 * jac
+        return c0 * np.eye(n) - c1 * jac
     from scipy import sparse
-    return c0 * sparse.eye_array(jac.shape[0], format="csr") - c1 * jac
+    csr = jac.tocsr()
+    if csr.has_canonical_format:
+        rows = np.repeat(np.arange(n, dtype=csr.indices.dtype),
+                         np.diff(csr.indptr))
+        diag = np.flatnonzero(csr.indices == rows)
+        if len(diag) == n:
+            data = csr.data * -c1
+            data[diag] += c0
+            return sparse.csr_array((data, csr.indices, csr.indptr),
+                                    shape=(n, n))
+    return c0 * sparse.eye_array(n, format="csr") - c1 * csr
 
 
 class NewtonMatrix:
@@ -108,14 +127,22 @@ class NewtonMatrix:
     read-only array that owns its memory, else by a private copy of its
     contents, since a model may refill one buffer in place.  The product is
     kept for the basis object it was formed with; callers must not mutate
-    either.  One object serves one integration or bound call: it is not
-    shared between threads.
+    either.
+
+    A sparse c0 I - c1 J is factored by LAPACK's band LU (dgbtrf) in the
+    reverse Cuthill-McKee ordering of its pattern, at O(N b^2) for a
+    reordered bandwidth b: b = 1 for a tridiagonal matrix, 2 with a
+    periodic wrap.  The ordering and the band positions of the stored
+    entries are kept while the pattern (indptr, indices) repeats, so a
+    model with a fixed pattern is ordered once.  One object serves one
+    integration or bound call: it is not shared between threads.
     """
 
     def __init__(self):
         self._key = None
         self._solve = None
         self._basis = self._product = None
+        self._band = None  # (indptr, indices, perm, positions, kl, ku)
 
     def _use(self, c0, c1, jac):
         key = self._key
@@ -127,7 +154,8 @@ class NewtonMatrix:
 
     def solve(self, c0, c1, jac, rhs):
         """(c0 I - c1 J)^{-1} rhs by LU: lu_factor/lu_solve for an
-        ndarray, splu for a scipy.sparse matrix."""
+        ndarray, band LU for a scipy.sparse matrix.  A sparse matrix that
+        is exactly singular raises StepSolveError."""
         self._use(c0, c1, jac)
         if self._solve is None:
             mat = shifted(c0, c1, jac)
@@ -135,9 +163,39 @@ class NewtonMatrix:
                 lu = lu_factor(mat)
                 self._solve = lambda b: lu_solve(lu, b)
             else:
-                from scipy.sparse.linalg import splu
-                self._solve = splu(mat.tocsc()).solve
+                self._solve = self._band_lu(mat)
         return self._solve(rhs)
+
+    def _band_lu(self, mat):
+        """The solve of a CSR mat by dgbtrf/dgbtrs in the band ordering of
+        its pattern."""
+        band = self._band
+        if band is None or not (np.array_equal(band[0], mat.indptr)
+                                and np.array_equal(band[1], mat.indices)):
+            perm, rows, cols = band_order(mat)
+            rows, cols = rows.astype(np.intp), cols.astype(np.intp)
+            kl = int(np.max(rows - cols, initial=0))
+            ku = int(np.max(cols - rows, initial=0))
+            # entry (i, j) sits at row kl + ku + i - j, column j of the
+            # 2 kl + ku + 1 rows dgbtrf works in, stored column by column
+            positions = cols * (2 * kl + ku + 1) + kl + ku + rows - cols
+            band = self._band = (mat.indptr.copy(), mat.indices.copy(),
+                                 perm, positions, kl, ku)
+        _, _, perm, positions, kl, ku = band
+        n = mat.shape[0]
+        ab = np.zeros((n, 2 * kl + ku + 1))
+        ab.ravel()[positions] = mat.data
+        lu, piv, info = dgbtrf(ab.T, kl, ku, overwrite_ab=1)
+        if info > 0:
+            raise StepSolveError(
+                f"Newton matrix is exactly singular (zero pivot {info} of "
+                f"its band LU)")
+
+        def solve(rhs):
+            x = np.empty_like(rhs, dtype=float)
+            x[perm] = dgbtrs(lu, kl, ku, rhs[perm], piv)[0]
+            return x
+        return solve
 
     def times(self, c0, c1, jac, basis):
         """(c0 I - c1 J) basis."""

@@ -31,6 +31,16 @@ def linear_model(a, x_init=None, forcing=None):
                  initial_state=np.asarray(x_init, float))
 
 
+def singular_sparse_model():
+    """f(x) = J x with the CSR Jacobian J = diag(1, 2, 0.5): its backward
+    Euler Newton matrix I - dt J is exactly singular at dt = 2 (and 1 and
+    0.5)."""
+    from scipy import sparse
+    jac = sparse.csr_array(np.diag([1.0, 2.0, 0.5]))
+    return Model(dim=3, velocity=lambda x, t: jac @ x,
+                 jacobian=lambda x, t: jac, initial_state=np.ones(3))
+
+
 def gauss2_tableau():
     """The two-stage Gauss tableau: fully implicit, so Runge-Kutta solvers
     take the coupled path."""

@@ -11,7 +11,7 @@ from morrow import analysis, benchmodels, bounds, cli, fom, hyperreduction, \
 from morrow.core import reconstruct, write_csv
 from morrow.schemes import make_lmm
 
-from conftest import counting
+from conftest import counting, singular_sparse_model
 
 
 BASE = """\
@@ -218,6 +218,28 @@ def test_numerical_failure_names_its_step(tmp_path, capsys, scheme):
                      "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert "numerical failure at step 1: underdetermined" in err
+
+
+def test_singular_sparse_newton_matrix_is_a_numerical_failure(
+        tmp_path, capsys, monkeypatch):
+    # I - dt J is exactly singular at dt = 2 and regular at dt = 0.4
+    monkeypatch.setattr(benchmodels, "build",
+                        lambda spec: singular_sparse_model())
+    cfg = write_config(tmp_path, BASE.replace("dt = 0.004", "dt = 2.0")
+                       .replace("T = 0.04", "T = 4.0")
+                       .replace("probe = 5", "probe = 0"))
+    assert cli.main(["fom", "--config", cfg, "--out",
+                     str(tmp_path / "fom")]) == 2
+    err = capsys.readouterr().err
+    assert "numerical failure at step 1: Newton matrix is exactly singular" \
+        in err and err.count("\n") == 1, err
+    # a sweep point at that dt is unstable, with no error or bound
+    run = cli._Run(cli._build_parser().parse_args(
+        ["sweep", "--config", cfg, "--out", str(tmp_path / "sweep")]))
+    dt, error, _, bound, stable = cli._sweep_point(run, 0, 2.0,
+                                                   run.fom_at(0.4), None)
+    assert (dt, stable) == (2.0, False)
+    assert np.isnan(error) and np.isnan(bound)
 
 
 @pytest.mark.parametrize("model", ["gradient_flow", "burgers",
@@ -586,6 +608,13 @@ def test_run_chains_every_stage_and_writes_one_cell_format(tmp_path):
     ("sweep", BASE, ["--dt", "0.004,0.0"], "positive"),
     ("sweep", BASE.replace("T = 0.04", "T = 0.04\ndt_grid = 0.008,x"), [],
      "[time] dt_grid"),
+    ("rom", BASE.replace("T = 0.04", "T = 0") + "\n[rom]\nkind = lspg\n", [],
+     "[time] T = 0.0 is shorter than one step"),
+    ("fom", BASE.replace("T = 0.04", "T = 0.001"), [], "not a multiple"),
+    ("fom", BASE.replace("T = 0.04", "T = -0.04"), [], "[time] T"),
+    ("rom", BASE + "\n[rom]\nkind = lspg\n"
+     "weighting = collocation:no-such-dir/rows.txt\n", [],
+     "no-such-dir/rows.txt"),
 ], ids=["gnat-explicit-rom", "gnat-explicit-sweep", "unknown-scheme",
         "no-model", "no-dt", "sweep-no-grid", "spectral-short-run",
         "dt-zero", "n-not-integer", "n-too-small", "viscosity-not-number",
@@ -594,7 +623,8 @@ def test_run_chains_every_stage_and_writes_one_cell_format(tmp_path):
         "gamma-not-number", "max-iters-not-integer", "max-iters-zero",
         "kappa-not-number", "seed-not-integer", "probe-out-of-range-rom",
         "probe-out-of-range-sweep", "dt-flag-entry-not-number",
-        "dt-flag-entry-zero", "dt-grid-entry-not-number"])
+        "dt-flag-entry-zero", "dt-grid-entry-not-number", "T-zero-rom",
+        "T-below-one-step", "T-negative", "collocation-file-missing"])
 def test_config_errors_name_their_cause(tmp_path, capsys, sub, body, extra,
                                         names):
     assert cli.main([sub, "--config", write_config(tmp_path, body),

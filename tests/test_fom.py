@@ -11,7 +11,7 @@ from morrow.schemes import make_butcher, make_lmm
 
 from conftest import (NEWTON_CASES, calls_at_base, counting, linear_model,
                       logging_velocity, newton_case, newton_case_states,
-                      refilled_cubic)
+                      refilled_cubic, singular_sparse_model)
 
 
 def scalar_decay(lam=-2.0):
@@ -131,6 +131,15 @@ def test_newton_failure_carries_diagnostics():
         fom.integrate(m, make_lmm("backward_euler"), 50.0, 100.0, opts)
     assert err.value.time_index is not None
     assert err.value.residual_norm is not None
+
+
+def test_singular_sparse_newton_matrix_is_a_step_failure():
+    model = singular_sparse_model()
+    # I - 0.4 J is regular
+    fom.integrate(model, make_lmm("backward_euler"), 0.4, 0.8)
+    with pytest.raises(fom.StepSolveError, match="singular") as err:
+        fom.integrate(model, make_lmm("backward_euler"), 2.0, 4.0)
+    assert err.value.time_index == 1
 
 
 def test_num_steps_rejects_non_integer_ratio():

@@ -15,6 +15,8 @@ from morrow import bounds, fom, galerkin, hyperreduction, lspg, pod
 from morrow.core import Model, SolverOptions, norm2, norm2_at_most
 from morrow.schemes import ButcherTableau, make_lmm
 
+from conftest import counting, gauss2_tableau
+
 SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
                    "src")
 
@@ -221,3 +223,97 @@ def test_dense_runs_do_not_import_scipy_sparse(tmp_path):
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "False"
+
+
+def burgers_jacobian(bc, n=64, seed=1):
+    m = bm.burgers1d(bm.BenchmarkSpec(name="b", n=n, viscosity=0.01, bc=bc,
+                                      initial="sine"))
+    rng = np.random.default_rng(seed)
+    return m.jacobian(m.initial_state + 0.1 * rng.standard_normal(n), 0.0)
+
+
+def missing_diagonal_jacobian():
+    from scipy import sparse
+    mat = burgers_jacobian("dirichlet0", n=16).toarray()
+    mat[5, 5] = 0.0
+    return sparse.csr_array(mat)  # stores no (5, 5) entry
+
+
+@pytest.mark.parametrize("case", ["dirichlet0", "periodic", "block",
+                                  "missing-diagonal"])
+def test_shifted_is_the_sparse_arithmetic_bitwise(case):
+    from scipy import sparse
+    if case == "block":  # the coupled two-stage Gauss Newton matrix
+        jacs = [burgers_jacobian("periodic", seed=s) for s in (1, 2)]
+        jac = fom._block([[2e-3 * a_ij * j for a_ij in a_i]
+                          for a_i, j in zip(gauss2_tableau().a, jacs)])
+    elif case == "missing-diagonal":
+        jac = missing_diagonal_jacobian()
+        assert jac.nnz == 3 * 16 - 3
+    else:
+        jac = burgers_jacobian(case)
+    n = jac.shape[0]
+    basis = np.random.default_rng(0).standard_normal((n, 5))
+    for c0, c1 in ((1.0, 2e-3), (1.5, 1e-3 / 1.5), (1.0, 1.0)):
+        want = c0 * sparse.eye_array(n, format="csr") - c1 * jac
+        got = fom.shifted(c0, c1, jac)
+        assert not isinstance(got, np.ndarray)
+        assert np.array_equal(got.toarray(), want.toarray())
+        assert np.array_equal(got @ basis, want @ basis)
+        # a second call gives the same: the first left J's entries alone
+        assert np.array_equal(fom.shifted(c0, c1, jac).toarray(),
+                              want.toarray())
+
+
+def pivoting_matrix(n=40):
+    """J = I + R with R sparse, nonsymmetric and zero on the diagonal, so
+    I - J = -R has a zero diagonal: its LU needs row exchanges."""
+    from scipy import sparse
+    rng = np.random.default_rng(7)
+    r = sparse.random_array((n, n), density=0.08, format="lil", rng=rng)
+    for i in range(n):  # a cyclic shift keeps R regular
+        r[i, (i + 1) % n] = 2.0 + r[i, (i + 1) % n]
+        r[i, i] = 0.0
+    return sparse.csr_array(sparse.eye_array(n) + r)
+
+
+@pytest.mark.parametrize("case", ["pivoting", "periodic", "one-by-one"])
+def test_band_lu_matches_the_dense_solve(case):
+    from scipy import sparse
+    if case == "pivoting":
+        jac, c0, c1 = pivoting_matrix(), 1.0, 1.0
+        assert not np.any(fom.shifted(c0, c1, jac).diagonal())
+    elif case == "periodic":
+        jac, c0, c1 = burgers_jacobian("periodic", n=257), 1.5, 2e-3
+    else:
+        jac, c0, c1 = sparse.csr_array(np.array([[-3.0]])), 1.0, 0.5
+    n = jac.shape[0]
+    mat = fom.shifted(c0, c1, jac).toarray()
+    rhs = np.random.default_rng(3).standard_normal((n, 2))
+    newton = fom.NewtonMatrix()
+    for b in (rhs[:, 0], rhs):
+        want = np.linalg.solve(mat, b)
+        got = newton.solve(c0, c1, jac, b)
+        assert got.shape == b.shape
+        assert rel_diff(got, want) <= 1e-12
+
+
+def test_band_ordering_is_kept_per_pattern(monkeypatch):
+    from scipy.sparse import csgraph
+    orderings = counting(monkeypatch, csgraph, "reverse_cuthill_mckee")
+    for bc in ("dirichlet0", "periodic"):
+        m = bm.burgers1d(bm.BenchmarkSpec(name="b", n=64, viscosity=0.01,
+                                          bc=bc, initial="sine"))
+        orderings.clear()
+        traj = fom.integrate(m, make_lmm("bdf2"), 2e-3, 0.02)
+        assert len(orderings) == 1  # for 10 steps of Newton iterations
+        assert rel_diff(traj.states, fom.integrate(
+            densified(m), make_lmm("bdf2"), 2e-3, 0.02).states) <= 1e-12
+    # one NewtonMatrix: the same pattern with new entries is not ordered
+    # again, a new pattern is
+    newton, rhs = fom.NewtonMatrix(), np.ones(64)
+    orderings.clear()
+    for bc, seed in (("dirichlet0", 1), ("dirichlet0", 2), ("periodic", 1),
+                     ("periodic", 2), ("dirichlet0", 3)):
+        newton.solve(1.0, 2e-3, burgers_jacobian(bc, seed=seed), rhs)
+    assert len(orderings) == 3
