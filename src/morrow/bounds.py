@@ -29,7 +29,7 @@ from .core import (JacobianKey, Model, SolverOptions, TrialSubspace,
                    Trajectory, norm2, norm2_at_most, reconstruct,
                    write_csv)
 from . import fom, lspg as lspg_mod
-from .schemes import ButcherTableau, LmmScheme, classify
+from .schemes import ButcherTableau, LmmScheme, classify, make_lmm
 
 
 class BoundHypothesisError(ValueError):
@@ -147,24 +147,35 @@ class _ObliqueProjector:
         return float(np.linalg.norm(np.linalg.solve(self.m, r.T), 2))
 
 
-def _step_projector(kind, model, sub, W, ctx, yhat):
-    """(deflate, ||Proj^n||_2) at one multistep step: I - Phi Phi^T for
-    Galerkin, the oblique projector from the converged test basis for
-    LSPG."""
+class _OrthogonalProjector:
+    """P = Phi Phi^T, of 2-norm 1 since Phi is orthonormal."""
+
+    def __init__(self, sub: TrialSubspace):
+        self.phi = sub.basis
+
+    def deflate(self, v):
+        return v - self.phi @ (self.phi.T @ v)
+
+    def norm(self) -> float:
+        return 1.0
+
+
+def _step_projector(kind, sub, psi):
+    """The projector of one step or stage, the only place either is built:
+    I - Phi Phi^T for Galerkin, the oblique projector for LSPG, whose test
+    basis psi() is formed for LSPG only."""
     if kind == "galerkin":
-        phi = sub.basis
-        return (lambda v: v - phi @ (phi.T @ v)), 1.0
-    proj = _ObliqueProjector(sub, lspg_mod.compute_test_basis(
-        model, sub, W, ctx, yhat))
-    return proj.deflate, proj.norm()
+        return _OrthogonalProjector(sub)
+    return _ObliqueProjector(sub, psi())
 
 
 def _lmm_local_terms(traj, kind, model, sub, scheme, kappa, W, f_states,
                      proj_in_h):
     """Local multistep terms along a ROM trajectory with f evaluated at
     f_states: the lifted ROM states (None) a posteriori, the FOM states a
-    priori.  When proj_in_h, kappa enters h and gamma2 scaled by
-    ||Proj^n||_2 and no residual norm is taken (the a priori form)."""
+    priori.  f is evaluated once per state and each step's terms reuse it.
+    When proj_in_h, kappa enters h and gamma2 scaled by ||Proj^n||_2 and no
+    residual norm is taken (the a priori form)."""
     if kind not in ("galerkin", "lspg"):
         raise ValueError(f"unknown ROM kind {kind!r}")
     if kind == "lspg" and W is None:
@@ -172,14 +183,18 @@ def _lmm_local_terms(traj, kind, model, sub, scheme, kappa, W, f_states,
     dt = traj.dt
     lifted = sub.reference + traj.states @ sub.basis.T
     f_states = lifted if f_states is None else f_states
+    fvals = [model.velocity(f_states[n], n * dt)
+             for n in range(len(traj.states))]
+    newton = fom.NewtonMatrix()
     out = []
     for n in range(1, len(traj.states)):
         alpha, beta = scheme.coeffs(n)
         k_eff = len(alpha) - 1
         hist = tuple(lifted[n - j] for j in range(1, k_eff + 1))
         ctx = fom.LmmStepContext(history=hist, n=n, dt=dt, scheme=scheme)
-        deflate, proj_norm = _step_projector(kind, model, sub, W, ctx,
-                                             traj.states[n])
+        proj = _step_projector(kind, sub, lambda: lspg_mod.compute_test_basis(
+            model, sub, W, ctx, traj.states[n], newton))
+        proj_norm = proj.norm()
         scale = proj_norm if proj_in_h else 1.0
         h = abs(alpha[0]) - abs(beta[0]) * kappa * dt * scale
         if h <= 0.0:
@@ -189,8 +204,8 @@ def _lmm_local_terms(traj, kind, model, sub, scheme, kappa, W, f_states,
                 f" = {abs(alpha[0]) / (abs(beta[0]) * kappa * scale):.3e}")
         residual_norm = 0.0 if proj_in_h else float(np.linalg.norm(
             fom.lmm_residual(model, ctx, lifted[n])))
-        terms = np.array([np.linalg.norm(deflate(model.velocity(
-            f_states[n - ell], (n - ell) * dt))) for ell in range(k_eff + 1)])
+        terms = np.array([np.linalg.norm(proj.deflate(fvals[n - ell]))
+                          for ell in range(k_eff + 1)])
         gamma1 = np.abs(beta) * dt / h
         gamma2 = (np.abs(alpha[1:])
                   + np.abs(beta[1:]) * kappa * dt * scale) / h
@@ -343,9 +358,6 @@ def backward_euler_aposteriori(traj, model, sub, kappa, W=None) -> BoundReport:
     """Global bound under backward Euler, B^n = (B^{n-1} + dt term^n)/h
     with h = 1 - kappa dt, i.e. the closed sum dt sum_j h^{-(j+1)}
     term^{n-j}; requires dt < 1/kappa."""
-    from .schemes import make_lmm
-    if kappa * traj.dt >= 1.0:
-        raise BoundHypothesisError("backward Euler bound needs dt < 1/kappa")
     kind = traj.kind if traj.kind in ("galerkin", "lspg") else "galerkin"
     local_terms = local_aposteriori_lmm(traj, kind, model, sub,
                                         make_lmm("backward_euler"), kappa, W)
@@ -447,8 +459,7 @@ def _rk_bound(rom, kind, tableau, kappa, model, sub, W, fom_traj=None,
     if kind not in ("galerkin", "lspg"):
         raise ValueError(f"unknown ROM kind {kind!r}")
     apriori = fom_traj is not None
-    if apriori and kind == "lspg" \
-            and classify(tableau).tag == "fully_implicit":
+    if apriori and kind == "lspg" and classify(tableau) == "fully_implicit":
         raise BoundHypothesisError(
             "a priori LSPG RK bound implemented for explicit/DIRK")
     rom_stages = _stages(rom) if kind == "lspg" or not apriori else None
@@ -468,29 +479,23 @@ def _rk_bound(rom, kind, tableau, kappa, model, sub, W, fom_traj=None,
             fom_traj.states[n - 1], t_base, tableau, dt, f_stages[n - 1]) \
             if apriori else rom_points
         fvals = [model.velocity(x, t) for x, t in points]
-        scale = 1.0
-        if kind == "galerkin":
-            terms = [np.linalg.norm(f - phi @ (phi.T @ f)) for f in fvals]
-        else:
-            terms, norms = [], []
-            for i, (x, t) in enumerate(rom_points):
-                jf = model.jacobian(x, t)
-                proj = _ObliqueProjector(sub, W.gram_mat(
-                    newton.times(1.0, dt * tableau.a[i, i], jf, phi)))
-                term = np.linalg.norm(proj.deflate(fvals[i]))
-                if mode == "general":
-                    coupling = sum(
-                        (W.gram_mat(-dt * tableau.a[i, e] * (jf @ phi)).T
-                         @ (phi @ rom_stages[n - 1][e] - fvals[e])
-                         for e in range(tableau.s)
-                         if e != i and tableau.a[i, e] != 0.0),
-                        np.zeros(sub.p))
-                    term += np.linalg.norm(
-                        phi @ np.linalg.solve(proj.m, coupling))
-                terms.append(term)
-                norms.append(proj.norm() if apriori else 1.0)
-            if apriori:
-                scale = np.array(norms)
+        terms, projs = [], []
+        for i in range(tableau.s):
+            jf = model.jacobian(*rom_points[i]) if kind == "lspg" else None
+            proj = _step_projector(kind, sub, lambda: W.gram_mat(
+                newton.times(1.0, dt * tableau.a[i, i], jf, phi)))
+            term = np.linalg.norm(proj.deflate(fvals[i]))
+            if kind == "lspg" and mode == "general":
+                coupling = sum(
+                    (W.gram_mat(-dt * tableau.a[i, e] * (jf @ phi)).T
+                     @ (phi @ rom_stages[n - 1][e] - fvals[e])
+                     for e in range(tableau.s)
+                     if e != i and tableau.a[i, e] != 0.0),
+                    np.zeros(sub.p))
+                term += np.linalg.norm(phi @ np.linalg.solve(proj.m, coupling))
+            terms.append(term)
+            projs.append(proj)
+        scale = np.array([proj.norm() for proj in projs]) if apriori else 1.0
         wstage = np.abs(tableau.b) @ _rk_dinv(tableau, kappa, dt, scale)
         sn = 0.0
         for w_i, term in zip(wstage, terms):

@@ -119,8 +119,11 @@ class _Run:
         self.args = args
         self.cp = cp = _load_config(args.config) if args.config \
             else configparser.ConfigParser()
-        self.seed = args.seed if args.seed is not None \
-            else _integer(cp, "output", "seed", 0)
+        flag = args.seed is not None
+        self.seed = args.seed if flag else _integer(cp, "output", "seed", 0)
+        if not 0 <= self.seed < 2**64:
+            raise ConfigError(f"{'--seed' if flag else '[output] seed'} = "
+                              f"{self.seed} must lie in [0, 2**64)")
         self.out = args.out or cp.get("output", "dir", fallback="out")
         os.makedirs(self.out, exist_ok=True)
         self.artifacts = {}
@@ -204,10 +207,10 @@ class _Run:
 
     def steps(self, dt):
         """The number of steps of length dt in [time] T."""
-        steps = self.T / dt
-        if abs(steps - round(steps)) > 1e-9 * max(1.0, abs(steps)):
+        try:
+            return fom._num_steps(dt, self.T)
+        except ValueError:
             raise ConfigError(f"T = {self.T} is not a multiple of dt = {dt}")
-        return round(steps)
 
     @cached_property
     def kind(self):
@@ -224,12 +227,17 @@ class _Run:
                         high=self.model.dim - 1)
 
     def fom_at(self, dt):
-        """The full-order trajectory at dt, integrated on first use."""
+        """The full-order trajectory at dt, integrated on first use; a
+        state that is not finite is a StepSolveError naming its step."""
         if dt not in self._foms:
             self.steps(dt)
             t0 = time.perf_counter()
             traj = fom.integrate(self.model, self.scheme, dt, self.T,
                                  self.opts)
+            bad = np.flatnonzero(~np.isfinite(traj.states).all(axis=1))
+            if bad.size:
+                raise StepSolveError(f"full-order state at dt = {dt} is not "
+                                     "finite", time_index=int(bad[0]))
             self._foms[dt] = traj, time.perf_counter() - t0
         return self._foms[dt][0]
 
@@ -237,7 +245,8 @@ class _Run:
         """POD of the centered snapshots of the full-order run at dt: the
         modes that meet the [pod] nu energy criterion, or the leading
         [pod] p modes when p is set.  The singular vectors do not depend on
-        nu, so p modes are a slice of the untruncated basis."""
+        nu, so p modes are a slice of the untruncated basis, copied to C
+        order so that the ROM does not depend on the slice's layout."""
         if dt not in self._pods:
             nu = _number(self.cp, "pod", "nu", 1.0 - 1e-6, low=0.0, high=1.0)
             p = _integer(self.cp, "pod", "p", 0, low=1)
@@ -249,7 +258,8 @@ class _Run:
                                      1.0 if p else nu, reference=x[0])
             if p:
                 result = replace(result, basis=TrialSubspace(
-                    basis=result.basis.basis[:, :p], reference=x[0]))
+                    basis=np.ascontiguousarray(result.basis.basis[:, :p]),
+                    reference=x[0]))
             self._pods[dt] = result
         return self._pods[dt]
 
@@ -363,10 +373,15 @@ def cmd_fom(run):
 
 
 def cmd_pod(run):
-    if getattr(run.args, "snapshots", None):  # `run` has no --snapshots
-        snaps = pod.read_snapshots_csv(run.args.snapshots)
-        nu = run.args.nu if run.args.nu is not None else 1.0 - 1e-6
-        result = pod.compute_pod(snaps, nu)
+    path = getattr(run.args, "snapshots", None)  # `run` has no --snapshots
+    if path:
+        nu = run.args.nu
+        if not 0.0 <= nu <= 1.0:
+            raise ConfigError(f"--nu = {nu} must lie in [0.0, 1.0]")
+        try:
+            result = pod.compute_pod(pod.read_snapshots_csv(path), nu)
+        except (OSError, ValueError) as err:
+            raise ConfigError(f"--snapshots {path!r}: {err}")
     else:
         run.fom_run
         result = run.pod_at(run.dt)
@@ -407,8 +422,7 @@ def _sweep_point(run, index, dt, ref, kappa):
             except bounds.BoundHypothesisError:
                 pass  # dt outside the theorem's cap: no bound, run still valid
         return dt, err, wall, bval, stable
-    except (StepSolveError, GaussNewtonError,
-            bounds.BoundHypothesisError, FloatingPointError):
+    except (StepSolveError, GaussNewtonError, bounds.BoundHypothesisError):
         return dt, np.nan, time.perf_counter() - t0, np.nan, False
 
 
@@ -593,7 +607,7 @@ def _build_parser():
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--parallel", type=int, default=1)
         if name == "pod":
-            p.add_argument("--nu", type=float, default=None)
+            p.add_argument("--nu", type=float, default=1.0 - 1e-6)
             p.add_argument("--snapshots", help="snapshot CSV path")
         if name == "sweep":
             p.add_argument("--dt", help="comma-separated dt grid")

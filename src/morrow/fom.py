@@ -39,12 +39,11 @@ from .schemes import ButcherTableau, LmmScheme, classify
 
 
 class StepSolveError(RuntimeError):
-    """Newton non-convergence; carries the last iterate and residual norm."""
+    """A step that could not be solved; carries the residual norm when
+    Newton did not converge, and the step in time_index."""
 
-    def __init__(self, msg, last_iterate=None, residual_norm=None,
-                 time_index=None):
+    def __init__(self, msg, residual_norm=None, time_index=None):
         super().__init__(msg)
-        self.last_iterate = last_iterate
         self.residual_norm = residual_norm
         self.time_index = time_index
 
@@ -232,12 +231,6 @@ def lmm_jacobian_terms(model: Model, ctx: LmmStepContext, w: np.ndarray):
     return alpha[0], ctx.dt * beta[0], model.jacobian(w, ctx.n * ctx.dt)
 
 
-def lmm_residual_jacobian(model: Model, ctx: LmmStepContext, w: np.ndarray):
-    """alpha_0 I - dt beta_0 df/dx(w), dense or sparse like the model's
-    Jacobian."""
-    return shifted(*lmm_jacobian_terms(model, ctx, w))
-
-
 def _newton(residual, jacobian_terms, w, opts, newton):
     """Newton from w on residual(w) = 0, whose Jacobian c0 I - c1 J is
     given by jacobian_terms(w) = (c0, c1, J); converged once |r| <=
@@ -254,7 +247,7 @@ def _newton(residual, jacobian_terms, w, opts, newton):
     raise StepSolveError(
         f"Newton failed to converge in {opts.max_iters} iterations "
         f"(|r| = {np.linalg.norm(r):.3e})",
-        last_iterate=w, residual_norm=float(np.linalg.norm(r)))
+        residual_norm=float(np.linalg.norm(r)))
 
 
 def solve_lmm_step(model: Model, ctx: LmmStepContext,
@@ -330,7 +323,7 @@ def solve_rk_step(model: Model, base_state: np.ndarray,
     """Solve one RK step; returns (stage_values, next_state).  newton, a
     NewtonMatrix, may carry a factor from earlier stages and steps."""
     newton = NewtonMatrix() if newton is None else newton
-    kind = classify(tableau).tag
+    kind = classify(tableau)
     if kind == "fully_implicit":
         stage_values = _solve_rk_coupled(model, base_state, t_base, tableau,
                                          dt, opts, newton)

@@ -47,8 +47,6 @@ def collect_residual_snapshots(model: Model, sub: TrialSubspace, scheme,
 
 
 def build_residual_basis(snaps: ResidualSnapshotSet, nu: float) -> np.ndarray:
-    if snaps.vectors.shape[1] == 0:
-        raise ValueError("no residual snapshots to build a basis from")
     result = pod.compute_pod(pod.SnapshotSet(vectors=snaps.vectors), nu)
     return result.basis.basis
 
@@ -81,12 +79,9 @@ def select_samples(basis: np.ndarray, n_s: int) -> SampleSet:
         coef, *_ = np.linalg.lstsq(sub, basis[chosen, col], rcond=None)
         score = np.abs(basis[:, col] - basis @ coef)
         score[chosen] = -np.inf  # never re-pick a row
-        pick = int(np.argmax(score))
-        if score[pick] <= 0.0:
-            # reconstruction already exact everywhere: take the lowest
-            # unchosen row so the requested count is still met
-            pick = min(set(range(n)) - set(chosen))
-        chosen.append(pick)
+        # where the reconstruction is already exact everywhere, argmax
+        # takes the lowest unchosen row, so the requested count is still met
+        chosen.append(int(np.argmax(score)))
         col = (col + 1) % q
 
     return SampleSet(indices=tuple(sorted(chosen)))

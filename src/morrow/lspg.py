@@ -174,12 +174,13 @@ def _gauss_newton(residual, jacobian, y0, W, opts, callback=None):
     return y, report
 
 
-def compute_test_basis(model, sub, W, ctx, yhat):
+def compute_test_basis(model, sub, W, ctx, yhat, newton=None):
     """The N x p test basis Psi^n = W^T W (alpha_0 I - dt beta_0 df/dx) Phi
-    at the given iterate."""
-    x = reconstruct(sub, yhat)
-    jr = fom.lmm_residual_jacobian(model, ctx, x)
-    return W.gram_mat(jr @ sub.basis)
+    at the given iterate.  newton, a fom.NewtonMatrix, may carry the
+    product (alpha_0 I - dt beta_0 df/dx) Phi from earlier steps."""
+    newton = fom.NewtonMatrix() if newton is None else newton
+    return W.gram_mat(newton.times(*fom.lmm_jacobian_terms(
+        model, ctx, reconstruct(sub, yhat)), sub.basis))
 
 
 def solve_lspg_step_lmm(model, sub, W, ctx, opts, yhat_warm=None,
@@ -293,7 +294,7 @@ def integrate_lspg(model, sub, W, scheme, dt, T,
         raise TypeError(f"unsupported scheme type {type(scheme)!r}")
     nsteps = fom._num_steps(dt, T)
     rk = isinstance(scheme, ButcherTableau)
-    coupled = rk and classify(scheme).tag == "fully_implicit"
+    coupled = rk and classify(scheme) == "fully_implicit"
     yhats = [np.zeros(sub.p)]
     lifted = [reconstruct(sub, yhats[0])]
     stages = np.empty((nsteps, scheme.s, sub.p)) if rk else None

@@ -33,12 +33,6 @@ class ButcherTableau:
     name: str
 
 
-@dataclass(frozen=True)
-class SchemeClass:
-    tag: str  # {explicit, dirk, sdirk, fully_implicit}
-    diagonal_value: float = 0.0
-
-
 _BE = (np.array([1.0, -1.0]), np.array([1.0, 0.0]))
 _FE = (np.array([1.0, -1.0]), np.array([0.0, 1.0]))
 # three-point backward differentiation formula
@@ -88,16 +82,13 @@ def make_butcher(name: str) -> ButcherTableau:
                           name=name)
 
 
-def classify(t: ButcherTableau) -> SchemeClass:
-    """Structural classification of a tableau from its a-matrix."""
+def classify(t: ButcherTableau) -> str:
+    """Structural class of a tableau from its a-matrix: 'fully_implicit'
+    (an entry above the diagonal), 'explicit' (strictly lower triangular)
+    or 'dirk'."""
     a = t.a
-    s = t.s
-    upper = any(a[i, j] != 0.0 for i in range(s) for j in range(i + 1, s))
-    if upper:
-        return SchemeClass(tag="fully_implicit")
-    diag = np.diag(a)
-    if np.all(diag == 0.0):
-        return SchemeClass(tag="explicit")
-    if np.all(diag == diag[0]):
-        return SchemeClass(tag="sdirk", diagonal_value=float(diag[0]))
-    return SchemeClass(tag="dirk")
+    if np.any(np.triu(a, 1) != 0.0):
+        return "fully_implicit"
+    if np.all(np.diag(a) == 0.0):
+        return "explicit"
+    return "dirk"

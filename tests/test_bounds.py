@@ -16,7 +16,7 @@ from morrow.core import (Model, SolverOptions, Trajectory, TrialSubspace,
 from morrow.schemes import ButcherTableau, make_butcher, make_lmm
 
 from conftest import (counting, gauss2_tableau, linear_model,
-                      random_subspace)
+                      logging_velocity, random_subspace)
 
 
 # ------------------------------------------------------------- lipschitz
@@ -176,6 +176,50 @@ def test_oblique_projection_residual_identity():
             alpha, beta = sch.coeffs(step.n)
             lhs = abs(beta[0]) * dt * step.terms[0]
             assert abs(lhs - step.residual_norm) < 1e-9
+
+
+@pytest.mark.parametrize("kind", ["galerkin", "lspg"])
+def test_local_terms_evaluate_f_once_per_state(monkeypatch, kind):
+    # BDF2 reads f at up to three states per step; each state's f is
+    # evaluated once, and lmm_residual makes its own calls
+    m = benchmodels.burgers1d(benchmodels.BenchmarkSpec(
+        name="burgers", n=24, viscosity=0.05))
+    sch, dt = make_lmm("bdf2"), 1e-3
+    x = fom.integrate(m, sch, dt, 10 * dt).states
+    sub = TrialSubspace(basis=np.linalg.qr((x[1:] - x[0]).T)[0][:, :3],
+                        reference=x[0])
+    W = lspg.scaled_identity(m.dim)
+    traj = galerkin.integrate_galerkin(m, sub, sch, dt, 10 * dt) \
+        if kind == "galerkin" else lspg.integrate_lspg(m, sub, W, sch, dt,
+                                                        10 * dt)[0]
+    model, calls = logging_velocity(m)
+    in_residual = []
+    residual = fom.lmm_residual
+
+    def counted(*args):
+        before = len(calls)
+        out = residual(*args)
+        in_residual.append(len(calls) - before)
+        return out
+
+    monkeypatch.setattr(fom, "lmm_residual", counted)
+    lt = bounds.local_aposteriori_lmm(traj, kind, model, sub, sch, 1.0, W)
+    assert len(in_residual) == len(lt) == 10
+    assert len(calls) - sum(in_residual) == len(traj.states)
+
+
+def test_linear_lspg_bound_forms_one_test_basis_per_coefficient_pair(
+        monkeypatch):
+    # BDF2 takes one backward-Euler step first: two (c0, c1) pairs and a
+    # constant Jacobian, so (c0 I - c1 J) Phi is formed twice, not per step
+    m, kappa, opts = small_linear_setup()
+    sub = random_subspace(8, 3, seed=5, reference=m.initial_state)
+    W = lspg.scaled_identity(8)
+    sch, dt = make_lmm("bdf2"), 0.1 / kappa
+    traj, _ = lspg.integrate_lspg(m, sub, W, sch, dt, 10 * dt, opts)
+    shifted = counting(monkeypatch, fom, "shifted")
+    lt = bounds.local_aposteriori_lmm(traj, "lspg", m, sub, sch, kappa, W)
+    assert len(lt) == 10 and len(shifted) == 2
 
 
 def test_factored_projector_matches_dense_oracle():

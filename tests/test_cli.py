@@ -744,3 +744,107 @@ def test_parallel_sweep_fills_each_memo_entry_once(tmp_path, monkeypatch):
     assert sorted(a[2] for a in foms) == sorted(map(float, grid.split(",")))
     assert (out6 / "manifest.json").read_bytes() \
         == (out1 / "manifest.json").read_bytes()
+
+
+# forward Euler past its stability limit dx^2 / (2 viscosity) = 2.37e-3:
+# the full-order state overflows to inf and then NaN
+DIVERGING = """\
+[model]
+name = burgers
+n = 64
+viscosity = 0.05
+
+[time]
+scheme = forward_euler
+dt = 0.008
+T = 0.4
+
+[pod]
+nu = 0.9999
+
+[rom]
+kind = lspg
+"""
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("sub", ["fom", "pod", "rom", "bounds", "spectral"])
+def test_diverging_fom_is_a_numerical_failure(tmp_path, capsys, sub):
+    model = benchmodels.burgers1d(benchmodels.BenchmarkSpec(
+        name="burgers", n=64, viscosity=0.05))
+    x = fom.integrate(model, make_lmm("forward_euler"), 0.008, 0.4).states
+    step = int(np.argmin(np.isfinite(x).all(axis=1)))
+    assert step > 0
+    assert cli.main([sub, "--config", write_config(tmp_path, DIVERGING),
+                     "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert f"numerical failure at step {step}: full-order state" in err \
+        and "not finite" in err and err.count("\n") == 1, err
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_sweep_point_with_a_diverging_fom_is_unstable(tmp_path, capsys):
+    cfg = write_config(tmp_path, DIVERGING.replace("T = 0.4", "T = 0.44"))
+    out = tmp_path / "out"
+    assert cli.main(["sweep", "--config", cfg, "--out", str(out),
+                     "--dt", "0.00275,0.002"]) == 0
+    sweep = analysis.read_sweep_csv(out / "sweep_notime.csv")
+    assert list(sweep.stable) == [0, 1]
+    assert np.isnan(sweep.error[0]) and np.isfinite(sweep.error[1])
+    # the reference (the finest dt) diverging fails the whole sweep
+    assert cli.main(["sweep", "--config", cfg, "--out", str(tmp_path / "r"),
+                     "--dt", "0.004,0.00275"]) == 2
+    assert "not finite" in capsys.readouterr().err
+
+
+BURGERS_BOUNDS = BASE.replace("advection_diffusion", "burgers") \
+    .replace("initial = gaussian\n", "") + "\n[rom]\nkind = lspg\n"
+
+
+@pytest.mark.parametrize("sub, body, flags, names", [
+    ("pod", None, ["--snapshots", "{tmp}/missing.csv"], "missing.csv"),
+    ("pod", None, ["--snapshots", "{tmp}/ragged.csv"], "ragged.csv"),
+    ("pod", None, ["--snapshots", "{tmp}/snaps.csv", "--nu", "2"], "--nu"),
+    ("bounds", BURGERS_BOUNDS, ["--seed", "-1"], "--seed"),
+    ("fom", GRADFLOW_BE.format(kappa=4.0), ["--seed", "-1"], "--seed"),
+    ("fom", GRADFLOW_BE.format(kappa=4.0), ["--seed", str(2**64)], "--seed"),
+    ("fom", GRADFLOW_BE.format(kappa=4.0).replace("[time]",
+                                                  "[output]\nseed = -1\n"
+                                                  "[time]"), [],
+     "[output] seed"),
+], ids=["snapshots-missing", "snapshots-ragged", "nu-above-1",
+        "seed-negative-burgers-bounds", "seed-negative-gradflow",
+        "seed-too-large", "config-seed-negative"])
+def test_flag_errors_name_their_flag(tmp_path, capsys, sub, body, flags,
+                                     names):
+    (tmp_path / "ragged.csv").write_text("s_0,s_1\n1.0,2.0\n3.0\n")
+    pod.write_snapshots_csv(pod.SnapshotSet(
+        vectors=np.random.default_rng(0).standard_normal((6, 3))),
+        tmp_path / "snaps.csv")
+    config = [] if body is None else ["--config", write_config(tmp_path, body)]
+    assert cli.main([sub, *config, "--out", str(tmp_path / "o"),
+                     *(f.format(tmp=tmp_path) for f in flags)]) == 1
+    err = capsys.readouterr().err
+    assert names in err and err.count("\n") == 1, err
+
+
+def test_pod_p_rom_does_not_depend_on_the_basis_layout(tmp_path):
+    # nu = 0.999 keeps the 2 modes that [pod] p = 2 slices off the full
+    # basis: the same basis.csv must give the same ROM
+    body = BASE.replace("advection_diffusion", "burgers") \
+        .replace("n = 24", "n = 48").replace("viscosity = 0.05",
+                                             "viscosity = 0.02") \
+        .replace("initial = gaussian\n", "") \
+        .replace("backward_euler", "bdf2").replace("dt = 0.004", "dt = 0.002") \
+        .replace("nu = 0.9999", "nu = 0.999")
+    outs = []
+    for name, extra in (("nu", ""), ("p", "\np = 2")):
+        cfg = write_config(tmp_path, body.replace("nu = 0.999",
+                                                  "nu = 0.999" + extra),
+                           name=f"{name}.ini")
+        outs.append(tmp_path / name)
+        assert cli.main(["rom", "--config", cfg, "--out", str(outs[-1])]) == 0
+    assert (outs[0] / "basis.csv").read_text().startswith("phi_0,phi_1\n")
+    for artifact in ("basis.csv", "rom_trajectory.csv"):
+        assert (outs[0] / artifact).read_bytes() \
+            == (outs[1] / artifact).read_bytes(), artifact

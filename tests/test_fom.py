@@ -28,7 +28,7 @@ def test_lmm_residual_backward_euler_hand_check():
     # r = w - x_prev - dt * (-2 w)
     expected = 0.8 - 1.0 - 0.1 * (-2.0 * 0.8)
     assert abs(fom.lmm_residual(m, ctx, w)[0] - expected) < 1e-14
-    assert abs(fom.lmm_residual_jacobian(m, ctx, w)[0, 0]
+    assert abs(fom.shifted(*fom.lmm_jacobian_terms(m, ctx, w))[0, 0]
                - (1.0 + 0.2)) < 1e-14
 
 

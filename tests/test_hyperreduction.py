@@ -48,6 +48,20 @@ def test_select_samples_all_rows_distinct():
     assert samples.indices == tuple(range(10))
 
 
+@pytest.mark.parametrize("cols, n_s, want", [
+    ((3, 7), 5, (0, 1, 2, 3, 7)),
+    ((5,), 3, (0, 1, 5)),
+    ((0, 1, 2), 6, (0, 1, 2, 3, 4, 5)),
+    ((9, 4), 10, tuple(range(10))),
+])
+def test_select_samples_unit_vectors_take_the_lowest_unchosen_rows(
+        cols, n_s, want):
+    # once the q unit-vector rows are chosen, every gappy reconstruction is
+    # exact: each oversampled pick is the lowest row not yet chosen
+    basis = np.eye(10)[:, list(cols)]
+    assert hr.select_samples(basis, n_s).indices == want
+
+
 def test_select_samples_bounds():
     basis = np.eye(5)[:, :3]
     with pytest.raises(ValueError):
