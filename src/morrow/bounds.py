@@ -169,6 +169,14 @@ def _step_projector(kind, sub, psi):
     return _ObliqueProjector(sub, psi())
 
 
+def _check_kind(kind, W):
+    """A ROM kind the bounds know, and for LSPG the weighting it ran with."""
+    if kind not in ("galerkin", "lspg"):
+        raise ValueError(f"unknown ROM kind {kind!r}")
+    if kind == "lspg" and W is None:
+        raise ValueError("lspg bounds need the weighting operator")
+
+
 def _lmm_local_terms(traj, kind, model, sub, scheme, kappa, W, f_states,
                      proj_in_h):
     """Local multistep terms along a ROM trajectory with f evaluated at
@@ -176,10 +184,7 @@ def _lmm_local_terms(traj, kind, model, sub, scheme, kappa, W, f_states,
     priori.  f is evaluated once per state and each step's terms reuse it.
     When proj_in_h, kappa enters h and gamma2 scaled by ||Proj^n||_2 and no
     residual norm is taken (the a priori form)."""
-    if kind not in ("galerkin", "lspg"):
-        raise ValueError(f"unknown ROM kind {kind!r}")
-    if kind == "lspg" and W is None:
-        raise ValueError("lspg bounds need the weighting operator")
+    _check_kind(kind, W)
     dt = traj.dt
     lifted = sub.reference + traj.states @ sub.basis.T
     f_states = lifted if f_states is None else f_states
@@ -456,8 +461,7 @@ def _rk_bound(rom, kind, tableau, kappa, model, sub, W, fom_traj=None,
     D.  mode='general' adds the cross-stage coupling term of the a
     posteriori LSPG bound (zero for explicit/DIRK tableaus).
     """
-    if kind not in ("galerkin", "lspg"):
-        raise ValueError(f"unknown ROM kind {kind!r}")
+    _check_kind(kind, W)
     apriori = fom_traj is not None
     if apriori and kind == "lspg" and classify(tableau) == "fully_implicit":
         raise BoundHypothesisError(

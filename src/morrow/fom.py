@@ -354,33 +354,56 @@ def _num_steps(dt: float, T: float) -> int:
     return int(round(steps))
 
 
-def integrate(model: Model, scheme, dt: float, T: float,
-              opts: SolverOptions = SolverOptions()) -> Trajectory:
-    """Integrate the model from t=0 to t=T; scheme is an LmmScheme or a
-    ButcherTableau.  Runge-Kutta runs record their stage values."""
+def march(scheme, dt: float, T: float, start, step, lift=None):
+    """The loop over time steps of every integrator: (states, stages), the
+    states x^0 = start, ..., x^{T/dt} as rows and the stage values of each
+    Runge-Kutta step (else None).  step(n, ctx, prev) solves step n from
+    prev = x^{n-1}: given the LmmStepContext over the lifted states it
+    returns x^n; given the lifted x^{n-1}, the stage values w_i of
+    x^n = x^{n-1} + dt sum_i b_i w_i.  lift maps a state to the full space
+    (None: the identity).  A state that is not finite is a StepSolveError,
+    every StepSolveError names its step, and numpy's warnings are off."""
     if not isinstance(scheme, (ButcherTableau, LmmScheme)):
         raise TypeError(f"unsupported scheme type {type(scheme)!r}")
     nsteps = _num_steps(dt, T)
     rk = isinstance(scheme, ButcherTableau)
-    states = np.empty((nsteps + 1, model.dim))
-    states[0] = model.initial_state
-    stages = np.empty((nsteps, scheme.s, model.dim)) if rk else None
-    newton = NewtonMatrix()
+    states = np.empty((nsteps + 1, len(start)))
+    states[0] = start
+    stages = np.empty((nsteps, scheme.s, len(start))) if rk else None
+    lift = lift or (lambda x: x)
+    hist = (lift(states[0]),)  # lifted x^{n-1}, x^{n-2}, ...
     try:
-        for n in range(1, nsteps + 1):
-            if rk:
-                stages[n - 1], states[n] = solve_rk_step(
-                    model, states[n - 1], scheme, dt, opts,
-                    t_base=(n - 1) * dt, newton=newton)
-            else:
-                hist = tuple(states[n - j]
-                             for j in range(1, min(scheme.k, n) + 1))
-                ctx = LmmStepContext(history=hist, n=n, dt=dt, scheme=scheme)
-                states[n] = solve_lmm_step(model, ctx, opts, newton)
+        with np.errstate(all="ignore"):
+            for n in range(1, nsteps + 1):
+                if rk:
+                    stages[n - 1] = step(n, hist[0], states[n - 1])
+                    states[n] = states[n - 1] + dt * sum(
+                        bi * wi for bi, wi in zip(scheme.b, stages[n - 1]))
+                else:
+                    states[n] = step(n, LmmStepContext(hist, n, dt, scheme),
+                                     states[n - 1])
+                if not np.isfinite(states[n]).all():
+                    raise StepSolveError(f"state is not finite (dt = {dt})")
+                hist = (lift(states[n]), *hist)[:1 if rk else scheme.k]
     except StepSolveError as err:
-        if err.time_index is None:
-            err.time_index = n
+        err.time_index = n
         raise
+    return states, stages
+
+
+def integrate(model: Model, scheme, dt: float, T: float,
+              opts: SolverOptions = SolverOptions()) -> Trajectory:
+    """Integrate the model from t=0 to t=T; scheme is an LmmScheme or a
+    ButcherTableau.  Runge-Kutta runs record their stage values."""
+    newton = NewtonMatrix()
+
+    def step(n, ctx, prev):
+        if isinstance(scheme, LmmScheme):
+            return solve_lmm_step(model, ctx, opts, newton)
+        return solve_rk_step(model, ctx, scheme, dt, opts, (n - 1) * dt,
+                             newton)[0]
+
+    states, stages = march(scheme, dt, T, model.initial_state, step)
     return Trajectory(dt=dt, states=states, kind="full", stages=stages)
 
 

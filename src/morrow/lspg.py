@@ -23,11 +23,10 @@ from . import fom
 from .schemes import ButcherTableau, LmmScheme, classify
 
 
-class GaussNewtonError(RuntimeError):
-    def __init__(self, msg, smallest_singular_value=None, time_index=None):
+class GaussNewtonError(fom.StepSolveError):
+    def __init__(self, msg, smallest_singular_value=None):
         super().__init__(msg)
         self.smallest_singular_value = smallest_singular_value
-        self.time_index = time_index
 
 
 class WeightingOperator:
@@ -135,13 +134,16 @@ def _gauss_newton(residual, jacobian, y0, W, opts, callback=None):
             callback(r)
 
         q, rr = np.linalg.qr(jw)
+        qtr = q.T @ rw
+        if not (np.isfinite(rr).all() and np.isfinite(qtr).all()):
+            raise GaussNewtonError("Gauss-Newton system is not finite")
         diag = np.abs(np.diag(rr))
         if diag.min() <= 1e-13 * max(diag.max(), 1.0):
             smin = float(np.linalg.svd(jw, compute_uv=False)[-1])
             raise GaussNewtonError(
                 f"rank-deficient Gauss-Newton system (sigma_min = {smin:.3e})",
                 smallest_singular_value=smin)
-        step = -solve_triangular(rr, q.T @ rw)
+        step = -solve_triangular(rr, qtr)
 
         # Armijo condition on the squared objective
         slope = float(grad @ step)
@@ -257,75 +259,47 @@ def solve_lspg_rk_coupled(model, sub, W, base_full, t_base, tableau, dt, opts,
     return z.reshape(s, p), report
 
 
-def _lspg_rk_step(model, sub, W, tableau, coupled, dt, base_full, t_base,
-                  opts, callback, newton):
-    """The reduced stage values of one Runge-Kutta step from the lifted
-    state base_full (all stages at once when coupled), and the Gauss-Newton
-    reports of its solves."""
-    if coupled:
-        coords, report = solve_lspg_rk_coupled(
-            model, sub, W, base_full, t_base, tableau, dt, opts, callback)
-        return coords, [report]
-    phi = sub.basis
-    warm = phi.T @ model.velocity(base_full, t_base)
-    coords, full, reports = [], [], []
-    for _ in range(tableau.s):
-        ctx = fom.rk_stage_context(base_full, t_base, tableau, dt, full)
-        yi, report = solve_lspg_rk_stage(model, sub, W, ctx, opts, warm,
-                                         callback=callback, newton=newton)
-        coords.append(yi)
-        full.append(phi @ yi)
-        reports.append(report)
-    return coords, reports
-
-
 def integrate_lspg(model, sub, W, scheme, dt, T,
                    opts: SolverOptions = SolverOptions(), callback=None):
-    """LSPG trajectory in generalized coordinates; returns
-    (Trajectory(kind='lspg'), per-step GaussNewtonReport list).  Runge-Kutta
-    runs record the reduced stage values in the trajectory's stages.  A
-    failed Gauss-Newton solve names its step in time_index.
-
-    callback, if given, receives the full-space residual vector at every
-    Gauss-Newton iterate, each stage block of it for a fully implicit
-    tableau (used for residual-snapshot collection).
-    """
-    if not isinstance(scheme, (ButcherTableau, LmmScheme)):
-        raise TypeError(f"unsupported scheme type {type(scheme)!r}")
-    nsteps = fom._num_steps(dt, T)
-    rk = isinstance(scheme, ButcherTableau)
-    coupled = rk and classify(scheme) == "fully_implicit"
-    yhats = [np.zeros(sub.p)]
-    lifted = [reconstruct(sub, yhats[0])]
-    stages = np.empty((nsteps, scheme.s, sub.p)) if rk else None
+    """LSPG trajectory in generalized coordinates, marched by ``fom.march``:
+    (Trajectory(kind='lspg'), per-step GaussNewtonReport list), with the
+    reduced stage values of a Runge-Kutta run in its stages.  callback, if
+    given, receives the full-space residual vector at every Gauss-Newton
+    iterate, each stage block of it for a fully implicit tableau (used for
+    residual-snapshot collection)."""
+    coupled = isinstance(scheme, ButcherTableau) \
+        and classify(scheme) == "fully_implicit"
+    phi = sub.basis
     reports = []
     newton = fom.NewtonMatrix()
-    try:
-        for n in range(1, nsteps + 1):
-            if rk:
-                coords, step_reports = _lspg_rk_step(
-                    model, sub, W, scheme, coupled, dt, lifted[-1],
-                    (n - 1) * dt, opts, callback, newton)
-                stages[n - 1] = coords
-                yhat = yhats[-1] + dt * sum(
-                    bi * yi for bi, yi in zip(scheme.b, coords))
-            else:
-                hist = tuple(lifted[n - j]
-                             for j in range(1, min(scheme.k, n) + 1))
-                ctx = fom.LmmStepContext(history=hist, n=n, dt=dt,
-                                         scheme=scheme)
-                yhat, report = solve_lspg_step_lmm(
-                    model, sub, W, ctx, opts, yhat_warm=yhats[-1],
-                    callback=callback, newton=newton)
-                step_reports = [report]
-            yhats.append(yhat)
-            lifted.append(reconstruct(sub, yhat))
-            reports += step_reports
-    except GaussNewtonError as err:
-        err.time_index = n
-        raise
-    traj = Trajectory(dt=dt, states=yhats, kind="lspg", stages=stages)
-    return traj, reports
+
+    def step(n, ctx, prev):
+        t_base = (n - 1) * dt
+        if isinstance(scheme, LmmScheme):
+            yhat, report = solve_lspg_step_lmm(model, sub, W, ctx, opts, prev,
+                                               callback, newton)
+            reports.append(report)
+            return yhat
+        if coupled:
+            coords, report = solve_lspg_rk_coupled(
+                model, sub, W, ctx, t_base, scheme, dt, opts, callback)
+            reports.append(report)
+            return coords
+        warm = phi.T @ model.velocity(ctx, t_base)
+        coords, full = [], []
+        for _ in range(scheme.s):
+            stage = fom.rk_stage_context(ctx, t_base, scheme, dt, full)
+            yi, report = solve_lspg_rk_stage(model, sub, W, stage, opts, warm,
+                                             callback, newton)
+            coords.append(yi)
+            full.append(phi @ yi)
+            reports.append(report)
+        return coords
+
+    states, stages = fom.march(scheme, dt, T, np.zeros(sub.p), step,
+                               lambda y: reconstruct(sub, y))
+    return Trajectory(dt=dt, states=states, kind="lspg", stages=stages), \
+        reports
 
 
 def write_gn_diagnostics_csv(reports, path):

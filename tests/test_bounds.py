@@ -630,6 +630,21 @@ def test_rk_bounds_need_stage_records():
             "galerkin", m, sub, sd, kappa)
 
 
+@pytest.mark.parametrize("scheme", [make_lmm("bdf2"), make_butcher("sdirk2")],
+                         ids=lambda sch: sch.name)
+def test_lspg_bounds_need_the_weighting(scheme):
+    m, kappa, opts = small_linear_setup()
+    sub = random_subspace(8, 3, seed=12, reference=m.initial_state)
+    dt = 0.02 / kappa
+    traj, _ = lspg.integrate_lspg(m, sub, lspg.scaled_identity(8), scheme, dt,
+                                  2 * dt, opts)
+    with pytest.raises(ValueError, match="weighting operator"):
+        if isinstance(scheme, ButcherTableau):
+            bounds.rk_aposteriori_bound(traj, "lspg", scheme, kappa, m, sub)
+        else:
+            bounds.local_aposteriori_lmm(traj, "lspg", m, sub, scheme, kappa)
+
+
 # -------------------------------------------------- auxiliary increments
 
 def test_auxiliary_full_basis_zero_mu():

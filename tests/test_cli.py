@@ -615,6 +615,8 @@ def test_run_chains_every_stage_and_writes_one_cell_format(tmp_path):
     ("rom", BASE + "\n[rom]\nkind = lspg\n"
      "weighting = collocation:no-such-dir/rows.txt\n", [],
      "no-such-dir/rows.txt"),
+    ("pod", BASE, ["--nu", "0.5"],
+     "--nu needs --snapshots; a config sets [pod] nu"),
 ], ids=["gnat-explicit-rom", "gnat-explicit-sweep", "unknown-scheme",
         "no-model", "no-dt", "sweep-no-grid", "spectral-short-run",
         "dt-zero", "n-not-integer", "n-too-small", "viscosity-not-number",
@@ -624,7 +626,8 @@ def test_run_chains_every_stage_and_writes_one_cell_format(tmp_path):
         "kappa-not-number", "seed-not-integer", "probe-out-of-range-rom",
         "probe-out-of-range-sweep", "dt-flag-entry-not-number",
         "dt-flag-entry-zero", "dt-grid-entry-not-number", "T-zero-rom",
-        "T-below-one-step", "T-negative", "collocation-file-missing"])
+        "T-below-one-step", "T-negative", "collocation-file-missing",
+        "nu-without-snapshots"])
 def test_config_errors_name_their_cause(tmp_path, capsys, sub, body, extra,
                                         names):
     assert cli.main([sub, "--config", write_config(tmp_path, body),
@@ -767,22 +770,29 @@ kind = lspg
 """
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+# a RuntimeWarning is an error here: a diverging run reports its cause on
+# one stderr line and prints nothing else
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("sub", ["fom", "pod", "rom", "bounds", "spectral"])
 def test_diverging_fom_is_a_numerical_failure(tmp_path, capsys, sub):
     model = benchmodels.burgers1d(benchmodels.BenchmarkSpec(
         name="burgers", n=64, viscosity=0.05))
-    x = fom.integrate(model, make_lmm("forward_euler"), 0.008, 0.4).states
-    step = int(np.argmin(np.isfinite(x).all(axis=1)))
-    assert step > 0
+    # forward Euler by hand, to the first state that is not finite
+    x = model.initial_state
+    with np.errstate(all="ignore"):
+        for step in range(1, 51):
+            x = x + 0.008 * model.velocity(x, (step - 1) * 0.008)
+            if not np.isfinite(x).all():
+                break
+    assert not np.isfinite(x).all()
     assert cli.main([sub, "--config", write_config(tmp_path, DIVERGING),
                      "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
-    assert f"numerical failure at step {step}: full-order state" in err \
+    assert f"numerical failure at step {step}: state" in err \
         and "not finite" in err and err.count("\n") == 1, err
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_sweep_point_with_a_diverging_fom_is_unstable(tmp_path, capsys):
     cfg = write_config(tmp_path, DIVERGING.replace("T = 0.4", "T = 0.44"))
     out = tmp_path / "out"
@@ -795,6 +805,52 @@ def test_sweep_point_with_a_diverging_fom_is_unstable(tmp_path, capsys):
     assert cli.main(["sweep", "--config", cfg, "--out", str(tmp_path / "r"),
                      "--dt", "0.004,0.00275"]) == 2
     assert "not finite" in capsys.readouterr().err
+
+
+# periodic Burgers past forward Euler's limit, on the basis of the leading
+# POD modes: the FOM stays bounded, the Galerkin ROM overflows and LSPG
+# grows by over 1e100 but stays finite
+DIVERGING_ROM = """\
+[model]
+name = burgers
+n = 64
+viscosity = 0.003
+bc = periodic
+initial = sine
+
+[time]
+scheme = forward_euler
+dt = 0.01
+T = 2.0
+
+[pod]
+nu = 0.9
+
+[rom]
+kind = {kind}
+"""
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_diverging_galerkin_rom_is_a_numerical_failure(tmp_path, capsys):
+    cfg = write_config(tmp_path, DIVERGING_ROM.format(kind="galerkin"))
+    assert cli.main(["rom", "--config", cfg, "--out", str(tmp_path / "o")]) \
+        == 2
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure at step 113: state is not "
+                          "finite") and err.count("\n") == 1, err
+
+
+def test_growth_unstable_sweep_point_has_no_error(tmp_path):
+    # the LSPG ROM stays finite, so only the growth test flags it: its row
+    # is that of a failed solve
+    cfg = write_config(tmp_path, DIVERGING_ROM.format(kind="lspg"))
+    out = tmp_path / "out"
+    assert cli.main(["sweep", "--config", cfg, "--out", str(out),
+                     "--dt", "0.01,0.005"]) == 0
+    sweep = analysis.read_sweep_csv(out / "sweep_notime.csv")
+    assert list(sweep.stable) == [0, 0]
+    assert np.isnan(sweep.error).all() and np.isnan(sweep.bound).all()
 
 
 BURGERS_BOUNDS = BASE.replace("advection_diffusion", "burgers") \

@@ -5,13 +5,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from morrow import fom
+from morrow import fom, galerkin, lspg
 from morrow.core import JacobianKey, Model, SolverOptions, Trajectory
 from morrow.schemes import make_butcher, make_lmm
 
 from conftest import (NEWTON_CASES, calls_at_base, counting, linear_model,
                       logging_velocity, newton_case, newton_case_states,
-                      refilled_cubic, singular_sparse_model)
+                      random_subspace, refilled_cubic, singular_sparse_model)
 
 
 def scalar_decay(lam=-2.0):
@@ -140,6 +140,26 @@ def test_singular_sparse_newton_matrix_is_a_step_failure():
     with pytest.raises(fom.StepSolveError, match="singular") as err:
         fom.integrate(model, make_lmm("backward_euler"), 2.0, 4.0)
     assert err.value.time_index == 1
+
+
+@pytest.mark.parametrize("integrator", ["fom", "galerkin", "lspg"])
+def test_state_that_is_not_finite_names_its_step(integrator):
+    # the velocity is NaN from t = 0.27 on: rk4's last stage of step 3
+    # (t = 0.3) is the first to read it, and no explicit stage solves
+    # anything that could fail first
+    m = Model(dim=4, velocity=lambda x, t: -x if t < 0.27 else
+              np.full(4, np.nan), jacobian=lambda x, t: -np.eye(4),
+              initial_state=np.ones(4))
+    sub = random_subspace(4, 2, reference=m.initial_state)
+    rk4 = make_butcher("rk4")
+    run = {"fom": lambda: fom.integrate(m, rk4, 0.1, 1.0),
+           "galerkin": lambda: galerkin.integrate_galerkin(m, sub, rk4, 0.1,
+                                                           1.0),
+           "lspg": lambda: lspg.integrate_lspg(
+               m, sub, lspg.scaled_identity(4), rk4, 0.1, 1.0)}[integrator]
+    with pytest.raises(fom.StepSolveError) as err:
+        run()
+    assert err.value.time_index == 3
 
 
 def test_num_steps_rejects_non_integer_ratio():

@@ -163,6 +163,8 @@ def test_gauss_newton_failure_names_its_step(scheme):
         lspg.integrate_lspg(m, sub, lspg.collocation(32, [3]), scheme, 1e-3,
                             3e-3)
     assert err.value.time_index == 1
+    # a step Gauss-Newton cannot solve is a step that could not be solved
+    assert isinstance(err.value, fom.StepSolveError)
 
 
 def test_gn_diagnostics_csv_schema(tmp_path, tight_opts):
