@@ -163,7 +163,7 @@ def gradient_flow_spd(spec: BenchmarkSpec) -> Model:
     rng = np.random.default_rng(spec.seed)
     q, r = np.linalg.qr(rng.standard_normal((n, n)))
     q = q * np.sign(np.diag(r))  # fix QR sign convention
-    a = q @ np.diag(lam) @ q.T
+    a = (q * lam) @ q.T  # Q diag(lam) as a column scaling
     neg_a = -0.5 * (a + a.T)  # built once: both callbacks return -A
     neg_a.setflags(write=False)  # a constant Jacobian, keyed by identity
     x_init = rng.standard_normal(n)

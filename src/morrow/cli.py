@@ -19,7 +19,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields, replace
 from functools import cached_property, partial
 
@@ -123,6 +122,8 @@ class _Run:
         if not 0 <= self.seed < 2**64:
             raise ConfigError(f"{'--seed' if flag else '[output] seed'} = "
                               f"{self.seed} must lie in [0, 2**64)")
+        if args.parallel < 1:
+            raise ConfigError(f"--parallel = {args.parallel} must be positive")
         self.out = args.out or cp.get("output", "dir", fallback="out")
         os.makedirs(self.out, exist_ok=True)
         self.artifacts = {}
@@ -396,12 +397,18 @@ def cmd_rom(run):
         traj.states[:, probe])
 
 
-def _sweep_point(run, index, dt, ref, kappa):
-    """The configured ROM at one grid dt on the basis of the full-order run
-    at that dt, as the row (dt, error, walltime_s, bound, stable) of a
-    SweepResult, with no error or bound when unstable; the bound (when
-    kappa is not None) is the one `morrow bounds` reports at that dt."""
+def _sweep_point(run, dts, kappa, index):
+    """The configured ROM at grid point index on the basis of the full-order
+    run at its dt, as (row, probe, artifacts, memo): the SweepResult row
+    (dt, walltime_s, bound, stable) without its error, where the bound is
+    `morrow bounds`'s (or NaN); the lifted probe series (None if unstable);
+    and the artifact hashes and _foms and _pods entries the point filled,
+    taken out of run for the caller to merge, as a forked worker's are."""
+    dt = dts[index]
+    before = {name: set(getattr(run, name))
+              for name in ("artifacts", "_foms", "_pods")}
     t0 = time.perf_counter()
+    bval, probe = np.nan, None
     try:
         sub = run.pod_at(dt).basis
         W = _weighting(run, sub, dt, artifact=f"samples_{index}.txt")
@@ -409,23 +416,36 @@ def _sweep_point(run, index, dt, ref, kappa):
         lifted = sub.reference + traj.states @ sub.basis.T
         wall = time.perf_counter() - t0
         if not _is_unstable(lifted):
-            err = analysis.trajectory_error(
-                traj.times, lifted[:, run.probe], ref.times,
-                ref.states[:, run.probe])
-            bval = np.nan
             if kappa is not None:
                 try:
                     bval = _bound_report(traj, run.model, sub, run.scheme,
                                          kappa, W).global_bound
                 except bounds.BoundHypothesisError:
                     pass  # dt outside the theorem's cap: no bound
-            return dt, err, wall, bval, True
+            probe = lifted[:, run.probe].copy()  # frees lifted
     except StepSolveError:
         pass
-    return dt, np.nan, time.perf_counter() - t0, np.nan, False
+    if probe is None:
+        wall = time.perf_counter() - t0
+    artifacts, *memo = ({key: getattr(run, name).pop(key)
+                         for key in set(getattr(run, name)) - keys}
+                        for name, keys in before.items())
+    return (dt, wall, bval, probe is not None), probe, artifacts, memo
+
+
+def _start_sweep_worker(point):
+    """Keeps a forked sweep worker's point function, bound to its run."""
+    global _worker_point
+    _worker_point = point
+
+
+def _worker_sweep_point(index):
+    return _worker_point(index)
 
 
 def cmd_sweep(run):
+    import multiprocessing  # here, so that only a sweep pays for loading it
+    from concurrent.futures import ProcessPoolExecutor
     flag = getattr(run.args, "dt", None)  # `run` has no --dt or --rom
     grid = flag or _section(run.cp, "time").get("dt_grid")
     if grid is None:
@@ -438,17 +458,33 @@ def cmd_sweep(run):
     for d in dts:
         run.steps(d)
     run.kind, run.probe  # a bad kind or probe fails before any solve
-
-    # the reference (the full-order run at the finest dt) fills its memo
-    # entry before the pool starts, and the monotone grid's dts are
-    # distinct, so no two threads fill one entry; the model's callbacks are
-    # pure, so the threads share it
-    ref = run.fom_at(min(dts))
     kappa = run.kappa if run.cp.has_section("bounds") else None
-    with ThreadPoolExecutor(max_workers=max(1, run.args.parallel)) as pool:
-        rows = list(pool.map(
-            lambda i: _sweep_point(run, i, dts[i], ref, kappa),
-            range(len(dts))))
+
+    # the longest point first.  Forked workers inherit the run and its model,
+    # whose callbacks cannot be pickled: only indices and results cross
+    order = sorted(range(len(dts)), key=dts.__getitem__)
+    point = partial(_sweep_point, run, dts, kappa)
+    workers = min(run.args.parallel, len(dts))
+    if workers > 1 and "fork" in multiprocessing.get_all_start_methods():
+        with ProcessPoolExecutor(
+                workers, mp_context=multiprocessing.get_context("fork"),
+                initializer=_start_sweep_worker, initargs=(point,)) as pool:
+            results = list(pool.map(_worker_sweep_point, order))
+    else:
+        results = list(map(point, order))
+    for _, _, _, (foms, pods) in results:
+        run._foms.update(foms)
+        run._pods.update(pods)
+    # not in the memo only when the finest point's full-order run failed:
+    # this integrates it again and raises before any point's file is recorded
+    ref = run.fom_at(min(dts))
+    rows = [None] * len(dts)
+    for index, (row, probe, artifacts, _) in zip(order, results):
+        run.artifacts.update(artifacts)
+        err = np.nan if probe is None else analysis.trajectory_error(
+            row[0] * np.arange(len(probe)), probe, ref.times,
+            ref.states[:, run.probe])
+        rows[index] = row[0], err, *row[1:]
     sweep = analysis.SweepResult(*(np.array(col) for col in zip(*rows)))
     analysis.write_sweep_csv(sweep, run.path("sweep.csv"))
     # timing-free companion so reruns can be compared byte for byte

@@ -122,6 +122,10 @@ def _gauss_newton(residual, jacobian, y0, W, opts, callback=None):
                 smallest_singular_value=smin)
         grad = 2.0 * jw.T @ rw
         gnorm = float(np.linalg.norm(grad))
+        if not (np.isfinite(obj) and np.isfinite(gnorm)):
+            # an infinite first gradient would set gtol = inf and accept y0
+            raise GaussNewtonError(
+                "Gauss-Newton objective or gradient is not finite")
         if gtol is None:
             gtol = max(opts.newton_abs_tol, opts.newton_rel_tol * gnorm)
         if gnorm <= gtol:

@@ -1,3 +1,4 @@
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -149,6 +150,28 @@ def counting(monkeypatch, owner, attr):
 
     monkeypatch.setattr(owner, attr, counted)
     return calls
+
+
+def counting_to_file(monkeypatch, owner, attr, path, line=lambda *args: ""):
+    """Replace owner.attr by a wrapper that appends line(*args) to the file
+    at path on each call, so that calls made in forked worker processes,
+    which an in-memory log cannot see, count too; returns a function that
+    reads the logged lines."""
+    original = getattr(owner, attr)
+
+    def counted(*args, **kwargs):
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(line(*args) + "\n")
+        return original(*args, **kwargs)
+
+    def lines():
+        if not os.path.exists(path):
+            return []
+        with open(path, encoding="utf-8") as fh:
+            return fh.read().splitlines()
+
+    monkeypatch.setattr(owner, attr, counted)
+    return lines
 
 
 def logging_velocity(model):

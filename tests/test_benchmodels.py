@@ -89,6 +89,25 @@ def test_gradient_flow_matrix_spd():
     assert np.allclose(np.sort(w), (0.5, 1.0, 2.0, 4.0), atol=1e-10)
 
 
+# the spectra of the gradflow_rk_sweep benchmark (its 32 recorded CLI seeds)
+# and of `morrow verify --model gradient_flow`
+@pytest.mark.parametrize("spectrum, seeds", [
+    (np.geomspace(0.1, 50.0, 512), range(32)),
+    (np.linspace(0.5, 4.0, 12), [0])], ids=["sweep-benchmark", "verify"])
+def test_gradient_flow_matrix_is_bitwise_the_diagonal_product(spectrum,
+                                                             seeds):
+    lam = np.asarray(spectrum, float)
+    for seed in seeds:
+        m = bm.gradient_flow_spd(bm.BenchmarkSpec(
+            name="gradient_flow", spectrum=tuple(lam), seed=seed))
+        q, r = np.linalg.qr(np.random.default_rng(seed).standard_normal(
+            (lam.size, lam.size)))
+        q = q * np.sign(np.diag(r))
+        a = q @ np.diag(lam) @ q.T
+        assert np.array_equal(m.jacobian(m.initial_state, 0.0),
+                              -0.5 * (a + a.T)), seed
+
+
 def test_gradient_flow_energy_decreases(tight_opts):
     m = bm.gradient_flow_spd(
         bm.BenchmarkSpec(name="g", spectrum=tuple(np.linspace(1, 5, 6))))

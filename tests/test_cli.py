@@ -1,7 +1,8 @@
+import concurrent.futures
 import json
+import multiprocessing
 import os
 import re
-import sys
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from morrow import analysis, benchmodels, bounds, cli, fom, hyperreduction, \
 from morrow.core import reconstruct, write_csv
 from morrow.schemes import make_lmm
 
-from conftest import counting, singular_sparse_model
+from conftest import counting, counting_to_file, singular_sparse_model
 
 
 BASE = """\
@@ -236,10 +237,11 @@ def test_singular_sparse_newton_matrix_is_a_numerical_failure(
     # a sweep point at that dt is unstable, with no error or bound
     run = cli._Run(cli._build_parser().parse_args(
         ["sweep", "--config", cfg, "--out", str(tmp_path / "sweep")]))
-    dt, error, _, bound, stable = cli._sweep_point(run, 0, 2.0,
-                                                   run.fom_at(0.4), None)
+    (dt, _, bound, stable), probe, _, _ = cli._sweep_point(run, [2.0], None,
+                                                           0)
     assert (dt, stable) == (2.0, False)
-    assert np.isnan(error) and np.isnan(bound)
+    # no probe series to measure an error on
+    assert probe is None and np.isnan(bound)
 
 
 @pytest.mark.parametrize("model", ["gradient_flow", "burgers",
@@ -679,30 +681,41 @@ SIX_STAGES_SAMPLED = BASE.replace("backward_euler", "bdf2").replace(
 @pytest.mark.parametrize("kind", ["galerkin", "lspg", "gnat"])
 @pytest.mark.parametrize("dt", ["0.004", "0.002"], ids=["in-grid", "off-grid"])
 def test_run_solves_each_dt_once(tmp_path, monkeypatch, kind, dt):
-    foms = counting(monkeypatch, fom, "integrate")
-    svds = counting(monkeypatch, pod, "compute_pod")
-    roms = counting(monkeypatch, cli, "_integrate_rom")
-    trainings = counting(monkeypatch, hyperreduction,
-                         "collect_residual_snapshots")
-    kappas = counting(monkeypatch, bounds, "estimate_lipschitz")
     body = SIX_STAGES_SAMPLED.format(kind=kind).replace(
         "dt = 0.004", f"dt = {dt}")
-    out = tmp_path / "out"
-    assert cli.main(["run", "--config", write_config(tmp_path, body),
-                     "--out", str(out), "--seed", "7"]) == 0
+    cfg = write_config(tmp_path, body)
     grid = [0.004, 0.008, 0.016]
     dts = sorted({0.002, *grid}) if dt == "0.002" else grid
-    # Galerkin ROMs integrate their reduced model through fom.integrate
-    assert sorted(a[2] for a in foms if a[0].dim == 24) == dts
-    assert len(roms) == 1 + len(grid)
-    assert len(trainings) == (1 + len(grid) if kind == "gnat" else 0)
-    # GNAT's residual bases are PODs too
-    assert len(svds) == len(dts) + len(trainings)
-    assert len(kappas) == 1
-    # the FOM the stages record is the one at [time] dt
-    traj = fom.read_trajectory_csv(out / "fom_trajectory.csv")
-    assert len(traj.states) == round(0.064 / float(dt)) + 1
-    assert traj.times[1] == float(dt)
+    # in-process and in forked sweep workers: the calls are logged to files
+    for parallel in ("1", "2"):
+        log = tmp_path / f"calls-{parallel}"
+        log.mkdir()
+        with monkeypatch.context() as mp:
+            foms = counting_to_file(mp, fom, "integrate", log / "fom",
+                                    lambda model, scheme, dt, *rest:
+                                    f"{model.dim} {dt!r}")
+            svds = counting_to_file(mp, pod, "compute_pod", log / "pod")
+            roms = counting_to_file(mp, cli, "_integrate_rom", log / "rom")
+            trainings = counting_to_file(mp, hyperreduction,
+                                         "collect_residual_snapshots",
+                                         log / "training")
+            kappas = counting_to_file(mp, bounds, "estimate_lipschitz",
+                                      log / "kappa")
+            out = tmp_path / f"out-{parallel}"
+            assert cli.main(["run", "--config", cfg, "--out", str(out),
+                             "--seed", "7", "--parallel", parallel]) == 0
+        # Galerkin ROMs integrate their reduced model through fom.integrate
+        assert sorted(float(line.split()[1]) for line in foms()
+                      if line.split()[0] == "24") == dts
+        assert len(roms()) == 1 + len(grid)
+        assert len(trainings()) == (1 + len(grid) if kind == "gnat" else 0)
+        # GNAT's residual bases are PODs too
+        assert len(svds()) == len(dts) + len(trainings())
+        assert len(kappas()) == 1
+        # the FOM the stages record is the one at [time] dt
+        traj = fom.read_trajectory_csv(out / "fom_trajectory.csv")
+        assert len(traj.states) == round(0.064 / float(dt)) + 1
+        assert traj.times[1] == float(dt)
 
 
 @pytest.mark.parametrize("kind", ["galerkin", "lspg", "gnat"])
@@ -727,26 +740,100 @@ def test_run_records_what_standalone_stages_record(tmp_path, kind):
 
 
 def test_parallel_sweep_fills_each_memo_entry_once(tmp_path, monkeypatch):
-    # more threads than cores, switching often: a lost or doubled memo
-    # entry would show as a second FOM at one dt or a missing samples file
+    # more workers than cores: a lost or doubled memo entry would show as a
+    # second FOM at one dt or a missing samples file
     cfg = write_config(tmp_path, BASE.replace("T = 0.04", "T = 0.048")
                        + "\n[rom]\nkind = gnat\n")
     grid = "0.016,0.012,0.008,0.006,0.004,0.002"
     out1 = tmp_path / "serial"
     assert cli.main(["sweep", "--config", cfg, "--out", str(out1),
                      "--dt", grid]) == 0
-    foms = counting(monkeypatch, fom, "integrate")
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        out6 = tmp_path / "parallel"
-        assert cli.main(["sweep", "--config", cfg, "--out", str(out6),
-                         "--dt", grid, "--parallel", "6"]) == 0
-    finally:
-        sys.setswitchinterval(interval)
-    assert sorted(a[2] for a in foms) == sorted(map(float, grid.split(",")))
+    # the workers' calls are logged to a file
+    foms = counting_to_file(monkeypatch, fom, "integrate", tmp_path / "foms",
+                            lambda model, scheme, dt, *rest: repr(dt))
+    out6 = tmp_path / "parallel"
+    assert cli.main(["sweep", "--config", cfg, "--out", str(out6),
+                     "--dt", grid, "--parallel", "6"]) == 0
+    assert multiprocessing.active_children() == []
+    assert sorted(map(float, foms())) == sorted(map(float, grid.split(",")))
     assert (out6 / "manifest.json").read_bytes() \
         == (out1 / "manifest.json").read_bytes()
+
+
+def test_sweep_forks_no_more_workers_than_points(tmp_path, monkeypatch):
+    pools = []
+
+    class InProcess:
+        """Records max_workers and runs the points here: no process."""
+
+        def __init__(self, max_workers, initargs, **kwargs):
+            pools.append(max_workers)
+            self.point = initargs[0]
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, indices):
+            return map(self.point, indices)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcess)
+    cfg = write_config(tmp_path, BASE)
+    for parallel, grid in (("8", "0.008,0.004,0.002"), ("1", "0.008,0.004"),
+                           ("4", "0.004")):
+        assert cli.main(["sweep", "--config", cfg, "--dt", grid, "--out",
+                         str(tmp_path / parallel), "--parallel",
+                         parallel]) == 0
+    assert pools == [3]
+
+
+def test_config_error_in_a_sweep_worker_is_a_usage_error(tmp_path, capfd):
+    # [pod] nu is read by each point, in its worker
+    cfg = write_config(tmp_path, BASE.replace("nu = 0.9999", "nu = 2"))
+    assert cli.main(["sweep", "--config", cfg, "--out", str(tmp_path / "o"),
+                     "--dt", "0.008,0.004,0.002", "--parallel", "2"]) == 1
+    assert multiprocessing.active_children() == []
+    out, err = capfd.readouterr()
+    assert err == "[pod] nu = '2' must lie in [0.0, 1.0]\n" and out == ""
+
+
+# one config per model (Dirichlet and periodic Burgers, gradient flow,
+# advection-diffusion), multistep and Runge-Kutta schemes, with sampled or
+# configured kappa bounds
+SWEEP_GRID = {
+    "burgers-dirichlet-bdf2": BASE.replace("advection_diffusion", "burgers")
+    .replace("n = 24", "n = 48").replace("initial = gaussian\n", "")
+    .replace("backward_euler", "bdf2"),
+    "burgers-periodic-sdirk2": BASE.replace("advection_diffusion", "burgers")
+    .replace("n = 24", "n = 48").replace("initial = gaussian",
+                                         "bc = periodic\ninitial = sine")
+    .replace("backward_euler", "sdirk2"),
+    "gradflow-rk4": GRADFLOW_BE.format(kappa=4.0).replace(
+        "backward_euler", "rk4").replace("dt = 0.05\nT = 0.5",
+                                         "dt = 0.004\nT = 0.04"),
+    "advection-diffusion-be": BASE,
+}
+
+
+@pytest.mark.parametrize("kind", ["galerkin", "lspg", "gnat"])
+@pytest.mark.parametrize("case", sorted(SWEEP_GRID))
+def test_sweep_files_do_not_depend_on_the_worker_count(tmp_path, case, kind):
+    body = SWEEP_GRID[case]
+    if "[bounds]" not in body:
+        body += "\n[bounds]\n"
+    cfg = write_config(tmp_path, body)
+    files = set()
+    for parallel in ("1", "2", "3"):
+        out = tmp_path / parallel
+        assert cli.main(["sweep", "--config", cfg, "--out", str(out),
+                         "--rom", kind, "--dt", "0.008,0.004,0.002",
+                         "--parallel", parallel]) == 0
+        files.add(tuple((out / name).read_bytes()
+                        for name in ("sweep_notime.csv", "manifest.json")))
+    assert len(files) == 1
+    assert multiprocessing.active_children() == []
 
 
 # forward Euler past its stability limit dx^2 / (2 viscosity) = 2.37e-3:
@@ -793,7 +880,7 @@ def test_diverging_fom_is_a_numerical_failure(tmp_path, capsys, sub):
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_sweep_point_with_a_diverging_fom_is_unstable(tmp_path, capsys):
+def test_sweep_point_with_a_diverging_fom_is_unstable(tmp_path, capfd):
     cfg = write_config(tmp_path, DIVERGING.replace("T = 0.4", "T = 0.44"))
     out = tmp_path / "out"
     assert cli.main(["sweep", "--config", cfg, "--out", str(out),
@@ -801,10 +888,19 @@ def test_sweep_point_with_a_diverging_fom_is_unstable(tmp_path, capsys):
     sweep = analysis.read_sweep_csv(out / "sweep_notime.csv")
     assert list(sweep.stable) == [0, 1]
     assert np.isnan(sweep.error[0]) and np.isfinite(sweep.error[1])
-    # the reference (the finest dt) diverging fails the whole sweep
-    assert cli.main(["sweep", "--config", cfg, "--out", str(tmp_path / "r"),
-                     "--dt", "0.004,0.00275"]) == 2
-    assert "not finite" in capsys.readouterr().err
+    # the reference (the finest dt) diverging fails the whole sweep, in
+    # process and with forked workers alike
+    failures = []
+    for parallel in ("1", "2"):
+        out = tmp_path / f"r{parallel}"
+        code = cli.main(["sweep", "--config", cfg, "--out", str(out),
+                         "--dt", "0.004,0.00275", "--parallel", parallel])
+        failures.append((code, capfd.readouterr().err,
+                         (out / "manifest.json").read_bytes()))
+    assert failures[0][0] == 2 and "not finite" in failures[0][1] \
+        and failures[0][1].count("\n") == 1, failures[0][1]
+    assert failures[1] == failures[0]
+    assert json.loads(failures[0][2])["artifacts"] == {}
 
 
 # periodic Burgers past forward Euler's limit, on the basis of the leading
@@ -841,16 +937,34 @@ def test_diverging_galerkin_rom_is_a_numerical_failure(tmp_path, capsys):
                           "finite") and err.count("\n") == 1, err
 
 
+# advection-diffusion past forward Euler's stability limit at dt = 0.02
+# (stable at 0.01): the FOM and its LSPG ROM grow geometrically and stay
+# finite, and every Gauss-Newton solve succeeds, so only cli._is_unstable
+# flags the point.  The LSPG ROM passes 1e6 times its initial norm at step
+# 29 of 50.  (The LSPG twin of DIVERGING_ROM passes it at step 107 and meets
+# an infinite Gauss-Newton objective at step 112; a T that stops it in
+# between also changes its POD basis, and that ROM does not grow.)
+GROWING = BASE.replace("backward_euler", "forward_euler") \
+    .replace("T = 0.04", "T = 1.0") + "\n[rom]\nkind = lspg\n"
+
+
 def test_growth_unstable_sweep_point_has_no_error(tmp_path):
-    # the LSPG ROM stays finite, so only the growth test flags it: its row
-    # is that of a failed solve
-    cfg = write_config(tmp_path, DIVERGING_ROM.format(kind="lspg"))
+    # its row is that of a failed solve
+    cfg = write_config(tmp_path, GROWING)
     out = tmp_path / "out"
     assert cli.main(["sweep", "--config", cfg, "--out", str(out),
-                     "--dt", "0.01,0.005"]) == 0
+                     "--dt", "0.02,0.01"]) == 0
     sweep = analysis.read_sweep_csv(out / "sweep_notime.csv")
-    assert list(sweep.stable) == [0, 0]
-    assert np.isnan(sweep.error).all() and np.isnan(sweep.bound).all()
+    assert list(sweep.stable) == [0, 1]
+    assert np.isnan(sweep.error[0]) and np.isnan(sweep.bound[0])
+    assert np.isfinite(sweep.error[1])
+    # the same ROM run by `rom` solves every step
+    cfg = write_config(tmp_path, GROWING.replace("dt = 0.004", "dt = 0.02"),
+                       name="rom.ini")
+    assert cli.main(["rom", "--config", cfg, "--out", str(tmp_path / "r")]) \
+        == 0
+    notes = json.loads((tmp_path / "r" / "manifest.json").read_text())["notes"]
+    assert notes["rom_unstable"]
 
 
 BURGERS_BOUNDS = BASE.replace("advection_diffusion", "burgers") \
@@ -868,9 +982,12 @@ BURGERS_BOUNDS = BASE.replace("advection_diffusion", "burgers") \
                                                   "[output]\nseed = -1\n"
                                                   "[time]"), [],
      "[output] seed"),
+    ("sweep", BASE, ["--dt", "0.008,0.004", "--parallel", "0"], "--parallel"),
+    ("run", BASE, ["--parallel", "-3"], "--parallel"),
 ], ids=["snapshots-missing", "snapshots-ragged", "nu-above-1",
         "seed-negative-burgers-bounds", "seed-negative-gradflow",
-        "seed-too-large", "config-seed-negative"])
+        "seed-too-large", "config-seed-negative", "sweep-parallel-0",
+        "run-parallel-negative"])
 def test_flag_errors_name_their_flag(tmp_path, capsys, sub, body, flags,
                                      names):
     (tmp_path / "ragged.csv").write_text("s_0,s_1\n1.0,2.0\n3.0\n")

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from morrow import fom, galerkin, lspg
-from morrow.core import JacobianKey, Model, SolverOptions, Trajectory
+from morrow.core import (JacobianKey, Model, SolverOptions, Trajectory,
+                         TrialSubspace)
 from morrow.schemes import make_butcher, make_lmm
 
 from conftest import (NEWTON_CASES, calls_at_base, counting, linear_model,
@@ -151,6 +152,27 @@ def test_state_that_is_not_finite_names_its_step(integrator):
               np.full(4, np.nan), jacobian=lambda x, t: -np.eye(4),
               initial_state=np.ones(4))
     sub = random_subspace(4, 2, reference=m.initial_state)
+    rk4 = make_butcher("rk4")
+    run = {"fom": lambda: fom.integrate(m, rk4, 0.1, 1.0),
+           "galerkin": lambda: galerkin.integrate_galerkin(m, sub, rk4, 0.1,
+                                                           1.0),
+           "lspg": lambda: lspg.integrate_lspg(
+               m, sub, lspg.scaled_identity(4), rk4, 0.1, 1.0)}[integrator]
+    with pytest.raises(fom.StepSolveError) as err:
+        run()
+    assert err.value.time_index == 3
+
+
+@pytest.mark.parametrize("integrator", ["fom", "galerkin", "lspg"])
+def test_infinite_velocity_names_its_step(integrator):
+    # the velocity is +inf from t = 0.27 on, as above; on a positive
+    # one-column basis LSPG's stage residual and gradient are then -inf,
+    # which Gauss-Newton must reject rather than accept its warm start as
+    # converged (its tolerance max(abs_tol, rel_tol * inf) would be inf)
+    m = Model(dim=4, velocity=lambda x, t: -x if t < 0.27 else
+              np.full(4, np.inf), jacobian=lambda x, t: -np.eye(4),
+              initial_state=np.ones(4))
+    sub = TrialSubspace(basis=np.full((4, 1), 0.5), reference=np.ones(4))
     rk4 = make_butcher("rk4")
     run = {"fom": lambda: fom.integrate(m, rk4, 0.1, 1.0),
            "galerkin": lambda: galerkin.integrate_galerkin(m, sub, rk4, 0.1,
