@@ -122,19 +122,18 @@ def richardson_rate(errors, against_reference=True) -> RateEstimate:
 
 def compare_trajectories(a: Trajectory, b: Trajectory,
                          lift: TrialSubspace = None) -> float:
-    """Max over steps of ||x_a^n - x_b^n||_2; reduced states (dimension p
-    of the lift subspace) are reconstructed to full space first."""
+    """Max over steps of ||x_a^n - x_b^n||_2; the states of a ROM
+    trajectory (kind other than 'full') are lifted to full space first."""
     if abs(a.dt - b.dt) > 1e-14 * max(a.dt, b.dt) or \
             len(a.states) != len(b.states):
         raise ValueError("trajectories are on different grids")
 
-    def full(x):
-        if lift is not None and x.shape[1] == lift.p:
-            return lift.reference + x @ lift.basis.T
-        return x
+    def full(traj):
+        if lift is not None and traj.kind != "full":
+            return lift.reference + traj.states @ lift.basis.T
+        return traj.states
 
-    return float(np.max(np.linalg.norm(full(a.states) - full(b.states),
-                                       axis=1)))
+    return float(np.max(np.linalg.norm(full(a) - full(b), axis=1)))
 
 
 def galerkin_lspg_gap(model, sub: TrialSubspace, W, scheme, dt, T,

@@ -10,10 +10,10 @@ and h = |alpha_0| - |beta_0| kappa dt, where Proj is the orthogonal projector
 Phi Phi^T (Galerkin) or the oblique projector Phi (Psi^T Phi)^{-1} Psi^T
 (LSPG), which is kept factored so that no N x N matrix is formed.  A priori
 bounds evaluate f at FOM states and scale kappa by ||Proj||_2 in h and
-gamma2.  Global bounds, the backward-Euler form and the auxiliary
-increment bound all propagate local terms by forward recursion, which
-equals the path-sum over coefficient tuples (and the closed sums under
-backward Euler).  Runge-Kutta bounds read the stage values that the
+gamma2.  Global bounds and the auxiliary increment bound propagate local
+terms by forward recursion, which equals the path-sum over coefficient
+tuples (and the closed sums under backward Euler); the auxiliary step is
+solved by fom's Newton loop.  Runge-Kutta bounds read the stage values that the
 integrators record in ``Trajectory.stages``; they never re-solve a stage.
 The a posteriori and a priori Runge-Kutta bounds are one stage loop: f at
 the ROM's or the FOM's stage points, LSPG projectors from the ROM's stages.
@@ -29,7 +29,7 @@ from .core import (JacobianKey, Model, SolverOptions, TrialSubspace,
                    Trajectory, norm2, norm2_at_most, reconstruct,
                    write_csv)
 from . import fom, lspg as lspg_mod
-from .schemes import ButcherTableau, LmmScheme, classify, make_lmm
+from .schemes import ButcherTableau, LmmScheme, classify
 
 
 class BoundHypothesisError(ValueError):
@@ -359,22 +359,14 @@ def simplified_global_bounds(local_terms, scheme, kappa, dt, mode,
     return _report(local_terms, mode, kind, bounds)
 
 
-def backward_euler_aposteriori(traj, model, sub, kappa, W=None) -> BoundReport:
-    """Global bound under backward Euler, B^n = (B^{n-1} + dt term^n)/h
-    with h = 1 - kappa dt, i.e. the closed sum dt sum_j h^{-(j+1)}
-    term^{n-j}; requires dt < 1/kappa."""
-    kind = traj.kind if traj.kind in ("galerkin", "lspg") else "galerkin"
-    local_terms = local_aposteriori_lmm(traj, kind, model, sub,
-                                        make_lmm("backward_euler"), kappa, W)
-    return _propagate(local_terms, "backward_euler", kind)
-
-
 def auxiliary_increment_bound(model, lspg_traj, sub, dt, kappa,
                               opts: SolverOptions = SolverOptions()
                               ) -> AuxiliaryIncrementReport:
     """Single-step projection errors mu^j along the LSPG backward-Euler
     trajectory, via the full-space auxiliary step
-    xbar^j = dt f(x0 + xbar^j) + Phi y^{j-1}."""
+    xbar^j = dt f(x0 + xbar^j) + Phi y^{j-1}, solved by ``fom.newton_solve``
+    under opts; a step it cannot solve raises StepSolveError with
+    time_index j."""
     if kappa * dt >= 1.0:
         raise BoundHypothesisError("auxiliary bound needs dt < 1/kappa")
     phi = sub.basis
@@ -388,18 +380,16 @@ def auxiliary_increment_bound(model, lspg_traj, sub, dt, kappa,
     newton = fom.NewtonMatrix()
     for j in range(1, n + 1):
         anchor = phi @ lspg_traj.states[j - 1]
-        xbar = anchor.copy()  # warm start
         tj = j * dt
-        for _ in range(opts.max_iters):
-            g = xbar - dt * model.velocity(x0 + xbar, tj) - anchor
-            if np.linalg.norm(g) <= opts.newton_abs_tol:
-                break
-            xbar = xbar - newton.solve(
-                1.0, dt, model.jacobian(x0 + xbar, tj), g)
-        else:
-            if np.linalg.norm(g) > max(opts.newton_abs_tol, 1e-8):
-                raise fom.StepSolveError(
-                    f"auxiliary Newton failed at step {j}", time_index=j)
+        try:
+            # warm start at the anchor
+            xbar = fom.newton_solve(
+                lambda x: x - dt * model.velocity(x0 + x, tj) - anchor,
+                lambda x: (1.0, dt, model.jacobian(x0 + x, tj)),
+                anchor, opts, newton)
+        except fom.StepSolveError as err:
+            err.time_index = j
+            raise
         d_rom = phi @ (lspg_traj.states[j] - lspg_traj.states[j - 1])
         d_aux = xbar - anchor
         mu[j] = np.linalg.norm(d_rom - d_aux)

@@ -215,7 +215,9 @@ def _block(blocks):
 def lmm_residual(model: Model, ctx: LmmStepContext, w: np.ndarray) -> np.ndarray:
     alpha, beta = ctx.scheme.coeffs(ctx.n)
     tn = ctx.n * ctx.dt
-    r = alpha[0] * w - ctx.dt * beta[0] * model.velocity(w, tn)
+    r = alpha[0] * w
+    if beta[0] != 0.0:
+        r = r - ctx.dt * beta[0] * model.velocity(w, tn)
     for j in range(1, len(alpha)):
         xj = ctx.history[j - 1]
         r = r + alpha[j] * xj
@@ -231,10 +233,11 @@ def lmm_jacobian_terms(model: Model, ctx: LmmStepContext, w: np.ndarray):
     return alpha[0], ctx.dt * beta[0], model.jacobian(w, ctx.n * ctx.dt)
 
 
-def _newton(residual, jacobian_terms, w, opts, newton):
+def newton_solve(residual, jacobian_terms, w, opts, newton):
     """Newton from w on residual(w) = 0, whose Jacobian c0 I - c1 J is
-    given by jacobian_terms(w) = (c0, c1, J); converged once |r| <=
-    max(abs_tol, rel_tol |r(w)|)."""
+    given by jacobian_terms(w) = (c0, c1, J) and solved by newton, a
+    NewtonMatrix; converged once |r| <= max(abs_tol, rel_tol |r(w)|).
+    The one Newton loop of every full-space solve, the bounds' included."""
     r = residual(w)
     tol = max(opts.newton_abs_tol, opts.newton_rel_tol * np.linalg.norm(r))
     for _ in range(opts.max_iters):
@@ -256,20 +259,15 @@ def solve_lmm_step(model: Model, ctx: LmmStepContext,
     factor from earlier steps."""
     alpha, beta = ctx.scheme.coeffs(ctx.n)
     if beta[0] == 0.0:
-        # residual is affine in w: one direct update, no Newton
-        rhs = np.zeros(model.dim)
-        for j in range(1, len(alpha)):
-            xj = ctx.history[j - 1]
-            rhs -= alpha[j] * xj
-            if beta[j] != 0.0:
-                rhs += ctx.dt * beta[j] * model.velocity(
-                    xj, (ctx.n - j) * ctx.dt)
-        return rhs / alpha[0]
+        # r(w) = alpha_0 w + r(0): one direct update, no Newton; 0.0 - r
+        # keeps an exactly-zero component +0.0
+        return (0.0 - lmm_residual(model, ctx, np.zeros(model.dim))) \
+            / alpha[0]
     # warm start from the previous state
-    return _newton(lambda w: lmm_residual(model, ctx, w),
-                   lambda w: lmm_jacobian_terms(model, ctx, w),
-                   ctx.history[0].copy(), opts,
-                   NewtonMatrix() if newton is None else newton)
+    return newton_solve(lambda w: lmm_residual(model, ctx, w),
+                        lambda w: lmm_jacobian_terms(model, ctx, w),
+                        ctx.history[0].copy(), opts,
+                        NewtonMatrix() if newton is None else newton)
 
 
 def rk_residual(model: Model, ctx: RkStageContext, w: np.ndarray):
@@ -311,7 +309,7 @@ def _solve_rk_coupled(model, base_state, t_base, tableau, dt, opts, newton):
         return 1.0, 1.0, _block([[dt * a_ij * jf for a_ij in a_i]
                                  for a_i, jf in zip(tableau.a, jacs)])
 
-    w = _newton(lambda wvec: rk_coupled_residual(
+    w = newton_solve(lambda wvec: rk_coupled_residual(
         model, points(wvec), wvec.reshape(s, ndof)), jacobian_terms,
         np.tile(model.velocity(base_state, t_base), s), opts, newton)
     return list(w.reshape(s, ndof))
@@ -320,29 +318,25 @@ def _solve_rk_coupled(model, base_state, t_base, tableau, dt, opts, newton):
 def solve_rk_step(model: Model, base_state: np.ndarray,
                   tableau: ButcherTableau, dt: float, opts: SolverOptions,
                   t_base: float = 0.0, newton=None):
-    """Solve one RK step; returns (stage_values, next_state).  newton, a
-    NewtonMatrix, may carry a factor from earlier stages and steps."""
+    """The stage values of one RK step, a list; ``march`` forms the step's
+    update from them.  newton, a NewtonMatrix, may carry a factor from
+    earlier stages and steps."""
     newton = NewtonMatrix() if newton is None else newton
     kind = classify(tableau)
     if kind == "fully_implicit":
-        stage_values = _solve_rk_coupled(model, base_state, t_base, tableau,
-                                         dt, opts, newton)
-    else:
-        # the standard warm start of every implicit stage: f(x^{n-1})
-        warm = None if kind == "explicit" \
-            else model.velocity(base_state, t_base)
-        stage_values = []
-        for _ in range(tableau.s):
-            ctx = rk_stage_context(base_state, t_base, tableau, dt,
-                                   stage_values)
-            stage_values.append(
-                model.velocity(ctx.known, ctx.t) if ctx.c1 == 0.0
-                else _newton(lambda w: rk_residual(model, ctx, w),
-                             lambda w: rk_jacobian_terms(model, ctx, w),
-                             warm, opts, newton))
-    next_state = base_state + dt * sum(
-        bi * wi for bi, wi in zip(tableau.b, stage_values))
-    return stage_values, next_state
+        return _solve_rk_coupled(model, base_state, t_base, tableau, dt, opts,
+                                 newton)
+    # the standard warm start of every implicit stage: f(x^{n-1})
+    warm = None if kind == "explicit" else model.velocity(base_state, t_base)
+    stage_values = []
+    for _ in range(tableau.s):
+        ctx = rk_stage_context(base_state, t_base, tableau, dt, stage_values)
+        stage_values.append(
+            model.velocity(ctx.known, ctx.t) if ctx.c1 == 0.0
+            else newton_solve(lambda w: rk_residual(model, ctx, w),
+                              lambda w: rk_jacobian_terms(model, ctx, w),
+                              warm, opts, newton))
+    return stage_values
 
 
 def _num_steps(dt: float, T: float) -> int:
@@ -401,7 +395,7 @@ def integrate(model: Model, scheme, dt: float, T: float,
         if isinstance(scheme, LmmScheme):
             return solve_lmm_step(model, ctx, opts, newton)
         return solve_rk_step(model, ctx, scheme, dt, opts, (n - 1) * dt,
-                             newton)[0]
+                             newton)
 
     states, stages = march(scheme, dt, T, model.initial_state, step)
     return Trajectory(dt=dt, states=states, kind="full", stages=stages)

@@ -193,16 +193,20 @@ def solve_lspg_step_lmm(model, sub, W, ctx, opts, yhat_warm=None,
                         callback=None, newton=None):
     """One LSPG linear-multistep step; ctx carries the lifted (full-space)
     history.  newton, a fom.NewtonMatrix, may carry the residual Jacobian
-    times Phi from earlier steps.  Returns (yhat, GaussNewtonReport)."""
+    times Phi from earlier steps; an explicit step's (beta_0 = 0) is
+    alpha_0 Phi, with no model Jacobian.  Returns (yhat, GaussNewtonReport)."""
     if yhat_warm is None:
         yhat_warm = np.zeros(sub.p)
     phi = sub.basis
     newton = fom.NewtonMatrix() if newton is None else newton
+    alpha, beta = ctx.scheme.coeffs(ctx.n)
 
     def residual(y):
         return fom.lmm_residual(model, ctx, reconstruct(sub, y))
 
     def jacobian(y):
+        if beta[0] == 0.0:
+            return alpha[0] * phi
         return newton.times(*fom.lmm_jacobian_terms(
             model, ctx, reconstruct(sub, y)), phi)
 

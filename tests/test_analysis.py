@@ -188,13 +188,16 @@ def test_compare_identical():
 
 
 def test_compare_lifts_reduced_states():
-    sub = random_subspace(6, 2, seed=8)
-    coords = tuple(np.array([float(i), -float(i)]) for i in range(3))
-    red = Trajectory(dt=0.1, states=coords, kind="galerkin")
-    full = Trajectory(dt=0.1,
-                      states=tuple(sub.basis @ c for c in coords),
-                      kind="full")
-    assert analysis.compare_trajectories(red, full, lift=sub) < 1e-14
+    # by kind, not by dimension: with a full basis (p = N) too, only the
+    # reduced states are lifted
+    for p in (2, 6):
+        sub = random_subspace(6, p, seed=8)
+        coords = tuple(i * (-1.0) ** np.arange(p) for i in range(3))
+        red = Trajectory(dt=0.1, states=coords, kind="galerkin")
+        full = Trajectory(dt=0.1,
+                          states=tuple(sub.basis @ c for c in coords),
+                          kind="full")
+        assert analysis.compare_trajectories(red, full, lift=sub) < 1e-14
 
 
 def test_compare_grid_mismatch():

@@ -409,20 +409,6 @@ def test_dt_cap_validation():
 
 # ------------------------------------------------ backward Euler closed sum
 
-def test_backward_euler_matches_global_recursion():
-    m, kappa, opts = small_linear_setup()
-    sub = random_subspace(8, 3, seed=8, reference=m.initial_state)
-    dt = 0.1 / kappa
-    traj = galerkin.integrate_galerkin(m, sub, make_lmm("backward_euler"),
-                                       dt, 8 * dt, opts)
-    rep_be = bounds.backward_euler_aposteriori(traj, m, sub, kappa)
-    lt = bounds.local_aposteriori_lmm(traj, "galerkin", m, sub,
-                                      make_lmm("backward_euler"), kappa)
-    rep_rec = bounds.global_aposteriori_lmm(lt)
-    assert np.max(np.abs(rep_be.per_step_bound - rep_rec.per_step_bound)) \
-        < 1e-12
-
-
 def test_backward_euler_recursion_matches_closed_sum():
     m, kappa, opts = small_linear_setup()
     W = lspg.scaled_identity(8)
@@ -433,9 +419,9 @@ def test_backward_euler_recursion_matches_closed_sum():
     lsp, _ = lspg.integrate_lspg(m, sub, W, sch, dt, 12 * dt, opts)
     h = 1.0 - kappa * dt
     for kind, traj in (("galerkin", gal), ("lspg", lsp)):
-        rep = bounds.backward_euler_aposteriori(traj, m, sub, kappa, W)
-        terms = [lt.terms[0] for lt in bounds.local_aposteriori_lmm(
-            traj, kind, m, sub, sch, kappa, W)]
+        lt = bounds.local_aposteriori_lmm(traj, kind, m, sub, sch, kappa, W)
+        rep = bounds.global_aposteriori_lmm(lt, kind)
+        terms = [t.terms[0] for t in lt]
         for n in range(1, 13):
             # O(n^2) closed sum: B^n = dt sum_j h^{-(j+1)} term^{n-j}
             closed = dt * sum(terms[n - j - 1] / h ** (j + 1)
@@ -449,9 +435,9 @@ def test_backward_euler_single_step_form():
     dt = 0.1 / kappa
     traj = galerkin.integrate_galerkin(m, sub, make_lmm("backward_euler"),
                                        dt, dt, opts)
-    rep = bounds.backward_euler_aposteriori(traj, m, sub, kappa)
     lt = bounds.local_aposteriori_lmm(traj, "galerkin", m, sub,
                                       make_lmm("backward_euler"), kappa)
+    rep = bounds.global_aposteriori_lmm(lt)
     h = 1.0 - kappa * dt
     assert abs(rep.per_step_bound[1] - dt / h * lt[0].terms[0]) < 1e-14
 
@@ -462,8 +448,9 @@ def test_backward_euler_dt_cap():
     dt = 1.2 / kappa
     traj = galerkin.integrate_galerkin(m, sub, make_lmm("backward_euler"),
                                        dt, dt, opts)
-    with pytest.raises(BoundHypothesisError):
-        bounds.backward_euler_aposteriori(traj, m, sub, kappa)
+    with pytest.raises(BoundHypothesisError, match="time-step condition"):
+        bounds.local_aposteriori_lmm(traj, "galerkin", m, sub,
+                                     make_lmm("backward_euler"), kappa)
 
 
 # -------------------------------------------------------------- RK bounds
@@ -485,7 +472,8 @@ def test_rk_s1_reduces_to_lmm_backward_euler():
         assert np.linalg.norm(np.asarray(a) - np.asarray(b)) < 1e-10
     rep_rk = bounds.rk_aposteriori_bound(traj_rk, "galerkin", be_tableau(),
                                          kappa, m, sub)
-    rep_be = bounds.backward_euler_aposteriori(traj_lmm, m, sub, kappa)
+    rep_be = bounds.global_aposteriori_lmm(bounds.local_aposteriori_lmm(
+        traj_lmm, "galerkin", m, sub, make_lmm("backward_euler"), kappa))
     assert np.max(np.abs(rep_rk.per_step_bound - rep_be.per_step_bound)) \
         < 1e-8
 
@@ -549,14 +537,14 @@ def test_rk_bounds_read_stage_records_not_solvers(monkeypatch):
     gm = galerkin.make_galerkin_model(m, sub)
     for n in range(1, 5):
         t_base = (n - 1) * dt
-        stages, _ = fom.solve_rk_step(gm, g.states[n - 1], sd, dt, opts,
-                                      t_base=t_base)
+        stages = fom.solve_rk_step(gm, g.states[n - 1], sd, dt, opts,
+                                   t_base=t_base)
         assert np.array_equal(g.stages[n - 1], stages)
-        stages, _ = fom.solve_rk_step(gm, gg.states[n - 1], gauss, dt, opts,
-                                      t_base=t_base)
+        stages = fom.solve_rk_step(gm, gg.states[n - 1], gauss, dt, opts,
+                                   t_base=t_base)
         assert np.array_equal(gg.stages[n - 1], stages)
-        stages, _ = fom.solve_rk_step(m, ref.states[n - 1], sd, dt, opts,
-                                      t_base=t_base)
+        stages = fom.solve_rk_step(m, ref.states[n - 1], sd, dt, opts,
+                                   t_base=t_base)
         assert np.array_equal(ref.stages[n - 1], stages)
         stages, _ = lspg.solve_lspg_rk_coupled(
             m, sub, W, reconstruct(sub, lg.states[n - 1]), t_base, gauss, dt,
@@ -694,6 +682,24 @@ def test_auxiliary_mu_against_dense_newton_oracle():
                              - np.asarray(traj.states[j - 1]))
         mu_oracle = np.linalg.norm(d_rom - (x - anchor))
         assert abs(rep.mu[j] - mu_oracle) < 1e-9
+
+
+def test_auxiliary_step_newton_cannot_solve_names_its_step():
+    # f = -x before t = 0.25, then x^2 + 100: at dt = 0.1 the auxiliary
+    # residual x - dt f(x) is >= 7.5 in each component from step 3 on
+    def velocity(x, t):
+        return -x if t < 0.25 else x**2 + 100.0
+
+    def jacobian(x, t):
+        return -np.eye(2) if t < 0.25 else np.diag(2.0 * x)
+
+    m = Model(dim=2, velocity=velocity, jacobian=jacobian,
+              initial_state=np.zeros(2))
+    traj = Trajectory(dt=0.1, states=np.zeros((5, 1)), kind="lspg")
+    with pytest.raises(fom.StepSolveError, match="Newton failed") as err:
+        bounds.auxiliary_increment_bound(m, traj, random_subspace(2, 1),
+                                         0.1, 0.0)
+    assert err.value.time_index == 3
 
 
 def test_auxiliary_recursions_match_closed_sums():

@@ -1,6 +1,8 @@
 """Weighted discrete-residual minimization: solver behavior, stationarity,
 weighting-operator algebra, and the Galerkin equivalence corollaries."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -193,6 +195,28 @@ def test_explicit_lmm_matches_galerkin(tight_opts):
     l, _ = lspg.integrate_lspg(m, sub, W, sch, 1e-3, 1e-2, tight_opts)
     for yg, yl in zip(g.states, l.states):
         assert np.linalg.norm(np.asarray(yg) - np.asarray(yl)) < 1e-10
+
+
+def test_explicit_lmm_step_calls_no_model_jacobian():
+    # forward Euler: the residual is affine in y with Jacobian alpha_0 Phi,
+    # so one Gauss-Newton step evaluates f at x^{n-1} once per residual
+    # call (the start and the accepted step) and J never
+    m = benchmodels.burgers1d(benchmodels.BenchmarkSpec(
+        name="burgers", n=64, viscosity=0.05))
+    sch, dt, T = make_lmm("forward_euler"), 1e-3, 0.05
+    x = fom.integrate(m, sch, dt, T).states
+    u = np.linalg.svd((x[1:] - x[0]).T, full_matrices=False)[0]
+    sub = TrialSubspace(basis=u[:, :4], reference=x[0])
+    logged, velocities = logging_velocity(m)
+    jacobians = []
+
+    def jacobian(x, t):
+        jacobians.append(t)
+        return m.jacobian(x, t)
+
+    lspg.integrate_lspg(replace(logged, jacobian=jacobian), sub,
+                        lspg.scaled_identity(64), sch, dt, T)
+    assert len(velocities) == 100 and not jacobians
 
 
 def test_explicit_rk_matches_galerkin(tight_opts):
