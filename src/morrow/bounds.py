@@ -15,10 +15,10 @@ terms by forward recursion, which equals the path-sum over coefficient
 tuples (and the closed sums under backward Euler); the auxiliary step is
 solved by fom's Newton loop.  Runge-Kutta bounds read the stage values that the
 integrators record in ``Trajectory.stages``; they never re-solve a stage.
-The a posteriori and a priori Runge-Kutta bounds are one stage loop: f at
-the ROM's or the FOM's stage points, LSPG projectors from the ROM's stages.
-All kappa-dependent bounds are valid modulo under-estimation of the
-Lipschitz constant.
+Every bound evaluates f where its run did, at states and stage points that
+``core.reconstruct`` and ``fom.rk_stage_points`` form as the run did.  All
+kappa-dependent bounds are valid modulo under-estimation of the Lipschitz
+constant.
 """
 
 from dataclasses import dataclass
@@ -55,7 +55,6 @@ class LocalStepTerms:
 
 @dataclass
 class BoundReport:
-    mode: str
     kind: str
     per_step_local: np.ndarray   # local contribution c^n (index 0 unused)
     per_step_bound: np.ndarray   # global bound B^n, B^0 = 0
@@ -169,10 +168,13 @@ def _step_projector(kind, sub, psi):
     return _ObliqueProjector(sub, psi())
 
 
-def _check_kind(kind, W):
-    """A ROM kind the bounds know, and for LSPG the weighting it ran with."""
+def _check_kind(traj, kind, W):
+    """A ROM kind the bounds know, the one traj ran as, and for LSPG the
+    weighting it ran with."""
     if kind not in ("galerkin", "lspg"):
         raise ValueError(f"unknown ROM kind {kind!r}")
+    if traj.kind != kind:
+        raise ValueError(f"a {kind} bound of a run of kind {traj.kind!r}")
     if kind == "lspg" and W is None:
         raise ValueError("lspg bounds need the weighting operator")
 
@@ -184,9 +186,9 @@ def _lmm_local_terms(traj, kind, model, sub, scheme, kappa, W, f_states,
     priori.  f is evaluated once per state and each step's terms reuse it.
     When proj_in_h, kappa enters h and gamma2 scaled by ||Proj^n||_2 and no
     residual norm is taken (the a priori form)."""
-    _check_kind(kind, W)
+    _check_kind(traj, kind, W)
     dt = traj.dt
-    lifted = sub.reference + traj.states @ sub.basis.T
+    lifted = [reconstruct(sub, y) for y in traj.states]
     f_states = lifted if f_states is None else f_states
     fvals = [model.velocity(f_states[n], n * dt)
              for n in range(len(traj.states))]
@@ -233,20 +235,20 @@ def local_aposteriori_lmm(traj: Trajectory, kind: str, model: Model,
                             f_states=None, proj_in_h=False)
 
 
-def _report(local_terms, mode, kind, bound, local=None):
+def _report(local_terms, kind, bound, local=None):
     """BoundReport carrying each step's l = 0 term and gamma1_0."""
     term0 = np.zeros(len(bound))
     coeff0 = np.zeros(len(bound))
     for lt in local_terms:
         term0[lt.n] = lt.terms[0]
         coeff0[lt.n] = lt.gamma1[0]
-    return BoundReport(mode=mode, kind=kind,
+    return BoundReport(kind=kind,
                        per_step_local=np.zeros(len(bound)) if local is None
                        else local, per_step_bound=bound,
                        term_projection=term0, coeff=coeff0)
 
 
-def _propagate(local_terms, mode, kind):
+def _propagate(local_terms, kind):
     bound = np.zeros(len(local_terms) + 1)
     local = np.zeros(len(local_terms) + 1)
     for lt in local_terms:
@@ -256,14 +258,14 @@ def _propagate(local_terms, mode, kind):
             b += lt.gamma2[ell - 1] * bound[lt.n - ell]
         bound[lt.n] = b
         local[lt.n] = c
-    return _report(local_terms, mode, kind, bound, local)
+    return _report(local_terms, kind, bound, local)
 
 
 def global_aposteriori_lmm(local_terms, kind="galerkin") -> BoundReport:
     """Forward recursion B^n = c^n + sum_l gamma2_l^n B^{n-l}, B^0 = 0;
     equal to the path-sum over coefficient tuples (proved by the
     enumeration cross-check in the test suite)."""
-    return _propagate(local_terms, "aposteriori", kind)
+    return _propagate(local_terms, kind)
 
 
 def _expm1_div(a, kappa: float):
@@ -356,7 +358,7 @@ def simplified_global_bounds(local_terms, scheme, kappa, dt, mode,
             bounds = (k + 1) * growth * frac * max_res
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    return _report(local_terms, mode, kind, bounds)
+    return _report(local_terms, kind, bounds)
 
 
 def auxiliary_increment_bound(model, lspg_traj, sub, dt, kappa,
@@ -438,83 +440,84 @@ def _stages(traj):
     return traj.stages
 
 
-def _rk_bound(rom, kind, tableau, kappa, model, sub, W, fom_traj=None,
-              mode="stagewise") -> BoundReport:
+def _run_points(traj, sub, tableau, n):
+    """The full-space (x_i, t_i) of step n's stages, where the run traj
+    evaluated f: an LSPG ROM forms them at stage values Phi y_i, a Galerkin
+    ROM in reduced coordinates."""
+    base, ws, dt = traj.states[n - 1], _stages(traj)[n - 1], traj.dt
+    if traj.kind == "lspg":
+        base, ws = reconstruct(sub, base), [sub.basis @ y for y in ws]
+    points = fom.rk_stage_points(base, (n - 1) * dt, tableau, dt, ws)
+    return [(reconstruct(sub, y), t) for y, t in points] \
+        if traj.kind == "galerkin" else points
+
+
+def _rk_bound(rom, kind, tableau, kappa, model, sub, W,
+              fom_traj=None) -> BoundReport:
     """The Runge-Kutta bound B^n = a^n B^{n-1} + dt sum_i w_i^n term_i^n
     along a ROM run, with w^n = |b|^T D^{-1}, a^n = 1 + kappa dt sum_i w_i^n
     and term_i^n = ||(I - P_i^n) f(x_i^n, t_i^n)||.
 
     The stage points x_i^n are the ROM's (a posteriori) or, given fom_traj,
-    the FOM's (a priori), read from the trajectories' stage records.  P_i^n
-    is Phi Phi^T for Galerkin and for LSPG the oblique projector built at
-    the ROM's stage i either way; a priori, ||P_j^n||_2 scales column j of
-    D.  mode='general' adds the cross-stage coupling term of the a
-    posteriori LSPG bound (zero for explicit/DIRK tableaus).
+    the FOM's (a priori).  P_i^n is Phi Phi^T for Galerkin and for LSPG the
+    oblique projector built at the ROM's stage i either way; a priori,
+    ||P_j^n||_2 scales column j of D.  A coupled LSPG ROM (fully implicit
+    tableau) stops at Psi_i^T r_i = g_i = sum_{k!=i} dt a_ki (J_k Phi)^T W^T W
+    r_k, r_k = Phi y_k - f(x_k); term_i adds ||(Psi_i^T Phi)^{-1} g_i||.
     """
-    _check_kind(kind, W)
+    _check_kind(rom, kind, W)
     apriori = fom_traj is not None
-    if apriori and kind == "lspg" and classify(tableau) == "fully_implicit":
+    coupled = kind == "lspg" and classify(tableau) == "fully_implicit"
+    if apriori and coupled:
         raise BoundHypothesisError(
             "a priori LSPG RK bound implemented for explicit/DIRK")
-    rom_stages = _stages(rom) if kind == "lspg" or not apriori else None
-    f_stages = _stages(fom_traj) if apriori else None
-    dt, phi = rom.dt, sub.basis
+    dt, phi, s = rom.dt, sub.basis, tableau.s
     nsteps = len(rom.states) - 1
     svals, term0, coeff, bound = np.zeros((4, nsteps + 1))
     newton = fom.NewtonMatrix()
     for n in range(1, nsteps + 1):
-        t_base = (n - 1) * dt
-        if rom_stages is not None:
-            base = reconstruct(sub, rom.states[n - 1])
-            rom_points = [(base + dt * phi @ (a_i @ rom_stages[n - 1]),
-                           t_base + c_i * dt)
-                          for a_i, c_i in zip(tableau.a, tableau.c)]
-        points = fom.rk_stage_points(
-            fom_traj.states[n - 1], t_base, tableau, dt, f_stages[n - 1]) \
-            if apriori else rom_points
+        rom_points = _run_points(rom, sub, tableau, n) \
+            if kind == "lspg" or not apriori else None
+        points = _run_points(fom_traj, sub, tableau, n) if apriori \
+            else rom_points
         fvals = [model.velocity(x, t) for x, t in points]
-        terms, projs = [], []
-        for i in range(tableau.s):
-            jf = model.jacobian(*rom_points[i]) if kind == "lspg" else None
-            proj = _step_projector(kind, sub, lambda: W.gram_mat(
-                newton.times(1.0, dt * tableau.a[i, i], jf, phi)))
-            term = np.linalg.norm(proj.deflate(fvals[i]))
-            if kind == "lspg" and mode == "general":
-                coupling = sum(
-                    (W.gram_mat(-dt * tableau.a[i, e] * (jf @ phi)).T
-                     @ (phi @ rom_stages[n - 1][e] - fvals[e])
-                     for e in range(tableau.s)
-                     if e != i and tableau.a[i, e] != 0.0),
-                    np.zeros(sub.p))
-                term += np.linalg.norm(phi @ np.linalg.solve(proj.m, coupling))
-            terms.append(term)
-            projs.append(proj)
+        jacs = [model.jacobian(x, t) for x, t in rom_points] \
+            if kind == "lspg" else [None] * s
+        projs = [_step_projector(kind, sub, lambda: W.gram_mat(
+            newton.times(1.0, dt * tableau.a[i, i], jf, phi)))
+            for i, jf in enumerate(jacs)]
+        terms = [np.linalg.norm(proj.deflate(fv))
+                 for proj, fv in zip(projs, fvals)]
+        if coupled:
+            # (J_k Phi)^T W^T W r_k of each stage k
+            v = [phi.T @ (jf.T @ W.gram_mat(phi @ y - fv))
+                 for jf, y, fv in zip(jacs, rom.stages[n - 1], fvals)]
+            for i, proj in enumerate(projs):
+                g = sum(tableau.a[k, i] * v[k] for k in range(s) if k != i)
+                terms[i] += dt * np.linalg.norm(np.linalg.solve(proj.m, g))
         scale = np.array([proj.norm() for proj in projs]) if apriori else 1.0
         wstage = np.abs(tableau.b) @ _rk_dinv(tableau, kappa, dt, scale)
-        sn = 0.0
-        for w_i, term in zip(wstage, terms):
-            sn += w_i * term
-        svals[n], term0[n] = sn, terms[0]
+        svals[n] = sum(w_i * term for w_i, term in zip(wstage, terms))
+        term0[n] = terms[0]
         coeff[n] = dt * float(np.sum(wstage))
         bound[n] = (1.0 + kappa * dt * float(np.sum(wstage))) * bound[n - 1] \
             + dt * svals[n]
-    return BoundReport(
-        mode="rk_apriori" if apriori else f"rk_aposteriori_{mode}",
-        kind=kind, per_step_local=dt * svals, per_step_bound=bound,
-        term_projection=term0, coeff=coeff)
+    return BoundReport(kind=kind, per_step_local=dt * svals,
+                       per_step_bound=bound, term_projection=term0,
+                       coeff=coeff)
 
 
-def rk_aposteriori_bound(traj, kind, tableau, kappa, model, sub, W=None,
-                         mode="stagewise") -> BoundReport:
+def rk_aposteriori_bound(traj, kind, tableau, kappa, model, sub,
+                         W=None) -> BoundReport:
     """Global a posteriori bound for Runge-Kutta schemes.
 
     Stage values are read from the trajectory's stage records, so traj must
     come from a Runge-Kutta integrator.  Galerkin uses the orthogonal
-    projector on every stage; LSPG uses the per-stage oblique projector;
-    mode='general' adds the cross-stage coupling term (zero for
-    explicit/DIRK tableaus).
+    projector on every stage; LSPG uses the per-stage oblique projector,
+    plus the cross-stage term of its coupled minimization under a fully
+    implicit tableau.
     """
-    return _rk_bound(traj, kind, tableau, kappa, model, sub, W, mode=mode)
+    return _rk_bound(traj, kind, tableau, kappa, model, sub, W)
 
 
 def apriori_bounds_lmm_rk(fom_traj, rom_traj, kind, model, sub, scheme,
@@ -538,7 +541,7 @@ def apriori_bounds_lmm_rk(fom_traj, rom_traj, kind, model, sub, scheme,
     local_terms = _lmm_local_terms(rom_traj, kind, model, sub, scheme, kappa,
                                    W, f_states=fom_traj.states,
                                    proj_in_h=True)
-    rep = _propagate(local_terms, "apriori", kind)
+    rep = _propagate(local_terms, kind)
     if mode == "global":
         return rep
     if mode == "timestep_independent":
@@ -550,7 +553,6 @@ def apriori_bounds_lmm_rk(fom_traj, rom_traj, kind, model, sub, scheme,
         p_star = max(lt.proj_norm for lt in local_terms)  # 1 for Galerkin
         max_term = max(lt.terms[0] for lt in local_terms)
         tn = dt * np.arange(len(local_terms) + 1)
-        rep.mode = "apriori_timestep_independent"
         rep.per_step_bound = 2.0 * _expm1_div(tn * p_star / epsilon, kappa) \
             / p_star * max_term
         return rep

@@ -70,9 +70,8 @@ class LmmStepContext:
 
 
 class RkStageContext(NamedTuple):
-    """One explicit/DIRK Runge-Kutta stage i: the known part
-    x^{n-1} + dt sum_{j<i} a_ij w_j of its point, its time
-    t^{n-1} + c_i dt and c1 = dt a_ii."""
+    """One Runge-Kutta stage i: the known part x^{n-1} + dt sum_{j!=i} a_ij
+    w_j of its point, its time t^{n-1} + c_i dt and c1 = dt a_ii."""
 
     known: np.ndarray
     t: float
@@ -80,13 +79,14 @@ class RkStageContext(NamedTuple):
 
 
 def rk_stage_context(base_state, t_base, tableau: ButcherTableau, dt,
-                     prev_stages) -> RkStageContext:
-    """The context of stage i = len(prev_stages), given the values of the
-    stages before it."""
-    i = len(prev_stages)
+                     prev_stages, i=None) -> RkStageContext:
+    """The context of stage i (default len(prev_stages)), its known part
+    summed over the given stage values w_j, j != i, in order: the one
+    stage-point rule, every stage point being known + c1 w_i."""
+    i = len(prev_stages) if i is None else i
     known = base_state
     for j, wj in enumerate(prev_stages):
-        if tableau.a[i, j] != 0.0:
+        if j != i and tableau.a[i, j] != 0.0:
             known = known + dt * tableau.a[i, j] * wj
     return RkStageContext(known=known, t=t_base + tableau.c[i] * dt,
                           c1=dt * tableau.a[i, i])
@@ -282,11 +282,11 @@ def rk_jacobian_terms(model: Model, ctx: RkStageContext, w: np.ndarray):
 
 
 def rk_stage_points(base_state, t_base, tableau: ButcherTableau, dt, ws):
-    """Every stage's point x^{n-1} + dt sum_j a_ij w_j and time
-    t^{n-1} + c_i dt, as (x_i, t_i) pairs; ws holds the stage values as
-    rows."""
-    return [(base_state + dt * (a_i @ ws), t_base + c_i * dt)
-            for a_i, c_i in zip(tableau.a, tableau.c)]
+    """Every stage's point known_i + dt a_ii w_i and time t^{n-1} + c_i dt,
+    as (x_i, t_i) pairs, given all stage values ws."""
+    ctxs = [rk_stage_context(base_state, t_base, tableau, dt, ws, i)
+            for i in range(tableau.s)]
+    return [(ctx.known + ctx.c1 * w, ctx.t) for ctx, w in zip(ctxs, ws)]
 
 
 def rk_coupled_residual(model: Model, points, ws) -> np.ndarray:

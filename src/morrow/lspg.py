@@ -245,7 +245,7 @@ def solve_lspg_rk_coupled(model, sub, W, base_full, t_base, tableau, dt, opts,
     phi = sub.basis
 
     def stages(z):
-        ws = z.reshape(s, p) @ phi.T
+        ws = [phi @ y for y in z.reshape(s, p)]
         return ws, fom.rk_stage_points(base_full, t_base, tableau, dt, ws)
 
     def residual(z):

@@ -265,7 +265,7 @@ def test_bound_violations_names_the_steps_over_the_bound():
                      kind="full")
     errors = shift  # ||(shift / 2) (1, 1, 1, 1)||
     report = bounds.BoundReport(
-        mode="test", kind="galerkin", per_step_local=np.zeros(5),
+        kind="galerkin", per_step_local=np.zeros(5),
         per_step_bound=np.array([0.0, 1.01, 1.5, 3.01, 3.9]),
         term_projection=np.zeros(5), coeff=np.zeros(5))
     assert np.allclose(np.linalg.norm(ref.states - lifted, axis=1), errors)

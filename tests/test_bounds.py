@@ -562,8 +562,6 @@ def test_rk_bounds_read_stage_records_not_solvers(monkeypatch):
             g, "galerkin", sd, kappa, m, sub),
         "lspg_sdirk2": bounds.rk_aposteriori_bound(
             l, "lspg", sd, kappa, m, sub, W),
-        "lspg_sdirk2_general": bounds.rk_aposteriori_bound(
-            l, "lspg", sd, kappa, m, sub, W, mode="general"),
         "lspg_gauss": bounds.rk_aposteriori_bound(
             lg, "lspg", gauss, kappa, m, sub, W),
         "galerkin_gauss": bounds.rk_aposteriori_bound(
@@ -581,10 +579,10 @@ def test_rk_bounds_read_stage_records_not_solvers(monkeypatch):
                             0.041427062938362055, 0.055675201529376384],
         "lspg_sdirk2": [0.013594613523511245, 0.02740184981623918,
                         0.04142683409155966, 0.055674783645923306],
-        "lspg_sdirk2_general": [0.013605156701868576, 0.027423094550514344,
-                                0.041458942685000166, 0.05571792239676309],
-        "lspg_gauss": [0.013605101614858946, 0.027423163919842695,
-                       0.041459323697247634, 0.055718810103378744],
+        # the coupled LSPG case with its cross-stage term, which the
+        # re-solving implementation left out
+        "lspg_gauss": [0.01361991573611947, 0.02745301516402222,
+                       0.04150444059183209, 0.05577942679937936],
         "apriori_galerkin": [0.013523967457169031, 0.027119675570235906,
                              0.040792810630042094, 0.054549081168408925],
         "apriori_lspg": [0.01352397580258066, 0.02711969226346073,
@@ -631,6 +629,86 @@ def test_lspg_bounds_need_the_weighting(scheme):
             bounds.rk_aposteriori_bound(traj, "lspg", scheme, kappa, m, sub)
         else:
             bounds.local_aposteriori_lmm(traj, "lspg", m, sub, scheme, kappa)
+
+
+@pytest.mark.parametrize("bound,scheme", [
+    ("local_aposteriori_lmm", make_lmm("bdf2")),
+    ("rk_aposteriori_bound", make_butcher("sdirk2")),
+    ("apriori_bounds_lmm_rk", make_lmm("bdf2")),
+    ("apriori_bounds_lmm_rk", make_butcher("sdirk2"))],
+    ids=lambda v: getattr(v, "name", v))
+def test_bounds_reject_a_kind_their_trajectory_did_not_run_as(bound, scheme):
+    m, kappa, opts = small_linear_setup()
+    sub = random_subspace(8, 3, seed=12, reference=m.initial_state)
+    W = lspg.scaled_identity(8)
+    dt = 0.02 / kappa
+    ref = fom.integrate(m, scheme, dt, 2 * dt, opts)
+    traj, _ = lspg.integrate_lspg(m, sub, W, scheme, dt, 2 * dt, opts)
+    args = {"local_aposteriori_lmm": (traj, "galerkin", m, sub, scheme, kappa),
+            "rk_aposteriori_bound": (traj, "galerkin", scheme, kappa, m, sub),
+            "apriori_bounds_lmm_rk": (ref, traj, "galerkin", m, sub, scheme,
+                                      kappa)}[bound]
+    with pytest.raises(ValueError, match="galerkin bound of a run of kind"):
+        getattr(bounds, bound)(*args, W=W)
+
+
+@pytest.mark.parametrize("scheme", [
+    make_butcher("sdirk2"), make_butcher("rk4"), make_lmm("backward_euler"),
+    make_lmm("bdf2")], ids=lambda sch: sch.name)
+def test_bounds_evaluate_f_where_their_runs_did(scheme):
+    # every (x, t) at which a bound evaluates f is bitwise one at which its
+    # run did: the ROM's a posteriori, the FOM's a priori.  A multistep
+    # bound also reads f(x^0, 0), which no multistep step evaluates.
+    m = benchmodels.burgers1d(benchmodels.BenchmarkSpec(
+        name="burgers", n=64, viscosity=0.01))
+    model, calls = logging_velocity(m)
+    dt, T, W = 1e-3, 0.02, lspg.scaled_identity(m.dim)
+    rk = isinstance(scheme, ButcherTableau)
+
+    def evaluated():
+        points = {(t, x.tobytes()) for x, t in calls if rk or t != 0.0}
+        calls.clear()
+        return points
+
+    ref = fom.integrate(model, scheme, dt, T)
+    ran = {"full": evaluated()}
+    sub = TrialSubspace(basis=np.linalg.qr(
+        (ref.states[1:] - ref.states[0]).T)[0][:, :4],
+        reference=ref.states[0])
+    roms = {"galerkin": galerkin.integrate_galerkin(model, sub, scheme, dt,
+                                                    T)}
+    ran["galerkin"] = evaluated()
+    roms["lspg"] = lspg.integrate_lspg(model, sub, W, scheme, dt, T)[0]
+    ran["lspg"] = evaluated()
+    for kind, rom in roms.items():
+        if rk:
+            bounds.rk_aposteriori_bound(rom, kind, scheme, 1.0, model, sub, W)
+        else:
+            bounds.local_aposteriori_lmm(rom, kind, model, sub, scheme, 1.0,
+                                         W)
+        read = evaluated()
+        assert len(read) >= 20 and read <= ran[kind], kind
+        bounds.apriori_bounds_lmm_rk(ref, rom, kind, model, sub, scheme, 1.0,
+                                     W)
+        read = evaluated()
+        assert len(read) >= 20 and read <= ran["full"], kind
+
+
+def test_coupled_lspg_stage_term_covers_its_stage_residual():
+    # a coupled LSPG step leaves Psi_i^T r_i equal to minus the cross-stage
+    # sum, so stage 0's term, cross-stage part included, is at least the
+    # ROM's own stage residual ||f(x_0) - Phi y_0||
+    m, kappa, opts = small_linear_setup()
+    sub = random_subspace(8, 3, seed=12, reference=m.initial_state)
+    W, tab, dt = lspg.scaled_identity(8), gauss2_tableau(), 0.02 / kappa
+    traj, _ = lspg.integrate_lspg(m, sub, W, tab, dt, 4 * dt, opts)
+    rep = bounds.rk_aposteriori_bound(traj, "lspg", tab, kappa, m, sub, W)
+    for n in range(1, 5):
+        ws = [sub.basis @ y for y in traj.stages[n - 1]]
+        x0, t0 = fom.rk_stage_points(reconstruct(sub, traj.states[n - 1]),
+                                     (n - 1) * dt, tab, dt, ws)[0]
+        assert rep.term_projection[n] \
+            >= np.linalg.norm(m.velocity(x0, t0) - ws[0])
 
 
 # -------------------------------------------------- auxiliary increments

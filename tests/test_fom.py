@@ -10,9 +10,10 @@ from morrow.core import (JacobianKey, Model, SolverOptions, Trajectory,
                          TrialSubspace)
 from morrow.schemes import make_butcher, make_lmm
 
-from conftest import (NEWTON_CASES, calls_at_base, counting, linear_model,
-                      logging_velocity, newton_case, newton_case_states,
-                      random_subspace, refilled_cubic, singular_sparse_model)
+from conftest import (NEWTON_CASES, calls_at_base, counting, gauss2_tableau,
+                      linear_model, logging_velocity, newton_case,
+                      newton_case_states, random_subspace, refilled_cubic,
+                      singular_sparse_model)
 
 
 def scalar_decay(lam=-2.0):
@@ -93,14 +94,7 @@ def test_rk_convergence_order(name, order, tight_opts):
 
 def test_fully_implicit_coupled_solve(tight_opts):
     # 2-stage Gauss collocation (order 4) exercises the stacked Newton path
-    from morrow.schemes import ButcherTableau
-    r3 = np.sqrt(3.0)
-    gauss = ButcherTableau(s=2,
-                           a=np.array([[0.25, 0.25 - r3 / 6],
-                                       [0.25 + r3 / 6, 0.25]]),
-                           b=np.array([0.5, 0.5]),
-                           c=np.array([0.5 - r3 / 6, 0.5 + r3 / 6]),
-                           name="gauss2")
+    gauss = gauss2_tableau()
     m = scalar_decay(-1.0)
     errs = []
     for dt in (0.2, 0.1):

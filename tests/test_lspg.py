@@ -232,14 +232,7 @@ def test_explicit_rk_matches_galerkin(tight_opts):
 
 def test_coupled_rk_stationarity(tight_opts):
     # fully implicit tableau goes through the stacked Gauss-Newton path
-    from morrow.schemes import ButcherTableau
-    r3 = np.sqrt(3.0)
-    gauss = ButcherTableau(s=2,
-                           a=np.array([[0.25, 0.25 - r3 / 6],
-                                       [0.25 + r3 / 6, 0.25]]),
-                           b=np.array([0.5, 0.5]),
-                           c=np.array([0.5 - r3 / 6, 0.5 + r3 / 6]),
-                           name="gauss2")
+    gauss = gauss2_tableau()
     m = burgers_small(16)
     sub = random_subspace(16, 4, seed=9, reference=m.initial_state)
     traj, reports = lspg.integrate_lspg(m, sub, lspg.scaled_identity(16),
@@ -384,7 +377,7 @@ def test_coupled_lspg_minimizes_fom_coupled_residual(monkeypatch,
     want = []
     for n, zs in enumerate(iterates):
         for z in zs:
-            ws = z.reshape(tab.s, sub.p) @ phi.T
+            ws = [phi @ y for y in z.reshape(tab.s, sub.p)]
             want += list(fom.rk_coupled_residual(m, fom.rk_stage_points(
                 reconstruct(sub, traj.states[n]), n * dt, tab, dt, ws),
                 ws).reshape(tab.s, -1))
