@@ -8,7 +8,7 @@ with the time step.
 import numpy as np
 
 from morrow import analysis, benchmodels, fom, galerkin, lspg, pod
-from morrow.core import SolverOptions, TrialSubspace
+from morrow.core import SolverOptions, TrialSubspace, lift
 from morrow.schemes import make_butcher, make_lmm
 
 model = benchmodels.burgers1d(
@@ -29,7 +29,7 @@ for scheme in (make_lmm("forward_euler"), make_butcher("rk4")):
     g = galerkin.integrate_galerkin(model, sub, scheme, 1e-4, 5e-3, opts)
     l, _ = lspg.integrate_lspg(model, sub, W, scheme, 1e-4, 5e-3, opts)
     print(f"  {scheme.name:<14s} max difference "
-          f"{analysis.compare_trajectories(g, l, lift=sub):.3e}")
+          f"{analysis.compare_trajectories(lift(sub, g), lift(sub, l)):.3e}")
 
 print("\nimplicit backward Euler: difference vanishes as dt -> 0")
 for dt in (8e-3, 4e-3, 2e-3, 1e-3):
@@ -37,6 +37,6 @@ for dt in (8e-3, 4e-3, 2e-3, 1e-3):
                                     dt, T, opts)
     l, reports = lspg.integrate_lspg(model, sub, W,
                                      make_lmm("backward_euler"), dt, T, opts)
-    gap = analysis.compare_trajectories(g, l, lift=sub)
+    gap = analysis.compare_trajectories(lift(sub, g), lift(sub, l))
     iters = sum(r.iterations for r in reports)
     print(f"  dt = {dt:g}: gap {gap:.3e}  ({iters} Gauss-Newton iterations)")

@@ -9,8 +9,8 @@ from functools import partial
 
 import numpy as np
 
-from .core import (SolverOptions, TrialSubspace, Trajectory, read_csv,
-                   reconstruct, write_csv)
+from .core import (SolverOptions, TrialSubspace, Trajectory, lift,
+                   read_csv, reconstruct, write_csv)
 from . import fom, galerkin, lspg
 from .schemes import LmmScheme
 
@@ -120,20 +120,13 @@ def richardson_rate(errors, against_reference=True) -> RateEstimate:
                         reliable=reliable)
 
 
-def compare_trajectories(a: Trajectory, b: Trajectory,
-                         lift: TrialSubspace = None) -> float:
-    """Max over steps of ||x_a^n - x_b^n||_2; the states of a ROM
-    trajectory (kind other than 'full') are lifted to full space first."""
+def compare_trajectories(a: Trajectory, b: Trajectory) -> float:
+    """Max over steps of ||x_a^n - x_b^n||_2, the states compared as given
+    (lift a ROM run with ``core.lift`` to compare it in full space)."""
     if abs(a.dt - b.dt) > 1e-14 * max(a.dt, b.dt) or \
             len(a.states) != len(b.states):
         raise ValueError("trajectories are on different grids")
-
-    def full(traj):
-        if lift is not None and traj.kind != "full":
-            return lift.reference + traj.states @ lift.basis.T
-        return traj.states
-
-    return float(np.max(np.linalg.norm(full(a) - full(b), axis=1)))
+    return float(np.max(np.linalg.norm(a.states - b.states, axis=1)))
 
 
 def galerkin_lspg_gap(model, sub: TrialSubspace, W, scheme, dt, T,
@@ -143,7 +136,7 @@ def galerkin_lspg_gap(model, sub: TrialSubspace, W, scheme, dt, T,
     residual Jacobian with W^T W its inverse."""
     g = galerkin.integrate_galerkin(model, sub, scheme, dt, T, opts)
     l, _ = lspg.integrate_lspg(model, sub, W, scheme, dt, T, opts)
-    return compare_trajectories(g, l, lift=sub)
+    return compare_trajectories(lift(sub, g), lift(sub, l))
 
 
 def commutativity_gap(model, sub: TrialSubspace, schemes, draws,
@@ -156,7 +149,7 @@ def commutativity_gap(model, sub: TrialSubspace, schemes, draws,
     state."""
     gm = galerkin.make_galerkin_model(model, sub)
     phi, p = sub.basis, sub.p
-    lift = partial(reconstruct, sub)
+    full = partial(reconstruct, sub)
     worst = 0.0
     for _ in range(draws):
         for scheme, dt in schemes:
@@ -168,7 +161,7 @@ def commutativity_gap(model, sub: TrialSubspace, schemes, draws,
                 ctx = partial(fom.LmmStepContext, n=n, dt=dt, scheme=scheme)
                 pairs = [(fom.lmm_residual(gm, ctx(history=tuple(hist)), w),
                           fom.lmm_residual(model, ctx(history=tuple(
-                              map(lift, hist))), lift(w)))]
+                              map(full, hist))), full(w)))]
             else:
                 ys = [rng.standard_normal(p) for _ in range(scheme.s)]
                 base = rng.standard_normal(p)
@@ -177,7 +170,7 @@ def commutativity_gap(model, sub: TrialSubspace, schemes, draws,
                               tableau=scheme, dt=dt)
                 pairs = [(fom.rk_residual(gm, ctx(base, prev_stages=ys[:i]),
                                           ys[i]),
-                          fom.rk_residual(model, ctx(lift(base),
+                          fom.rk_residual(model, ctx(full(base),
                                                      prev_stages=ws[:i]),
                                           ws[i]))
                          for i in range(scheme.s)]
@@ -192,8 +185,8 @@ def bound_violations(ref: Trajectory, rom: Trajectory, sub: TrialSubspace,
     run against the full-order run ref is not within report.per_step_bound[n]
     (1 + rtol) + atol (a NaN error is a violation); empty when sound."""
     bound = report.per_step_bound * (1 + rtol) + atol
-    return [n for n in range(1, len(rom.states)) if not np.linalg.norm(
-        ref.states[n] - reconstruct(sub, rom.states[n])) <= bound[n]]
+    return [n for n, x in enumerate(lift(sub, rom).states)
+            if n and not np.linalg.norm(ref.states[n] - x) <= bound[n]]
 
 
 @dataclass

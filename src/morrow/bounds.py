@@ -15,10 +15,10 @@ terms by forward recursion, which equals the path-sum over coefficient
 tuples (and the closed sums under backward Euler); the auxiliary step is
 solved by fom's Newton loop.  Runge-Kutta bounds read the stage values that the
 integrators record in ``Trajectory.stages``; they never re-solve a stage.
-Every bound evaluates f where its run did, at states and stage points that
-``core.reconstruct`` and ``fom.rk_stage_points`` form as the run did.  All
-kappa-dependent bounds are valid modulo under-estimation of the Lipschitz
-constant.
+Every bound evaluates f where its run did: at ROM states lifted by
+``core.lift`` and stage points that ``fom.rk_stage_points`` forms as the
+run did.  All kappa-dependent bounds are valid modulo under-estimation of
+the Lipschitz constant.
 """
 
 from dataclasses import dataclass
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (JacobianKey, Model, SolverOptions, TrialSubspace,
-                   Trajectory, norm2, norm2_at_most, reconstruct,
+                   Trajectory, lift, norm2, norm2_at_most, reconstruct,
                    write_csv)
 from . import fom, lspg as lspg_mod
 from .schemes import ButcherTableau, LmmScheme, classify
@@ -188,7 +188,7 @@ def _lmm_local_terms(traj, kind, model, sub, scheme, kappa, W, f_states,
     residual norm is taken (the a priori form)."""
     _check_kind(traj, kind, W)
     dt = traj.dt
-    lifted = [reconstruct(sub, y) for y in traj.states]
+    lifted = lift(sub, traj).states
     f_states = lifted if f_states is None else f_states
     fvals = [model.velocity(f_states[n], n * dt)
              for n in range(len(traj.states))]
@@ -200,7 +200,7 @@ def _lmm_local_terms(traj, kind, model, sub, scheme, kappa, W, f_states,
         hist = tuple(lifted[n - j] for j in range(1, k_eff + 1))
         ctx = fom.LmmStepContext(history=hist, n=n, dt=dt, scheme=scheme)
         proj = _step_projector(kind, sub, lambda: lspg_mod.compute_test_basis(
-            model, sub, W, ctx, traj.states[n], newton))
+            model, sub, W, ctx, lifted[n], newton))
         proj_norm = proj.norm()
         scale = proj_norm if proj_in_h else 1.0
         h = abs(alpha[0]) - abs(beta[0]) * kappa * dt * scale

@@ -26,8 +26,7 @@ import numpy as np
 
 from . import analysis, benchmodels, bounds, fom, galerkin, hyperreduction, \
     lspg, pod
-from .core import (SolverOptions, TrialSubspace, Trajectory, write_csv,
-                   write_text)
+from .core import SolverOptions, TrialSubspace, lift, write_csv, write_text
 from .fom import StepSolveError
 from .schemes import ButcherTableau, make_butcher, make_lmm
 
@@ -285,9 +284,7 @@ class _Run:
         t0 = time.perf_counter()
         traj, reports = _integrate_rom(self, sub, W, self.dt)
         self.timings["rom"] = time.perf_counter() - t0
-        lifted = Trajectory(dt=traj.dt,
-                            states=sub.reference + traj.states @ sub.basis.T,
-                            kind=traj.kind)
+        lifted = lift(sub, traj)
         self.emit("rom_trajectory.csv",
                   partial(fom.write_trajectory_csv, lifted))
         if reports:
@@ -413,7 +410,7 @@ def _sweep_point(run, dts, kappa, index):
         sub = run.pod_at(dt).basis
         W = _weighting(run, sub, dt, artifact=f"samples_{index}.txt")
         traj, _ = _integrate_rom(run, sub, W, dt)
-        lifted = sub.reference + traj.states @ sub.basis.T
+        lifted = lift(sub, traj).states
         wall = time.perf_counter() - t0
         if not _is_unstable(lifted):
             if kappa is not None:

@@ -120,6 +120,15 @@ def reconstruct(sub: TrialSubspace, yhat: np.ndarray) -> np.ndarray:
     return sub.reference + sub.basis @ yhat
 
 
+def lift(sub: TrialSubspace, traj: Trajectory) -> Trajectory:
+    """A ROM trajectory in full space, as a 'full' Trajectory at the same
+    dt whose row n is reconstruct(sub, traj.states[n])."""
+    if traj.kind == "full":
+        raise ValueError("a full-order trajectory is not lifted")
+    return Trajectory(dt=traj.dt, kind="full",
+                      states=[reconstruct(sub, y) for y in traj.states])
+
+
 def check_orthonormality(sub: TrialSubspace) -> float:
     """Max entrywise deviation of Phi^T Phi from the identity."""
     g = sub.basis.T @ sub.basis

@@ -11,19 +11,18 @@ from dataclasses import replace
 
 import numpy as np
 
-from .core import Model, SolverOptions, TrialSubspace, Trajectory
+from .core import Model, SolverOptions, TrialSubspace, Trajectory, reconstruct
 from . import fom
 
 
 def make_galerkin_model(model: Model, sub: TrialSubspace) -> Model:
     phi = sub.basis
-    x0 = sub.reference
 
     def velocity(yhat, t):
-        return phi.T @ model.velocity(x0 + phi @ yhat, t)
+        return phi.T @ model.velocity(reconstruct(sub, yhat), t)
 
     def jacobian(yhat, t):
-        return phi.T @ model.jacobian(x0 + phi @ yhat, t) @ phi
+        return phi.T @ model.jacobian(reconstruct(sub, yhat), t) @ phi
 
     return Model(dim=sub.p, velocity=velocity, jacobian=jacobian,
                  initial_state=np.zeros(sub.p))

@@ -180,13 +180,13 @@ def _gauss_newton(residual, jacobian, y0, W, opts, callback=None):
     return y, report
 
 
-def compute_test_basis(model, sub, W, ctx, yhat, newton=None):
+def compute_test_basis(model, sub, W, ctx, x, newton=None):
     """The N x p test basis Psi^n = W^T W (alpha_0 I - dt beta_0 df/dx) Phi
-    at the given iterate.  newton, a fom.NewtonMatrix, may carry the
+    at the lifted iterate x.  newton, a fom.NewtonMatrix, may carry the
     product (alpha_0 I - dt beta_0 df/dx) Phi from earlier steps."""
     newton = fom.NewtonMatrix() if newton is None else newton
-    return W.gram_mat(newton.times(*fom.lmm_jacobian_terms(
-        model, ctx, reconstruct(sub, yhat)), sub.basis))
+    return W.gram_mat(newton.times(*fom.lmm_jacobian_terms(model, ctx, x),
+                                   sub.basis))
 
 
 def solve_lspg_step_lmm(model, sub, W, ctx, opts, yhat_warm=None,

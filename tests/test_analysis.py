@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from morrow import analysis, benchmodels, bounds, lspg
-from morrow.core import Trajectory
+from morrow.core import Trajectory, lift, reconstruct
 from morrow.schemes import LmmScheme, make_butcher, make_lmm
 
 from conftest import linear_model, random_subspace
@@ -187,17 +187,20 @@ def test_compare_identical():
     assert analysis.compare_trajectories(a, a) == 0.0
 
 
-def test_compare_lifts_reduced_states():
-    # by kind, not by dimension: with a full basis (p = N) too, only the
-    # reduced states are lifted
+def test_lift_reconstructs_each_state_of_a_rom_run():
+    # by kind, not by dimension: with a full basis (p = N) too, a ROM run
+    # is lifted and a full-order run is not
     for p in (2, 6):
-        sub = random_subspace(6, p, seed=8)
-        coords = tuple(i * (-1.0) ** np.arange(p) for i in range(3))
+        sub = random_subspace(6, p, seed=8, reference=np.arange(6.0))
+        coords = np.random.default_rng(p).standard_normal((4, p))
         red = Trajectory(dt=0.1, states=coords, kind="galerkin")
-        full = Trajectory(dt=0.1,
-                          states=tuple(sub.basis @ c for c in coords),
-                          kind="full")
-        assert analysis.compare_trajectories(red, full, lift=sub) < 1e-14
+        full = lift(sub, red)
+        assert full.kind == "full" and full.dt == red.dt
+        assert full.states.shape == (4, 6)
+        for x, y in zip(full.states, coords):
+            assert np.array_equal(x, reconstruct(sub, y))
+        with pytest.raises(ValueError):
+            lift(sub, full)
 
 
 def test_compare_grid_mismatch():
@@ -259,7 +262,7 @@ def test_bound_violations_names_the_steps_over_the_bound():
     rng = np.random.default_rng(4)
     rom = Trajectory(dt=0.1, states=rng.standard_normal((5, 2)),
                      kind="galerkin")
-    lifted = sub.reference + rom.states @ sub.basis.T
+    lifted = lift(sub, rom).states
     shift = np.array([0.0, 1.0, 2.0, 3.0, 4.0])
     ref = Trajectory(dt=0.1, states=lifted + shift[:, None] * 0.5,
                      kind="full")

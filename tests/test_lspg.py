@@ -127,7 +127,7 @@ def test_stationarity_at_converged_step(tight_opts):
                              scheme=sch)
     W = lspg.scaled_identity(32)
     yhat, _ = lspg.solve_lspg_step_lmm(m, sub, W, ctx, tight_opts)
-    psi = lspg.compute_test_basis(m, sub, W, ctx, yhat)
+    psi = lspg.compute_test_basis(m, sub, W, ctx, reconstruct(sub, yhat))
     r = fom.lmm_residual(m, ctx, reconstruct(sub, yhat))
     assert np.linalg.norm(psi.T @ r) < 1e-10
 
