@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Model
+from .core import Model, SampleMesh
 
 
 @dataclass(frozen=True)
@@ -59,54 +59,77 @@ def _initial_profile(spec):
 
 def burgers1d(spec: BenchmarkSpec) -> Model:
     """Viscous Burgers on [0,1]: central differences for both the
-    diffusion and the convective derivative, analytic Jacobian."""
+    diffusion and the convective derivative, analytic Jacobian.  Both the
+    model and its restriction to some rows evaluate each row from its state
+    u and its neighbours' up and um (zero beyond a Dirichlet wall)."""
     n = spec.n
     nu = spec.viscosity
     _, dx = _grid(spec)
     periodic = spec.bc == "periodic"
+    from scipy import sparse
+
+    def rates(u, up, um):
+        return -u * (up - um) / (2.0 * dx) + nu * (up - 2.0 * u + um) / dx**2
+
+    def tridiagonal(rows, cols, shape, keep):
+        """jacobian(u, up, um): a CSR matrix with entries at (rows, cols),
+        listed as [diag, upper, lower] where keep says which upper and
+        lower entries exist.  The structure is built once from COO with
+        entry positions as values: order[k] is the position in that list
+        of the k-th stored entry, so every call fills the same structure."""
+        csr = sparse.csr_array((np.arange(len(rows), dtype=float),
+                                (rows, cols)), shape=shape)
+        order = csr.data.astype(np.intp)
+
+        def jacobian(u, up, um):
+            off = -u / (2.0 * dx)
+            data = np.concatenate([-(up - um) / (2.0 * dx) - 2.0 * nu / dx**2,
+                                   (off + nu / dx**2)[keep[0]],
+                                   (-off + nu / dx**2)[keep[1]]])
+            return sparse.csr_array((data[order], csr.indices.copy(),
+                                     csr.indptr.copy()), shape=shape)
+        return jacobian
 
     def neighbors(u):
         if periodic:
-            up = np.roll(u, -1)
-            um = np.roll(u, 1)
-        else:
-            up = np.concatenate([u[1:], [0.0]])
-            um = np.concatenate([[0.0], u[:-1]])
-        return up, um
+            return np.roll(u, -1), np.roll(u, 1)
+        return np.concatenate([u[1:], [0.0]]), np.concatenate([[0.0], u[:-1]])
 
-    def velocity(u, t):
-        up, um = neighbors(u)
-        return -u * (up - um) / (2.0 * dx) + nu * (up - 2.0 * u + um) / dx**2
+    # row i couples to i-1, i, i+1 (wrapped if periodic)
+    grid = np.arange(n)
+    keep = (slice(None), slice(None)) if periodic \
+        else (slice(0, n - 1), slice(1, n))
+    grid_jacobian = tridiagonal(
+        np.concatenate([grid, grid[keep[0]], grid[keep[1]]]),
+        np.concatenate([grid, ((grid + 1) % n)[keep[0]],
+                        ((grid - 1) % n)[keep[1]]]), (n, n), keep)
 
-    # sparsity pattern: row i couples to i-1, i, i+1 (wrapped if periodic)
-    from scipy import sparse
-    rows = np.arange(n)
-    cols_p = (rows + 1) % n
-    cols_m = (rows - 1) % n
-    keep_p = slice(None) if periodic else slice(0, n - 1)
-    keep_m = slice(None) if periodic else slice(1, n)
-    pattern = (np.concatenate([rows, rows[keep_p], rows[keep_m]]),
-               np.concatenate([rows, cols_p[keep_p], cols_m[keep_m]]))
-    # the CSR structure, built once from COO with entry positions as
-    # values: order[k] is the position in [diag, upper, lower] of the
-    # k-th stored entry, so every call fills the same structure
-    csr = sparse.csr_array((np.arange(len(pattern[0]), dtype=float),
-                            pattern), shape=(n, n))
-    order = csr.data.astype(np.intp)
-    indptr, indices = csr.indptr, csr.indices
+    def restrict(rows):
+        """The rows' 3-point stencils.  at[:, i] holds the mesh positions
+        of row i and of its upper and lower neighbour, or len(mesh) for a
+        neighbour beyond a Dirichlet wall: it reads the zero appended after
+        the mesh state."""
+        rows = np.asarray(rows, np.intp)
+        near = np.stack([rows, rows + 1, rows - 1])
+        if periodic:
+            near %= n
+        inside = (near >= 0) & (near < n)
+        mesh = np.unique(near[inside])
+        at = np.where(inside, np.searchsorted(mesh, near), len(mesh))
+        k = np.arange(len(rows))
+        jacobian = tridiagonal(
+            np.concatenate([k, k[inside[1]], k[inside[2]]]),
+            np.concatenate([at[0], at[1][inside[1]], at[2][inside[2]]]),
+            (len(rows), len(mesh)), inside[1:])
 
-    def jacobian(u, t):
-        """Tridiagonal (plus periodic wrap) Jacobian as a CSR matrix."""
-        up, um = neighbors(u)
-        diag = -(up - um) / (2.0 * dx) - 2.0 * nu / dx**2
-        off = -u / (2.0 * dx)
-        data = np.concatenate([diag, (off + nu / dx**2)[keep_p],
-                               (-off + nu / dx**2)[keep_m]])
-        return sparse.csr_array((data[order], indices.copy(), indptr.copy()),
-                                shape=(n, n))
+        def states(u):
+            return np.append(u, 0.0)[at]
+        return SampleMesh(mesh, lambda u, t: rates(*states(u)),
+                          lambda u, t: jacobian(*states(u)))
 
-    return Model(dim=n, velocity=velocity, jacobian=jacobian,
-                 initial_state=_initial_profile(spec))
+    return Model(dim=n, velocity=lambda u, t: rates(u, *neighbors(u)),
+                 jacobian=lambda u, t: grid_jacobian(u, *neighbors(u)),
+                 initial_state=_initial_profile(spec), restrict=restrict)
 
 
 def advection_diffusion_matrix(spec: BenchmarkSpec) -> np.ndarray:
@@ -133,22 +156,39 @@ def advection_diffusion_matrix(spec: BenchmarkSpec) -> np.ndarray:
     return a
 
 
-def advection_diffusion(spec: BenchmarkSpec) -> Model:
-    a = advection_diffusion_matrix(spec)
-    a.setflags(write=False)  # a constant Jacobian, keyed by identity
-    g = spec.forcing
+def _linear(a, forcing, initial_state) -> Model:
+    """The model f = a x + forcing(t) (no forcing when None).  a is made
+    read-only, a constant Jacobian keyed by identity; restrict(rows) takes
+    the rows' block of a on the columns where they have entries, also
+    read-only, plus the forcing's rows."""
+    a.setflags(write=False)
 
     def velocity(x, t):
         fx = a @ x
-        if g is not None:
-            fx = fx + g(t)
+        if forcing is not None:
+            fx = fx + forcing(t)
         return fx
 
-    def jacobian(x, t):
-        return a
+    def restrict(rows):
+        rows = np.asarray(rows, np.intp)
+        mesh = np.flatnonzero(np.any(a[rows] != 0.0, axis=0))
+        block = a[np.ix_(rows, mesh)]
+        block.setflags(write=False)
 
-    return Model(dim=spec.n, velocity=velocity, jacobian=jacobian,
-                 initial_state=_initial_profile(spec))
+        def rows_velocity(x, t):
+            fx = block @ x
+            if forcing is not None:
+                fx = fx + forcing(t)[rows]
+            return fx
+        return SampleMesh(mesh, rows_velocity, lambda x, t: block)
+
+    return Model(dim=len(a), velocity=velocity, jacobian=lambda x, t: a,
+                 initial_state=initial_state, restrict=restrict)
+
+
+def advection_diffusion(spec: BenchmarkSpec) -> Model:
+    return _linear(advection_diffusion_matrix(spec), spec.forcing,
+                   _initial_profile(spec))
 
 
 def gradient_flow_spd(spec: BenchmarkSpec) -> Model:
@@ -164,18 +204,7 @@ def gradient_flow_spd(spec: BenchmarkSpec) -> Model:
     q, r = np.linalg.qr(rng.standard_normal((n, n)))
     q = q * np.sign(np.diag(r))  # fix QR sign convention
     a = (q * lam) @ q.T  # Q diag(lam) as a column scaling
-    neg_a = -0.5 * (a + a.T)  # built once: both callbacks return -A
-    neg_a.setflags(write=False)  # a constant Jacobian, keyed by identity
-    x_init = rng.standard_normal(n)
-
-    def velocity(x, t):
-        return neg_a @ x
-
-    def jacobian(x, t):
-        return neg_a
-
-    return Model(dim=n, velocity=velocity, jacobian=jacobian,
-                 initial_state=x_init)
+    return _linear(-0.5 * (a + a.T), None, rng.standard_normal(n))
 
 
 # the builder each BenchmarkSpec.name selects

@@ -319,10 +319,10 @@ def _weighting(run, sub, dt, artifact="samples.txt"):
                 spec[6:], float, f"[rom] weighting = {spec!r}"))
         if spec.startswith("collocation:"):
             try:
-                rows = hyperreduction.read_sample_set(spec[12:])
+                return lspg.collocation(
+                    model.dim, hyperreduction.read_sample_set(spec[12:]))
             except (OSError, ValueError) as err:
                 raise ConfigError(f"[rom] weighting = {spec!r}: {err}")
-            return lspg.collocation(model.dim, rows)
         raise ConfigError(f"unknown weighting {spec!r}")
     # GNAT: residual snapshots from a W=I training run on this config
     nu_r = _number(cp, "rom", "nu_residual", 1.0, low=0.0, high=1.0)

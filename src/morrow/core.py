@@ -8,7 +8,7 @@ artifact is written by ``write_text``, every CSV by ``write_csv``.
 """
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -25,18 +25,39 @@ class Model:
     never change: it is keyed by identity (``JacobianKey``).  A writeable
     buffer, or a read-only view of one, may be refilled between calls and
     is compared by content.
+
+    restrict, if set, maps row indices (each in [0, dim)) to the
+    ``SampleMesh`` of those rows of f, so that LSPG steps weighted by a row
+    selection evaluate f and J there only; a model without it is evaluated
+    on all rows.  It must describe the same f as velocity: a copy made
+    with another velocity (``dataclasses.replace``) keeps the old one.
     """
 
     dim: int
     velocity: Callable[[np.ndarray, float], np.ndarray]
     jacobian: Callable[[np.ndarray, float], object]
     initial_state: np.ndarray
+    restrict: Callable[[np.ndarray], "SampleMesh"] = None
 
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError("model dimension must be positive")
         if self.initial_state.shape != (self.dim,):
             raise ValueError("initial_state shape does not match dim")
+
+
+class SampleMesh(NamedTuple):
+    """Some rows of a model's f, evaluated on the states they depend on.
+
+    mesh holds the sorted indices of those states.  velocity(x, t) and
+    jacobian(x, t) take a state x given on the mesh (x_full[mesh]) and
+    return the rows of f, in the order asked for, and the same rows of
+    df/dx on the mesh's columns (rows x len(mesh), an ndarray or a
+    scipy.sparse matrix), under ``Model``'s rules for a Jacobian."""
+
+    mesh: np.ndarray
+    velocity: Callable[[np.ndarray, float], np.ndarray]
+    jacobian: Callable[[np.ndarray, float], object]
 
 
 @dataclass(frozen=True)
@@ -151,17 +172,20 @@ class JacobianKey:
     a model may refill one buffer in place."""
 
     def __init__(self, jac):
-        self._arrays = [a if _frozen(a) else a.copy() for a in _entries(jac)]
+        self._arrays = [a if frozen(a) else a.copy() for a in _entries(jac)]
 
     def matches(self, jac) -> bool:
         entries = _entries(jac)
         return len(entries) == len(self._arrays) and all(
-            _frozen(b) if a is b else np.array_equal(a, b)
+            frozen(b) if a is b else np.array_equal(a, b)
             for a, b in zip(entries, self._arrays))
 
 
-def _frozen(a) -> bool:
-    return not a.flags.writeable and a.flags.owndata
+def frozen(a) -> bool:
+    """Whether a is a read-only ndarray that owns its memory: a Jacobian
+    that never changes (``Model``)."""
+    return isinstance(a, np.ndarray) and not a.flags.writeable \
+        and a.flags.owndata
 
 
 def _entries(jac):

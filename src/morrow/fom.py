@@ -92,29 +92,37 @@ def rk_stage_context(base_state, t_base, tableau: ButcherTableau, dt,
                           c1=dt * tableau.a[i, i])
 
 
-def shifted(c0: float, c1: float, jac):
+def shifted(c0: float, c1: float, jac, rows=None):
     """c0 I - c1 J with an identity of J's own type: an ndarray stays
     dense, a scipy.sparse matrix stays sparse (CSR).
 
-    A sparse J in canonical CSR form that stores its whole diagonal is
-    shifted on its stored entries: its data scaled by -c1, plus c0 on the
-    diagonal.  That is the matrix c0 I - c1 J of scipy.sparse arithmetic,
-    bitwise; any other sparse J takes that arithmetic."""
+    rows, if given, says that J holds some rows of a Jacobian on the
+    columns of a sample mesh (``core.SampleMesh``): row i of I is then the
+    unit vector at column rows[i], the mesh position of J's row i.
+
+    A sparse J in canonical CSR form that stores each row's identity entry
+    is shifted on its stored entries: its data scaled by -c1, plus c0 at
+    those entries.  That is the matrix c0 I - c1 J of scipy.sparse
+    arithmetic, bitwise; any other sparse J takes that arithmetic."""
     n = jac.shape[0]
+    cols = np.arange(n) if rows is None else np.asarray(rows)
     if isinstance(jac, np.ndarray):
-        return c0 * np.eye(n) - c1 * jac
+        eye = np.zeros(jac.shape)
+        eye[np.arange(n), cols] = 1.0
+        return c0 * eye - c1 * jac
     from scipy import sparse
     csr = jac.tocsr()
     if csr.has_canonical_format:
-        rows = np.repeat(np.arange(n, dtype=csr.indices.dtype),
-                         np.diff(csr.indptr))
-        diag = np.flatnonzero(csr.indices == rows)
+        at = np.repeat(cols.astype(csr.indices.dtype), np.diff(csr.indptr))
+        diag = np.flatnonzero(csr.indices == at)
         if len(diag) == n:
             data = csr.data * -c1
             data[diag] += c0
             return sparse.csr_array((data, csr.indices, csr.indptr),
-                                    shape=(n, n))
-    return c0 * sparse.eye_array(n, format="csr") - c1 * csr
+                                    shape=csr.shape)
+    eye = sparse.csr_array((np.ones(n), cols, np.arange(n + 1)),
+                           shape=csr.shape)
+    return c0 * eye - c1 * csr
 
 
 class NewtonMatrix:
@@ -126,7 +134,8 @@ class NewtonMatrix:
     read-only array that owns its memory, else by a private copy of its
     contents, since a model may refill one buffer in place.  The product is
     kept for the basis object it was formed with; callers must not mutate
-    either.
+    either.  rows, if given, makes every J a row block on a sample mesh,
+    shifted as ``shifted`` says.
 
     A sparse c0 I - c1 J is factored by LAPACK's band LU (dgbtrf) in the
     reverse Cuthill-McKee ordering of its pattern, at O(N b^2) for a
@@ -137,7 +146,8 @@ class NewtonMatrix:
     integration or bound call: it is not shared between threads.
     """
 
-    def __init__(self):
+    def __init__(self, rows=None):
+        self._rows = rows
         self._key = None
         self._solve = None
         self._basis = self._product = None
@@ -200,7 +210,8 @@ class NewtonMatrix:
         """(c0 I - c1 J) basis."""
         self._use(c0, c1, jac)
         if self._basis is not basis:
-            self._basis, self._product = basis, shifted(c0, c1, jac) @ basis
+            self._basis = basis
+            self._product = shifted(c0, c1, jac, self._rows) @ basis
         return self._product
 
 
@@ -212,15 +223,20 @@ def _block(blocks):
     return sparse.block_array(blocks, format="csr")
 
 
-def lmm_residual(model: Model, ctx: LmmStepContext, w: np.ndarray) -> np.ndarray:
+def lmm_residual(model: Model, ctx: LmmStepContext, w: np.ndarray,
+                 rows=None) -> np.ndarray:
+    """r^n(w).  rows, if given, are the positions in w and the history
+    states of the residual rows that model.velocity returns: the rows of
+    a ``core.SampleMesh`` on its mesh."""
     alpha, beta = ctx.scheme.coeffs(ctx.n)
     tn = ctx.n * ctx.dt
-    r = alpha[0] * w
+    pick = (lambda v: v) if rows is None else (lambda v: v[rows])
+    r = alpha[0] * pick(w)
     if beta[0] != 0.0:
         r = r - ctx.dt * beta[0] * model.velocity(w, tn)
     for j in range(1, len(alpha)):
         xj = ctx.history[j - 1]
-        r = r + alpha[j] * xj
+        r = r + alpha[j] * pick(xj)
         if beta[j] != 0.0:
             r = r - ctx.dt * beta[j] * model.velocity(xj, (ctx.n - j) * ctx.dt)
     return r
@@ -270,9 +286,12 @@ def solve_lmm_step(model: Model, ctx: LmmStepContext,
                         NewtonMatrix() if newton is None else newton)
 
 
-def rk_residual(model: Model, ctx: RkStageContext, w: np.ndarray):
-    """Stage residual w - f(known + c1 w, t_i)."""
-    return w - model.velocity(ctx.known + ctx.c1 * w, ctx.t)
+def rk_residual(model: Model, ctx: RkStageContext, w: np.ndarray,
+                rows=None):
+    """Stage residual w - f(known + c1 w, t_i); rows as in
+    ``lmm_residual``."""
+    return (w if rows is None else w[rows]) \
+        - model.velocity(ctx.known + ctx.c1 * w, ctx.t)
 
 
 def rk_jacobian_terms(model: Model, ctx: RkStageContext, w: np.ndarray):

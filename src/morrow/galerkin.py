@@ -11,18 +11,31 @@ from dataclasses import replace
 
 import numpy as np
 
-from .core import Model, SolverOptions, TrialSubspace, Trajectory, reconstruct
+from .core import (Model, SolverOptions, TrialSubspace, Trajectory, frozen,
+                   reconstruct)
 from . import fom
 
 
 def make_galerkin_model(model: Model, sub: TrialSubspace) -> Model:
+    """The reduced model.  While model.jacobian returns one read-only J
+    that owns its memory (a constant Jacobian, see ``core.Model``), its
+    Phi^T J Phi is formed once and returned read-only, so it too is keyed
+    by identity."""
     phi = sub.basis
+    kept = [None, None]  # the constant J and its Phi^T J Phi
 
     def velocity(yhat, t):
         return phi.T @ model.velocity(reconstruct(sub, yhat), t)
 
     def jacobian(yhat, t):
-        return phi.T @ model.jacobian(reconstruct(sub, yhat), t) @ phi
+        jac = model.jacobian(reconstruct(sub, yhat), t)
+        if kept[0] is jac and frozen(jac):
+            return kept[1]
+        reduced = phi.T @ jac @ phi
+        if frozen(jac):
+            reduced.setflags(write=False)
+            kept[:] = jac, reduced
+        return reduced
 
     return Model(dim=sub.p, velocity=velocity, jacobian=jacobian,
                  initial_state=np.zeros(sub.p))

@@ -11,14 +11,24 @@ stage (explicit/DIRK) or over the coupled stacked stage system, whose stage
 blocks are each weighted by W.  The Runge-Kutta residuals are fom's own
 (``fom.rk_residual``, ``fom.rk_coupled_residual``) at stage values Phi y, as
 the multistep one is ``fom.lmm_residual`` at x0 + Phi yhat.
+
+When W selects rows (GNAT, collocation) and the model can restrict itself
+(``core.Model.restrict``), a multistep step or an explicit/DIRK stage
+evaluates those residual rules, and the Newton product
+(c0 I - c1 J) Phi, on the selected rows only, with the states lifted on
+their sample mesh (``_sample_mesh``); only the Runge-Kutta warm start
+Phi^T f(x^{n-1}) still evaluates f in full.  A run with a callback or a
+fully implicit tableau stays on all rows.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import block_diag, solve_triangular
+from scipy.linalg import block_diag
+from scipy.linalg.lapack import dtrtrs
 
-from .core import SolverOptions, Trajectory, reconstruct, write_csv
+from .core import (SolverOptions, Trajectory, TrialSubspace, reconstruct,
+                   write_csv)
 from . import fom
 from .schemes import ButcherTableau, LmmScheme, classify
 
@@ -43,6 +53,11 @@ class WeightingOperator:
         self.dim = dim
         self.rows = None if rows is None else np.asarray(rows, int)
         self.factor = np.asarray(factor, float)
+        if self.rows is not None:
+            outside = self.rows[(self.rows < 0) | (self.rows >= dim)]
+            if len(outside):
+                raise ValueError(
+                    f"row {outside[0]} is outside [0, {dim})")
 
     def _select(self, m):
         return m if self.rows is None else m[self.rows]
@@ -147,7 +162,9 @@ def _gauss_newton(residual, jacobian, y0, W, opts, callback=None):
             raise GaussNewtonError(
                 f"rank-deficient Gauss-Newton system (sigma_min = {smin:.3e})",
                 smallest_singular_value=smin)
-        step = -solve_triangular(rr, qtr)
+        # the LAPACK call scipy.linalg.solve_triangular(rr, qtr) makes for
+        # numpy's C-ordered R, without its per-call wrapper cost
+        step = -dtrtrs(rr.T, qtr, lower=1, trans=1)[0]
 
         # Armijo condition on the squared objective
         slope = float(grad @ step)
@@ -190,11 +207,14 @@ def compute_test_basis(model, sub, W, ctx, x, newton=None):
 
 
 def solve_lspg_step_lmm(model, sub, W, ctx, opts, yhat_warm=None,
-                        callback=None, newton=None):
+                        callback=None, newton=None, rows=None):
     """One LSPG linear-multistep step; ctx carries the lifted (full-space)
     history.  newton, a fom.NewtonMatrix, may carry the residual Jacobian
     times Phi from earlier steps; an explicit step's (beta_0 = 0) is
-    alpha_0 Phi, with no model Jacobian.  Returns (yhat, GaussNewtonReport)."""
+    alpha_0 Phi, with no model Jacobian.  On a sample mesh, model, sub, W
+    and rows are what ``_sample_mesh`` returns, ctx carries the history on
+    the mesh and newton is a fom.NewtonMatrix(rows).  Returns
+    (yhat, GaussNewtonReport)."""
     if yhat_warm is None:
         yhat_warm = np.zeros(sub.p)
     phi = sub.basis
@@ -202,11 +222,11 @@ def solve_lspg_step_lmm(model, sub, W, ctx, opts, yhat_warm=None,
     alpha, beta = ctx.scheme.coeffs(ctx.n)
 
     def residual(y):
-        return fom.lmm_residual(model, ctx, reconstruct(sub, y))
+        return fom.lmm_residual(model, ctx, reconstruct(sub, y), rows)
 
     def jacobian(y):
         if beta[0] == 0.0:
-            return alpha[0] * phi
+            return alpha[0] * (phi if rows is None else phi[rows])
         return newton.times(*fom.lmm_jacobian_terms(
             model, ctx, reconstruct(sub, y)), phi)
 
@@ -215,20 +235,21 @@ def solve_lspg_step_lmm(model, sub, W, ctx, opts, yhat_warm=None,
 
 
 def solve_lspg_rk_stage(model, sub, W, ctx, opts, yhat_warm, callback=None,
-                        newton=None):
+                        newton=None, rows=None):
     """One explicit/DIRK stage: minimizes fom's stage residual at the
-    stage value Phi y, with ctx a fom.RkStageContext in full space.
-    newton, a fom.NewtonMatrix, may carry the stage Jacobian times Phi
-    from earlier stages and steps."""
+    stage value Phi y, with ctx a fom.RkStageContext in full space, or on
+    the sample mesh as in ``solve_lspg_step_lmm``.  newton, a
+    fom.NewtonMatrix, may carry the stage Jacobian times Phi from earlier
+    stages and steps."""
     phi = sub.basis
     newton = fom.NewtonMatrix() if newton is None else newton
 
     def residual(y):
-        return fom.rk_residual(model, ctx, phi @ y)
+        return fom.rk_residual(model, ctx, phi @ y, rows)
 
     def jacobian(y):
         if ctx.c1 == 0.0:
-            return phi
+            return phi if rows is None else phi[rows]
         return newton.times(*fom.rk_jacobian_terms(model, ctx, phi @ y), phi)
 
     return _gauss_newton(residual, jacobian, yhat_warm, W, opts,
@@ -267,6 +288,25 @@ def solve_lspg_rk_coupled(model, sub, W, base_full, t_base, tableau, dt, opts,
     return z.reshape(s, p), report
 
 
+def _sample_mesh(model, sub, W):
+    """(model, sub, W, rows) of a step solved on the rows W selects: the
+    ``core.SampleMesh`` of those rows, the trial subspace's rows on its
+    mesh (x0[mesh] + range(Phi[mesh]), a basis that is not orthonormal),
+    W's factor alone, and the positions of W's rows on the mesh.  None
+    when W keeps every row, the model cannot restrict itself, or the mesh
+    has fewer states than the basis has modes (a step that is
+    underdetermined anyway)."""
+    if W.rows is None or model.restrict is None:
+        return None
+    sampled = model.restrict(W.rows)
+    mesh = sampled.mesh
+    if len(mesh) < sub.p:
+        return None
+    return (sampled, TrialSubspace(sub.basis[mesh], sub.reference[mesh]),
+            WeightingOperator(len(W.rows), factor=W.factor),
+            np.searchsorted(mesh, W.rows))
+
+
 def integrate_lspg(model, sub, W, scheme, dt, T,
                    opts: SolverOptions = SolverOptions(), callback=None):
     """LSPG trajectory in generalized coordinates, marched by ``fom.march``:
@@ -274,18 +314,25 @@ def integrate_lspg(model, sub, W, scheme, dt, T,
     reduced stage values of a Runge-Kutta run in its stages.  callback, if
     given, receives the full-space residual vector at every Gauss-Newton
     iterate, each stage block of it for a fully implicit tableau (used for
-    residual-snapshot collection)."""
+    residual-snapshot collection).  Without a callback, steps run on the
+    sample mesh of W's rows when ``_sample_mesh`` gives one: a multistep
+    history is lifted on the mesh, a Runge-Kutta base state in full."""
+    lmm = isinstance(scheme, LmmScheme)
     coupled = isinstance(scheme, ButcherTableau) \
         and classify(scheme) == "fully_implicit"
     phi = sub.basis
     reports = []
-    newton = fom.NewtonMatrix()
+    sampled = None if callback is not None or coupled \
+        else _sample_mesh(model, sub, W)
+    on_model, on_sub, on_W, rows = sampled or (model, sub, W, None)
+    newton = fom.NewtonMatrix(rows)
 
     def step(n, ctx, prev):
         t_base = (n - 1) * dt
-        if isinstance(scheme, LmmScheme):
-            yhat, report = solve_lspg_step_lmm(model, sub, W, ctx, opts, prev,
-                                               callback, newton)
+        if lmm:
+            yhat, report = solve_lspg_step_lmm(on_model, on_sub, on_W, ctx,
+                                               opts, prev, callback, newton,
+                                               rows)
             reports.append(report)
             return yhat
         if coupled:
@@ -294,18 +341,22 @@ def integrate_lspg(model, sub, W, scheme, dt, T,
             reports.append(report)
             return coords
         warm = phi.T @ model.velocity(ctx, t_base)
-        coords, full = [], []
+        base = ctx if rows is None else ctx[on_model.mesh]
+        coords, stage_values = [], []
         for _ in range(scheme.s):
-            stage = fom.rk_stage_context(ctx, t_base, scheme, dt, full)
-            yi, report = solve_lspg_rk_stage(model, sub, W, stage, opts, warm,
-                                             callback, newton)
+            stage = fom.rk_stage_context(base, t_base, scheme, dt,
+                                         stage_values)
+            yi, report = solve_lspg_rk_stage(on_model, on_sub, on_W, stage,
+                                             opts, warm, callback, newton,
+                                             rows)
             coords.append(yi)
-            full.append(phi @ yi)
+            stage_values.append(on_sub.basis @ yi)
             reports.append(report)
         return coords
 
+    lifted = on_sub if lmm else sub
     states, stages = fom.march(scheme, dt, T, np.zeros(sub.p), step,
-                               lambda y: reconstruct(sub, y))
+                               lambda y: reconstruct(lifted, y))
     return Trajectory(dt=dt, states=states, kind="lspg", stages=stages), \
         reports
 

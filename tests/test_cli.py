@@ -661,6 +661,9 @@ def test_run_chains_every_stage_and_writes_one_cell_format(tmp_path):
     ("rom", BASE + "\n[rom]\nkind = lspg\n"
      "weighting = collocation:no-such-dir/rows.txt\n", [],
      "no-such-dir/rows.txt"),
+    ("rom", BASE + "\n[rom]\nkind = lspg\n"
+     "weighting = collocation:rows-3-10-999.txt\n", [],
+     "'collocation:rows-3-10-999.txt': row 999 is outside [0, 24)"),
     ("pod", BASE, ["--nu", "0.5"],
      "--nu needs --snapshots; a config sets [pod] nu"),
 ], ids=["gnat-explicit-rom", "gnat-explicit-sweep", "unknown-scheme",
@@ -673,9 +676,11 @@ def test_run_chains_every_stage_and_writes_one_cell_format(tmp_path):
         "probe-out-of-range-sweep", "dt-flag-entry-not-number",
         "dt-flag-entry-zero", "dt-grid-entry-not-number", "T-zero-rom",
         "T-below-one-step", "T-negative", "collocation-file-missing",
-        "nu-without-snapshots"])
-def test_config_errors_name_their_cause(tmp_path, capsys, sub, body, extra,
-                                        names):
+        "collocation-row-out-of-range", "nu-without-snapshots"])
+def test_config_errors_name_their_cause(tmp_path, capsys, monkeypatch, sub,
+                                        body, extra, names):
+    monkeypatch.chdir(tmp_path)  # where a relative collocation path points
+    (tmp_path / "rows-3-10-999.txt").write_text("3\n10\n999\n")
     assert cli.main([sub, "--config", write_config(tmp_path, body),
                      "--out", str(tmp_path / "o"), *extra]) == 1
     err = capsys.readouterr().err

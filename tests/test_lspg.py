@@ -97,6 +97,13 @@ def test_collocation_accepts_sample_set():
     assert np.array_equal(W.apply(v), [1.0, 4.0])
 
 
+@pytest.mark.parametrize("rows, bad", [([3, 10, 999], 999), ([-1, 2], -1),
+                                       ([64], 64)])
+def test_weighting_rejects_rows_outside_the_state(rows, bad):
+    with pytest.raises(ValueError, match=rf"row {bad} is outside \[0, 64\)"):
+        lspg.collocation(64, rows)
+
+
 # ------------------------------------------------------------------ solver
 
 def test_single_step_matches_normal_equations(tight_opts):
