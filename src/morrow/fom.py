@@ -18,20 +18,22 @@ minimizes these same residuals at stage values Phi y.
 
 Model Jacobians may be dense arrays or ``scipy.sparse`` matrices; every
 Newton matrix is c0 I - c1 J (``shifted``) and keeps J's type, a sparse
-one shifted on J's stored entries.  A ``NewtonMatrix`` factors it, with
-dense LU or, for a sparse matrix, with LAPACK's band LU after a reverse
-Cuthill-McKee reordering, or multiplies it with a basis, and keeps the
-result while (c0, c1, J) repeat bitwise, so a linear model factors once
-per step size.  ``scipy.sparse`` is imported only when a sparse Jacobian
-shows up.
+one shifted on J's stored entries.  A ``NewtonMatrix`` factors it or
+multiplies it with a basis, and keeps the result while (c0, c1, J) repeat
+bitwise, so a linear model factors once per step size.  A dense matrix
+goes straight to LAPACK's dgetrf/dgetrs.  A sparse J in canonical CSR form
+that stores its diagonal (every built-in sparse model's) keeps its
+pattern's structure while the pattern repeats: each new matrix refills
+the data of one kept CSR shell and is factored by LAPACK's band LU in a
+reverse Cuthill-McKee ordering found once, with no scipy.sparse object
+built.  ``scipy.sparse`` is imported only when a sparse Jacobian shows up.
 """
 
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
-from scipy.linalg.lapack import dgbtrf, dgbtrs
+from scipy.linalg.lapack import dgbtrf, dgbtrs, dgetrf, dgetrs
 
 from .core import (JacobianKey, Model, SolverOptions, Trajectory, band_order,
                    read_csv, write_csv)
@@ -92,6 +94,26 @@ def rk_stage_context(base_state, t_base, tableau: ButcherTableau, dt,
                           c1=dt * tableau.a[i, i])
 
 
+def _identity_entries(csr, rows):
+    """The positions in csr.data of the identity entries of ``shifted``,
+    or None unless csr is in canonical form and stores every one."""
+    if not csr.has_canonical_format:
+        return None
+    n = csr.shape[0]
+    at = np.repeat(np.arange(n) if rows is None else np.asarray(rows),
+                   np.diff(csr.indptr))
+    diag = np.flatnonzero(csr.indices == at)
+    return diag if len(diag) == n else None
+
+
+def _shift(data, diag, c0, c1):
+    """The entries of c0 I - c1 J on J's stored entries data, whose
+    identity entries sit at diag: data scaled by -c1, plus c0 there."""
+    out = data * -c1
+    out[diag] += c0
+    return out
+
+
 def shifted(c0: float, c1: float, jac, rows=None):
     """c0 I - c1 J with an identity of J's own type: an ndarray stays
     dense, a scipy.sparse matrix stays sparse (CSR).
@@ -101,9 +123,9 @@ def shifted(c0: float, c1: float, jac, rows=None):
     unit vector at column rows[i], the mesh position of J's row i.
 
     A sparse J in canonical CSR form that stores each row's identity entry
-    is shifted on its stored entries: its data scaled by -c1, plus c0 at
-    those entries.  That is the matrix c0 I - c1 J of scipy.sparse
-    arithmetic, bitwise; any other sparse J takes that arithmetic."""
+    is shifted on its stored entries (``_shift``).  That is the matrix
+    c0 I - c1 J of scipy.sparse arithmetic, bitwise; any other sparse J
+    takes that arithmetic."""
     n = jac.shape[0]
     cols = np.arange(n) if rows is None else np.asarray(rows)
     if isinstance(jac, np.ndarray):
@@ -112,17 +134,72 @@ def shifted(c0: float, c1: float, jac, rows=None):
         return c0 * eye - c1 * jac
     from scipy import sparse
     csr = jac.tocsr()
-    if csr.has_canonical_format:
-        at = np.repeat(cols.astype(csr.indices.dtype), np.diff(csr.indptr))
-        diag = np.flatnonzero(csr.indices == at)
-        if len(diag) == n:
-            data = csr.data * -c1
-            data[diag] += c0
-            return sparse.csr_array((data, csr.indices, csr.indptr),
-                                    shape=csr.shape)
+    diag = _identity_entries(csr, rows)
+    if diag is not None:
+        return sparse.csr_array((_shift(csr.data, diag, c0, c1), csr.indices,
+                                 csr.indptr), shape=csr.shape)
     eye = sparse.csr_array((np.ones(n), cols, np.arange(n + 1)),
                            shape=csr.shape)
     return c0 * eye - c1 * csr
+
+
+def _exactly_singular(info, factor):
+    """A zero pivot of a LAPACK LU (info > 0) is a StepSolveError."""
+    if info > 0:
+        raise StepSolveError(f"Newton matrix is exactly singular (zero pivot "
+                             f"{info} of its {factor})")
+
+
+class _Pattern:
+    """What a NewtonMatrix keeps of a sparse J's pattern (indptr, indices)
+    while it repeats: the positions of J's identity entries (None when J
+    cannot be shifted on its stored entries, see ``shifted``), a private
+    CSR shell of the pattern whose data each c0 I - c1 J refills, and the
+    band LU's ordering and scatter, formed at the first factorization.
+    indptr and indices are keyed as ``core.JacobianKey`` keys an array."""
+
+    def __init__(self, csr, rows):
+        self._keys = JacobianKey(csr.indptr), JacobianKey(csr.indices)
+        self.diag = _identity_entries(csr, rows)
+        self.shell = self.band = None
+        if self.diag is not None:
+            from scipy import sparse
+            self.shell = sparse.csr_array(
+                (csr.data, csr.indices, csr.indptr), shape=csr.shape,
+                copy=True)
+
+    def matches(self, csr):
+        return self._keys[0].matches(csr.indptr) \
+            and self._keys[1].matches(csr.indices)
+
+
+def _band(mat):
+    """(perm, positions, kl, ku): the reverse Cuthill-McKee ordering of a
+    CSR mat's pattern and the positions of its stored entries in the band
+    storage of dgbtrf."""
+    perm, rows, cols = band_order(mat)
+    rows, cols = rows.astype(np.intp), cols.astype(np.intp)
+    kl = int(np.max(rows - cols, initial=0))
+    ku = int(np.max(cols - rows, initial=0))
+    # entry (i, j) sits at row kl + ku + i - j, column j of the
+    # 2 kl + ku + 1 rows dgbtrf works in, stored column by column
+    return perm, cols * (2 * kl + ku + 1) + kl + ku + rows - cols, kl, ku
+
+
+def _band_lu(band, mat):
+    """The solve of a CSR mat by dgbtrf/dgbtrs in the given band
+    ordering of its pattern."""
+    perm, positions, kl, ku = band
+    ab = np.zeros((mat.shape[0], 2 * kl + ku + 1))
+    ab.ravel()[positions] = mat.data
+    lu, piv, info = dgbtrf(ab.T, kl, ku, overwrite_ab=1)
+    _exactly_singular(info, "band LU")
+
+    def solve(rhs):
+        x = np.empty_like(rhs, dtype=float)
+        x[perm] = dgbtrs(lu, kl, ku, rhs[perm], piv)[0]
+        return x
+    return solve
 
 
 class NewtonMatrix:
@@ -130,88 +207,86 @@ class NewtonMatrix:
     its product with a basis formed on first use and kept while c0, c1 and
     the entries of J repeat bitwise.
 
-    J is keyed by a ``core.JacobianKey``: by identity when it is a
-    read-only array that owns its memory, else by a private copy of its
-    contents, since a model may refill one buffer in place.  The product is
+    J is keyed by ``core.JacobianKey``s (a sparse J's pattern and data
+    apart): by identity when an array is read-only and owns its memory,
+    else by a private copy of its contents, since a model may refill one
+    buffer in place.  The product is
     kept for the basis object it was formed with; callers must not mutate
     either.  rows, if given, makes every J a row block on a sample mesh,
     shifted as ``shifted`` says.
 
-    A sparse c0 I - c1 J is factored by LAPACK's band LU (dgbtrf) in the
-    reverse Cuthill-McKee ordering of its pattern, at O(N b^2) for a
-    reordered bandwidth b: b = 1 for a tridiagonal matrix, 2 with a
-    periodic wrap.  The ordering and the band positions of the stored
-    entries are kept while the pattern (indptr, indices) repeats, so a
-    model with a fixed pattern is ordered once.  One object serves one
-    integration or bound call: it is not shared between threads.
+    A sparse J's pattern is kept (``_Pattern``) while it repeats, so a new
+    c0 I - c1 J on it is one shift of J's data into the kept CSR shell; a
+    J that cannot be shifted on its stored entries takes ``shifted``.  A
+    sparse matrix is factored by LAPACK's band LU (dgbtrf) in the reverse
+    Cuthill-McKee ordering of its pattern, at O(N b^2) for a reordered
+    bandwidth b: b = 1 for a tridiagonal matrix, 2 with a periodic wrap.
+    A dense one is factored by dgetrf and solved by dgetrs, the calls of
+    scipy's lu_factor/lu_solve without their finiteness checks (a residual
+    that is not finite stops ``newton_solve``).  An exactly singular
+    matrix raises StepSolveError.  One object serves one integration or
+    bound call: it is not shared between threads.
     """
 
     def __init__(self, rows=None):
         self._rows = rows
+        self._pattern = None
         self._key = None
         self._solve = None
         self._basis = self._product = None
-        self._band = None  # (indptr, indices, perm, positions, kl, ku)
 
     def _use(self, c0, c1, jac):
+        """Keep (c0, c1, J), dropping the factor and product unless they
+        repeat; returns J, in CSR form if sparse."""
+        if isinstance(jac, np.ndarray):
+            pattern, values = None, jac
+        else:
+            jac = jac.tocsr()
+            if self._pattern is None or not self._pattern.matches(jac):
+                self._pattern = _Pattern(jac, self._rows)
+            pattern, values = self._pattern, jac.data
         key = self._key
-        if key is not None and key[:2] == (c0, c1) and key[2].matches(jac):
-            return
-        self._key = (c0, c1, JacobianKey(jac))
+        if key is not None and key[:2] == (c0, c1) and key[2] is pattern \
+                and key[3].matches(values):
+            return jac
+        self._key = (c0, c1, pattern, JacobianKey(values))
         self._solve = None
         self._basis = self._product = None
+        return jac
+
+    def _matrix(self, c0, c1, jac):
+        """c0 I - c1 J: the kept shell refilled, else ``shifted``."""
+        pattern = self._key[2]
+        if pattern is None or pattern.diag is None:
+            return shifted(c0, c1, jac, self._rows)
+        pattern.shell.data = _shift(jac.data, pattern.diag, c0, c1)
+        return pattern.shell
 
     def solve(self, c0, c1, jac, rhs):
-        """(c0 I - c1 J)^{-1} rhs by LU: lu_factor/lu_solve for an
-        ndarray, band LU for a scipy.sparse matrix.  A sparse matrix that
-        is exactly singular raises StepSolveError."""
-        self._use(c0, c1, jac)
+        """(c0 I - c1 J)^{-1} rhs by LU: dgetrf/dgetrs for an ndarray, band
+        LU for a scipy.sparse matrix."""
+        jac = self._use(c0, c1, jac)
         if self._solve is None:
-            mat = shifted(c0, c1, jac)
+            mat = self._matrix(c0, c1, jac)
             if isinstance(mat, np.ndarray):
-                lu = lu_factor(mat)
-                self._solve = lambda b: lu_solve(lu, b)
+                lu, piv, info = dgetrf(mat, overwrite_a=1)
+                _exactly_singular(info, "LU")
+                self._solve = lambda b: dgetrs(lu, piv, b)[0]
             else:
-                self._solve = self._band_lu(mat)
+                pattern = self._key[2]
+                if mat is not pattern.shell:  # shifted: a pattern of its own
+                    band = _band(mat)
+                else:
+                    band = pattern.band = pattern.band or _band(mat)
+                self._solve = _band_lu(band, mat)
         return self._solve(rhs)
-
-    def _band_lu(self, mat):
-        """The solve of a CSR mat by dgbtrf/dgbtrs in the band ordering of
-        its pattern."""
-        band = self._band
-        if band is None or not (np.array_equal(band[0], mat.indptr)
-                                and np.array_equal(band[1], mat.indices)):
-            perm, rows, cols = band_order(mat)
-            rows, cols = rows.astype(np.intp), cols.astype(np.intp)
-            kl = int(np.max(rows - cols, initial=0))
-            ku = int(np.max(cols - rows, initial=0))
-            # entry (i, j) sits at row kl + ku + i - j, column j of the
-            # 2 kl + ku + 1 rows dgbtrf works in, stored column by column
-            positions = cols * (2 * kl + ku + 1) + kl + ku + rows - cols
-            band = self._band = (mat.indptr.copy(), mat.indices.copy(),
-                                 perm, positions, kl, ku)
-        _, _, perm, positions, kl, ku = band
-        n = mat.shape[0]
-        ab = np.zeros((n, 2 * kl + ku + 1))
-        ab.ravel()[positions] = mat.data
-        lu, piv, info = dgbtrf(ab.T, kl, ku, overwrite_ab=1)
-        if info > 0:
-            raise StepSolveError(
-                f"Newton matrix is exactly singular (zero pivot {info} of "
-                f"its band LU)")
-
-        def solve(rhs):
-            x = np.empty_like(rhs, dtype=float)
-            x[perm] = dgbtrs(lu, kl, ku, rhs[perm], piv)[0]
-            return x
-        return solve
 
     def times(self, c0, c1, jac, basis):
         """(c0 I - c1 J) basis."""
-        self._use(c0, c1, jac)
+        jac = self._use(c0, c1, jac)
         if self._basis is not basis:
             self._basis = basis
-            self._product = shifted(c0, c1, jac, self._rows) @ basis
+            self._product = self._matrix(c0, c1, jac) @ basis
         return self._product
 
 
@@ -252,21 +327,31 @@ def lmm_jacobian_terms(model: Model, ctx: LmmStepContext, w: np.ndarray):
 def newton_solve(residual, jacobian_terms, w, opts, newton):
     """Newton from w on residual(w) = 0, whose Jacobian c0 I - c1 J is
     given by jacobian_terms(w) = (c0, c1, J) and solved by newton, a
-    NewtonMatrix; converged once |r| <= max(abs_tol, rel_tol |r(w)|).
-    The one Newton loop of every full-space solve, the bounds' included."""
+    NewtonMatrix; converged once |r| <= max(abs_tol, rel_tol |r(w)|).  A
+    residual that is not finite stops it: an infinite first one would set
+    the tolerance to inf and accept w.  The one Newton loop of every
+    full-space solve, the bounds' included."""
+    def norm(r):
+        rnorm = float(np.linalg.norm(r))
+        if not np.isfinite(rnorm):
+            raise StepSolveError(f"Newton residual is not finite "
+                                 f"(|r| = {rnorm})", residual_norm=rnorm)
+        return rnorm
+
     r = residual(w)
-    tol = max(opts.newton_abs_tol, opts.newton_rel_tol * np.linalg.norm(r))
+    rnorm = norm(r)
+    tol = max(opts.newton_abs_tol, opts.newton_rel_tol * rnorm)
     for _ in range(opts.max_iters):
-        if np.linalg.norm(r) <= tol:
+        if rnorm <= tol:
             return w
         w = w - newton.solve(*jacobian_terms(w), r)
         r = residual(w)
-    if np.linalg.norm(r) <= tol:
+        rnorm = norm(r)
+    if rnorm <= tol:
         return w
     raise StepSolveError(
         f"Newton failed to converge in {opts.max_iters} iterations "
-        f"(|r| = {np.linalg.norm(r):.3e})",
-        residual_norm=float(np.linalg.norm(r)))
+        f"(|r| = {rnorm:.3e})", residual_norm=rnorm)
 
 
 def solve_lmm_step(model: Model, ctx: LmmStepContext,

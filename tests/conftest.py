@@ -42,6 +42,15 @@ def singular_sparse_model():
                  jacobian=lambda x, t: jac, initial_state=np.ones(3))
 
 
+def singular_dense_model(dt):
+    """f(x) = J x with the read-only J = diag(1/dt, -1): its backward Euler
+    Newton matrix I - dt J = diag(0, 1 + dt) is exactly singular."""
+    jac = np.diag([1.0 / dt, -1.0])
+    jac.setflags(write=False)
+    return Model(dim=2, velocity=lambda x, t: jac @ x,
+                 jacobian=lambda x, t: jac, initial_state=np.ones(2))
+
+
 def gauss2_tableau():
     """The two-stage Gauss tableau: fully implicit, so Runge-Kutta solvers
     take the coupled path."""

@@ -13,7 +13,8 @@ from morrow import analysis, benchmodels, bounds, cli, fom, hyperreduction, \
 from morrow.core import lift, read_csv, write_csv
 from morrow.schemes import make_lmm
 
-from conftest import counting, counting_to_file, singular_sparse_model
+from conftest import (counting, counting_to_file, singular_dense_model,
+                      singular_sparse_model)
 
 
 BASE = """\
@@ -243,6 +244,19 @@ def test_singular_sparse_newton_matrix_is_a_numerical_failure(
     assert (dt, stable) == (2.0, False)
     # no probe series to measure an error on
     assert probe is None and np.isnan(bound)
+
+
+def test_singular_dense_newton_matrix_is_a_numerical_failure(
+        tmp_path, capsys, monkeypatch):
+    # I - dt J = diag(0, 1 + dt) at the config's dt = 0.004
+    monkeypatch.setattr(benchmodels, "build",
+                        lambda spec: singular_dense_model(0.004))
+    cfg = write_config(tmp_path, BASE.replace("probe = 5", "probe = 0"))
+    assert cli.main(["fom", "--config", cfg, "--out",
+                     str(tmp_path / "fom")]) == 2
+    err = capsys.readouterr().err
+    assert "numerical failure at step 1: Newton matrix is exactly singular" \
+        in err and err.count("\n") == 1, err
 
 
 @pytest.mark.parametrize("model", ["gradient_flow", "burgers",

@@ -1,5 +1,6 @@
 """Full-order time stepping against closed-form and high-accuracy oracles."""
 
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -13,7 +14,7 @@ from morrow.schemes import make_butcher, make_lmm
 from conftest import (NEWTON_CASES, calls_at_base, counting, gauss2_tableau,
                       linear_model, logging_velocity, newton_case,
                       newton_case_states, random_subspace, refilled_cubic,
-                      singular_sparse_model)
+                      singular_dense_model, singular_sparse_model)
 
 
 def scalar_decay(lam=-2.0):
@@ -137,6 +138,34 @@ def test_singular_sparse_newton_matrix_is_a_step_failure():
     assert err.value.time_index == 1
 
 
+def test_singular_dense_newton_matrix_is_a_step_failure():
+    # I - 0.1 J = diag(0, 1.1): a zero pivot in dgetrf, with no warning
+    model = singular_dense_model(0.1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(fom.StepSolveError,
+                           match="exactly singular") as err:
+            fom.integrate(model, make_lmm("backward_euler"), 0.1, 0.3)
+    assert err.value.time_index == 1
+
+
+@pytest.mark.parametrize("norm", ["inf", "nan"])
+def test_residual_that_is_not_finite_is_a_step_failure(norm, monkeypatch):
+    # an infinite first residual would set the tolerance to inf and accept
+    # the warm start x^0 at every step (1e307 * 3^3 overflows); a NaN one
+    # would never converge
+    model = Model(dim=2, velocity=(lambda x, t: 1e307 * x**3) if norm == "inf"
+                  else (lambda x, t: np.full(2, np.nan)),
+                  jacobian=lambda x, t: np.diag(3e307 * x**2),
+                  initial_state=np.array([1.0, 3.0]))
+    factors = counting(monkeypatch, fom, "dgetrf")
+    with pytest.raises(fom.StepSolveError, match="residual is not finite") \
+            as err:
+        fom.integrate(model, make_lmm("backward_euler"), 0.1, 0.3)
+    assert err.value.time_index == 1 and factors == []
+    assert str(err.value.residual_norm) == norm
+
+
 @pytest.mark.parametrize("integrator", ["fom", "galerkin", "lspg"])
 def test_state_that_is_not_finite_names_its_step(integrator):
     # the velocity is NaN from t = 0.27 on: rk4's last stage of step 3
@@ -233,7 +262,7 @@ def test_rk_integrate_records_stages_and_lmm_does_not(tight_opts):
 def test_linear_sdirk2_factors_once(monkeypatch):
     # both SDIRK2 stages and all 10 steps share I - dt a_ii J
     model, scheme, dt, T = newton_case("gradflow-sdirk2")
-    factors = counting(monkeypatch, fom, "lu_factor")
+    factors = counting(monkeypatch, fom, "dgetrf")
     fom.integrate(model, scheme, dt, T)
     assert len(factors) == 1
 
@@ -249,12 +278,12 @@ def test_burgers_factors_once_per_newton_iteration(case, monkeypatch,
         return jac(x, t)
 
     model = replace(model, jacobian=jacobian)
-    dense = counting(monkeypatch, fom, "lu_factor")
-    shifted = counting(monkeypatch, fom, "shifted")
+    dense = counting(monkeypatch, fom, "dgetrf")
+    band = counting(monkeypatch, fom, "dgbtrf")
     fom.integrate(model, scheme, dt, T, tight_opts)
     assert len(jacobians) > round(T / dt)  # several Newton iterations a step
-    assert len(shifted) == len(jacobians)
-    assert len(dense) == (len(jacobians) if case.endswith("dense") else 0)
+    factors, other = (dense, band) if case.endswith("dense") else (band, dense)
+    assert len(factors) == len(jacobians) and other == []
 
 
 @pytest.mark.parametrize("case", NEWTON_CASES)
@@ -283,7 +312,7 @@ def test_refilled_jacobian_buffer_is_refactored(monkeypatch):
     # one buffer handed back as is, or as a read-only view that does not
     # own its memory: both are keyed by content
     *buffered, fresh = refilled_cubic()
-    factors = counting(monkeypatch, fom, "lu_factor")
+    factors = counting(monkeypatch, fom, "dgetrf")
     want = fom.integrate(fresh, make_lmm("backward_euler"), 0.1, 0.5).states
     fresh_factors = len(factors)
     for model in buffered:

@@ -317,3 +317,107 @@ def test_band_ordering_is_kept_per_pattern(monkeypatch):
                      ("periodic", 2), ("dirichlet0", 3)):
         newton.solve(1.0, 2e-3, burgers_jacobian(bc, seed=seed), rhs)
     assert len(orderings) == 3
+
+
+COEFFS = ((1.0, 2e-3), (1.5, 1e-3 / 1.5), (1.0, 1.0))
+
+
+def shifted_solve(c0, c1, jac, rhs):
+    """The reference solve: the band LU of ``fom.shifted``'s matrix."""
+    mat = fom.shifted(c0, c1, jac)
+    return fom._band_lu(fom._band(mat), mat)(rhs)
+
+
+def check_against_shifted(newton, c0, c1, jac, rows=None):
+    """Assert that newton's product with a basis and, without rows, its
+    solve are bitwise those formed from ``fom.shifted``'s matrix; returns
+    how many times newton called shifted for them."""
+    rng = np.random.default_rng(4)
+    basis = rng.standard_normal((jac.shape[1], 5))
+    rhs = rng.standard_normal(jac.shape[0])
+    want = fom.shifted(c0, c1, jac, rows) @ basis
+    solution = None if rows is not None else shifted_solve(c0, c1, jac, rhs)
+    calls = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fom, "shifted", lambda *args, f=fom.shifted:
+                   calls.append(args) or f(*args))
+        assert np.array_equal(newton.times(c0, c1, jac, basis), want)
+        if rows is None:
+            assert np.array_equal(newton.solve(c0, c1, jac, rhs), solution)
+    return len(calls)
+
+
+@pytest.mark.parametrize("bc", ["dirichlet0", "periodic"])
+@pytest.mark.parametrize("mesh", ["full", "sampled"])
+def test_kept_structure_is_bitwise_the_shifted_matrix(bc, mesh):
+    # one NewtonMatrix, new entries on one pattern: each (c0 I - c1 J) is
+    # J's data shifted into the kept shell, no scipy.sparse arithmetic
+    m = bm.burgers1d(bm.BenchmarkSpec(name="b", n=64, viscosity=0.01, bc=bc,
+                                      initial="sine"))
+    if mesh == "full":
+        rows, cols, jacobian = None, np.arange(64), m.jacobian
+    else:  # a GNAT sample mesh's rows, the periodic wrap included
+        sampled = m.restrict([0, 5, 6, 63])
+        rows = np.searchsorted(sampled.mesh, [0, 5, 6, 63])
+        cols, jacobian = sampled.mesh, sampled.jacobian
+    newton = fom.NewtonMatrix(rows)
+    rng = np.random.default_rng(2)
+    for c0, c1 in COEFFS + COEFFS:
+        x = m.initial_state + 0.1 * rng.standard_normal(64)
+        assert check_against_shifted(newton, c0, c1, jacobian(x[cols], 0.0),
+                                     rows) == 0
+
+
+def test_refilled_csr_buffer_is_refactored(monkeypatch):
+    from scipy import sparse
+    from scipy.sparse import csgraph
+    jac = sparse.csr_array(np.array([[2.0, 1.0, 0.0], [0.0, 3.0, 0.0],
+                                     [0.0, 0.0, 4.0]]))
+    factors = counting(monkeypatch, fom, "dgbtrf")
+    orderings = counting(monkeypatch, csgraph, "reverse_cuthill_mckee")
+    newton, rhs, ordered = fom.NewtonMatrix(), np.ones(3), []
+    for refill in (lambda: None,
+                   lambda: jac.data.__setitem__(slice(None), [5, 6, 7, 8]),
+                   # entry (0, 1) moves to (0, 2): the same nnz, sorted
+                   lambda: jac.indices.__setitem__(1, 2)):
+        refill()
+        want = shifted_solve(1.0, 0.1, jac, rhs)
+        assert np.allclose(want, np.linalg.solve(
+            np.eye(3) - 0.1 * jac.toarray(), rhs))
+        factors.clear()
+        orderings.clear()
+        assert np.array_equal(newton.solve(1.0, 0.1, jac, rhs), want)
+        assert len(factors) == 1
+        ordered.append(len(orderings))
+    assert ordered == [1, 0, 1]  # a new pattern is ordered again
+
+
+def not_canonical_jacobian():
+    """A Burgers CSR Jacobian with each row's entries in reverse order."""
+    from scipy import sparse
+    jac = burgers_jacobian("dirichlet0", n=16)
+    order = np.concatenate([np.arange(a, b)[::-1] for a, b
+                            in zip(jac.indptr[:-1], jac.indptr[1:])])
+    return sparse.csr_array((jac.data[order], jac.indices[order], jac.indptr),
+                            shape=jac.shape)
+
+
+def test_jacobian_that_cannot_be_refilled_takes_shifted():
+    # a new pattern rebuilds the kept structure; one that misses an
+    # identity entry or is not in canonical form is shifted by scipy.sparse
+    # arithmetic, once for the product and once for the factor
+    newton = fom.NewtonMatrix()
+    blocks = [burgers_jacobian("periodic", seed=s) for s in (1, 2)]
+    block = fom._block([[2e-3 * a_ij * j for a_ij in a_i]
+                        for a_i, j in zip(gauss2_tableau().a, blocks)])
+    assert not not_canonical_jacobian().has_canonical_format
+    for jac, calls in ((burgers_jacobian("dirichlet0", n=16), 0),
+                       (missing_diagonal_jacobian(), 2),
+                       (burgers_jacobian("dirichlet0", n=16, seed=2), 0),
+                       (not_canonical_jacobian(), 2),
+                       # the coupled Runge-Kutta matrix is canonical and
+                       # stores its diagonal: it is refilled like any J
+                       (block, 0),
+                       (burgers_jacobian("dirichlet0", n=16, seed=3), 0)):
+        for c0, c1 in COEFFS:
+            assert check_against_shifted(newton, c0, c1, jac) == calls
