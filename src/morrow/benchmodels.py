@@ -7,6 +7,7 @@ gradient_flow_spd   -- f = -A x with A symmetric positive definite
 build(spec) returns the one spec.name selects.
 """
 
+import copy
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -76,24 +77,36 @@ def burgers1d(spec: BenchmarkSpec) -> Model:
         listed as [diag, upper, lower] where keep says which upper and
         lower entries exist.  The structure is built once from COO with
         entry positions as values: order[k] is the position in that list
-        of the k-th stored entry, so every call fills the same structure."""
-        csr = sparse.csr_array((np.arange(len(rows), dtype=float),
-                                (rows, cols)), shape=shape)
-        order = csr.data.astype(np.intp)
+        of the k-th stored entry, so every call fills the same structure.
+        Each call returns a shallow copy of that one validated matrix with
+        data of its own: its indices and indptr are the template's, which
+        own their memory and are read-only, so they are keyed by identity
+        (``core.JacobianKey``) and no caller can change another's."""
+        template = sparse.csr_array((np.arange(len(rows), dtype=float),
+                                     (rows, cols)), shape=shape)
+        order = template.data.astype(np.intp)
+        indices, indptr = template.indices.copy(), template.indptr.copy()
+        indices.setflags(write=False)
+        indptr.setflags(write=False)
+        template.indices, template.indptr = indices, indptr
 
         def jacobian(u, up, um):
             off = -u / (2.0 * dx)
             data = np.concatenate([-(up - um) / (2.0 * dx) - 2.0 * nu / dx**2,
                                    (off + nu / dx**2)[keep[0]],
                                    (-off + nu / dx**2)[keep[1]]])
-            return sparse.csr_array((data[order], csr.indices.copy(),
-                                     csr.indptr.copy()), shape=shape)
+            mat = copy.copy(template)
+            mat.data = data[order]
+            return mat
         return jacobian
 
     def neighbors(u):
-        if periodic:
-            return np.roll(u, -1), np.roll(u, 1)
-        return np.concatenate([u[1:], [0.0]]), np.concatenate([[0.0], u[:-1]])
+        """(up, um): two views of one copy of u padded by its wrapped ends
+        if periodic, else by the walls' zeros."""
+        padded = np.empty(n + 2)
+        padded[1:-1] = u
+        padded[0], padded[-1] = (u[-1], u[0]) if periodic else (0.0, 0.0)
+        return padded[2:], padded[:-2]
 
     # row i couples to i-1, i, i+1 (wrapped if periodic)
     grid = np.arange(n)

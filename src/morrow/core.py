@@ -24,7 +24,10 @@ class Model:
     Jacobian returned as a read-only ndarray that owns its memory must
     never change: it is keyed by identity (``JacobianKey``).  A writeable
     buffer, or a read-only view of one, may be refilled between calls and
-    is compared by content.
+    is compared by content.  The same rule holds for each of a sparse J's
+    pattern arrays (indptr and indices): returned read-only and owning
+    their memory, they must never change and are matched by identity, so a
+    model may hand every call's matrix the same two arrays.
 
     restrict, if set, maps row indices (each in [0, dim)) to the
     ``SampleMesh`` of those rows of f, so that LSPG steps weighted by a row

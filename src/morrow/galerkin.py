@@ -11,8 +11,8 @@ from dataclasses import replace
 
 import numpy as np
 
-from .core import (Model, SolverOptions, TrialSubspace, Trajectory, frozen,
-                   reconstruct)
+from .core import (JacobianKey, Model, SolverOptions, TrialSubspace,
+                   Trajectory, frozen, reconstruct)
 from . import fom
 
 
@@ -20,9 +20,26 @@ def make_galerkin_model(model: Model, sub: TrialSubspace) -> Model:
     """The reduced model.  While model.jacobian returns one read-only J
     that owns its memory (a constant Jacobian, see ``core.Model``), its
     Phi^T J Phi is formed once and returned read-only, so it too is keyed
-    by identity."""
+    by identity.  A sparse J in canonical CSR form is reduced as
+    (S Phi)^T Phi, S a kept CSC matrix on J's pattern (so S = J^T) whose
+    data is J's: bitwise scipy's Phi^T J Phi, without building J^T per
+    call.  S is rebuilt when J's indptr or indices change, each keyed as
+    ``core.JacobianKey`` keys an array."""
     phi = sub.basis
     kept = [None, None]  # the constant J and its Phi^T J Phi
+    shell = [None, None]  # J's pattern keys and S
+
+    def transposed(csr):
+        """S with csr's data: csr^T."""
+        keys = shell[0]
+        if keys is None or not (keys[0].matches(csr.indptr)
+                                and keys[1].matches(csr.indices)):
+            from scipy import sparse
+            shell[:] = ((JacobianKey(csr.indptr), JacobianKey(csr.indices)),
+                        sparse.csc_array((csr.data, csr.indices, csr.indptr),
+                                         shape=csr.shape[::-1], copy=True))
+        shell[1].data = csr.data
+        return shell[1]
 
     def velocity(yhat, t):
         return phi.T @ model.velocity(reconstruct(sub, yhat), t)
@@ -31,6 +48,9 @@ def make_galerkin_model(model: Model, sub: TrialSubspace) -> Model:
         jac = model.jacobian(reconstruct(sub, yhat), t)
         if kept[0] is jac and frozen(jac):
             return kept[1]
+        if not isinstance(jac, np.ndarray) and jac.format == "csr" \
+                and jac.has_canonical_format:
+            return (transposed(jac) @ phi).T @ phi
         reduced = phi.T @ jac @ phi
         if frozen(jac):
             reduced.setflags(write=False)

@@ -12,10 +12,10 @@ import pytest
 
 from morrow import benchmodels as bm
 from morrow import bounds, fom, galerkin, hyperreduction, lspg, pod
-from morrow.core import Model, SolverOptions, norm2, norm2_at_most
+from morrow.core import Model, SolverOptions, frozen, norm2, norm2_at_most
 from morrow.schemes import ButcherTableau, make_lmm
 
-from conftest import counting, gauss2_tableau
+from conftest import counting, gauss2_tableau, random_subspace
 
 SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
                    "src")
@@ -78,12 +78,50 @@ def test_burgers_jacobian_is_bitwise_the_coo_assembly(bc, n):
     first = m.jacobian(u, 0.0)
     for got, want in zip(csr_arrays(first), csr_arrays(ref)):
         assert got.dtype == want.dtype and np.array_equal(got, want)
-    # the structure is shared by every call: a caller that writes into
-    # one returned matrix must not change the next one
-    for arr in csr_arrays(first):
-        arr[:] = 0
-    for got, want in zip(csr_arrays(m.jacobian(u, 0.0)), csr_arrays(ref)):
-        assert np.array_equal(got, want)
+    # every call shares one read-only pattern and owns its data, so a
+    # caller cannot change the next call's matrix through the one it got
+    second = m.jacobian(u, 0.0)
+    assert second.indptr is first.indptr and second.indices is first.indices
+    for arr in (first.indptr, first.indices):
+        with pytest.raises(ValueError):
+            arr[:] = 0
+    first.data[:] = 0
+    for mat in (second, m.jacobian(u, 0.0)):
+        for got, want in zip(csr_arrays(mat), csr_arrays(ref)):
+            assert np.array_equal(got, want)
+
+
+def burgers_mesh(bc, mesh, n=64):
+    """(model, rows, cols, jacobian): Burgers' full Jacobian (rows None,
+    every column), or that of a GNAT sample mesh whose rows include the
+    periodic wrap and both Dirichlet walls, with the rows' positions on
+    the mesh."""
+    m = bm.burgers1d(bm.BenchmarkSpec(name="b", n=n, viscosity=0.01, bc=bc,
+                                      initial="sine"))
+    if mesh == "full":
+        return m, None, np.arange(n), m.jacobian
+    sampled = m.restrict([0, 5, 6, n - 1])
+    return (m, np.searchsorted(sampled.mesh, [0, 5, 6, n - 1]),
+            sampled.mesh, sampled.jacobian)
+
+
+@pytest.mark.parametrize("mesh", ["full", "sampled"])
+@pytest.mark.parametrize("bc", ["dirichlet0", "periodic"])
+def test_burgers_jacobians_are_valid_canonical_csr(bc, mesh):
+    # each call returns a copy of one template with new data: it must
+    # still be a CSR matrix scipy accepts, on the full grid and on a sample
+    # mesh
+    m, _, cols, jacobian = burgers_mesh(bc, mesh)
+    rng = np.random.default_rng(3)
+    jacs = [jacobian(m.initial_state[cols] + 0.1 * rng.standard_normal(
+        len(cols)), 0.0) for _ in range(3)]
+    for jac in jacs:
+        assert jac.format == "csr" and jac.has_canonical_format
+        assert jac.indptr is jacs[0].indptr and frozen(jac.indptr)
+        assert jac.indices is jacs[0].indices and frozen(jac.indices)
+    assert len({id(jac.data) for jac in jacs}) == len(jacs)
+    for jac in jacs:
+        jac.check_format(full_check=True)
 
 
 @pytest.mark.parametrize("case", [
@@ -352,14 +390,7 @@ def check_against_shifted(newton, c0, c1, jac, rows=None):
 def test_kept_structure_is_bitwise_the_shifted_matrix(bc, mesh):
     # one NewtonMatrix, new entries on one pattern: each (c0 I - c1 J) is
     # J's data shifted into the kept shell, no scipy.sparse arithmetic
-    m = bm.burgers1d(bm.BenchmarkSpec(name="b", n=64, viscosity=0.01, bc=bc,
-                                      initial="sine"))
-    if mesh == "full":
-        rows, cols, jacobian = None, np.arange(64), m.jacobian
-    else:  # a GNAT sample mesh's rows, the periodic wrap included
-        sampled = m.restrict([0, 5, 6, 63])
-        rows = np.searchsorted(sampled.mesh, [0, 5, 6, 63])
-        cols, jacobian = sampled.mesh, sampled.jacobian
+    m, rows, cols, jacobian = burgers_mesh(bc, mesh)
     newton = fom.NewtonMatrix(rows)
     rng = np.random.default_rng(2)
     for c0, c1 in COEFFS + COEFFS:
@@ -421,3 +452,73 @@ def test_jacobian_that_cannot_be_refilled_takes_shifted():
                        (burgers_jacobian("dirichlet0", n=16, seed=3), 0)):
         for c0, c1 in COEFFS:
             assert check_against_shifted(newton, c0, c1, jac) == calls
+
+
+@pytest.mark.parametrize("bc", ["dirichlet0", "periodic"])
+@pytest.mark.parametrize("mesh", ["full", "sampled"])
+def test_burgers_pattern_is_matched_by_identity(monkeypatch, bc, mesh):
+    # Burgers returns one read-only pattern, so a NewtonMatrix builds its
+    # _Pattern once and compares only J's data by content (on a repeated
+    # (c0, c1))
+    m, rows, cols, jacobian = burgers_mesh(bc, mesh)
+    patterns = counting(monkeypatch, fom, "_Pattern")
+    compared = []
+    monkeypatch.setattr(np, "array_equal", lambda a, b, f=np.array_equal:
+                        compared.append(a.dtype.kind) or f(a, b))
+    newton, rng = fom.NewtonMatrix(rows), np.random.default_rng(2)
+    basis = rng.standard_normal((len(cols), 4))
+    for c0, c1 in COEFFS + COEFFS:
+        jac = jacobian(m.initial_state[cols]
+                       + 0.1 * rng.standard_normal(len(cols)), 0.0)
+        newton.times(c0, c1, jac, basis)
+        newton.times(c0, c1, jac, basis)
+        if rows is None:
+            newton.solve(c0, c1, jac, np.ones(64))
+    assert len(patterns) == 1
+    assert set(compared) == {"f"}
+
+
+def galerkin_of(jacobian, n, p=4):
+    """Galerkin's reduced model of an n-state model with the given
+    jacobian, on a random basis about 0, and the basis."""
+    sub = random_subspace(n, p, seed=6)
+    return galerkin.make_galerkin_model(Model(
+        dim=n, velocity=lambda x, t: x, jacobian=jacobian,
+        initial_state=np.zeros(n)), sub), sub.basis
+
+
+@pytest.mark.parametrize("bc", ["dirichlet0", "periodic"])
+def test_galerkin_sparse_reduced_jacobian_is_bitwise_the_projection(
+        monkeypatch, bc):
+    from scipy import sparse
+    shells = counting(monkeypatch, sparse, "csc_array")
+    current = []
+    gm, basis = galerkin_of(lambda x, t: current[0], 128)
+    for seed in range(6):
+        current[:] = [burgers_jacobian(bc, n=128, seed=seed)]
+        assert np.array_equal(gm.jacobian(np.zeros(4), 0.0),
+                              basis.T @ current[0] @ basis)
+    assert len(shells) == 1  # kept while the pattern repeats
+
+
+def test_galerkin_reduced_jacobian_follows_a_changing_pattern():
+    # a new nnz, other formats and a non-canonical CSR, then a buffer
+    # whose indices are refilled in place between calls
+    buffer = burgers_jacobian("dirichlet0", n=16, seed=4).copy()
+
+    def refilled():
+        buffer.indices[1] = 2  # entry (0, 1) moves to (0, 2), still sorted
+        return buffer
+    current = []
+    gm, basis = galerkin_of(lambda x, t: current[0], 16)
+    for make in (lambda: burgers_jacobian("dirichlet0", n=16),
+                 lambda: burgers_jacobian("periodic", n=16),
+                 lambda: burgers_jacobian("dirichlet0", n=16, seed=2).tocsc(),
+                 lambda: burgers_jacobian("dirichlet0", n=16, seed=3).tocoo(),
+                 not_canonical_jacobian,
+                 lambda: burgers_jacobian("dirichlet0", n=16, seed=5),
+                 lambda: buffer, refilled):
+        jac = make()
+        current[:] = [jac]
+        assert np.array_equal(gm.jacobian(np.zeros(4), 0.0),
+                              basis.T @ jac @ basis)
