@@ -565,16 +565,3 @@ def write_bound_report_csv(report: BoundReport, path):
               ((n, report.term_projection[n], report.coeff[n],
                 report.per_step_local[n], report.per_step_bound[n])
                for n in range(1, len(report.per_step_bound))))
-
-
-def write_auxiliary_report_csv(report: AuxiliaryIncrementReport, path, dt,
-                               kappa):
-    """Rows j = 1..n; partial_bound is step j's contribution to the
-    final-time relative-form bound."""
-    n = len(report.mu) - 1
-    h = 1.0 - kappa * dt
-    write_csv(path, ["j", "mu", "mu_bar", "f_norm", "partial_bound"],
-              ((j, report.mu[j], report.mu_bar[j], report.f_norms[j],
-                dt * (1.0 + kappa * dt) * report.mu_bar[j]
-                * report.f_norms[j] / h ** (n - j + 1))
-               for j in range(1, n + 1)))

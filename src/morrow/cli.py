@@ -39,26 +39,8 @@ class ConfigError(ValueError):
     pass
 
 
-def _load_config(path):
-    cp = configparser.ConfigParser(inline_comment_prefixes=(";",))
-    try:
-        with open(path, encoding="utf-8") as fh:
-            cp.read_file(fh, source=path)
-    except OSError as err:
-        raise ConfigError(f"cannot read config: {err}")
-    except configparser.Error as err:
-        raise ConfigError(f"config parse error: {err}")
-    return cp
-
-
-def _section(cp, name):
-    if not cp.has_section(name):
-        raise ConfigError(f"config has no [{name}] section")
-    return cp[name]
-
-
 def _convert(text, kind, label):
-    """text as a kind (float or int), else a ConfigError naming label."""
+    """text as a kind (float, int or str), else a ConfigError naming label."""
     try:
         return kind(text)
     except ValueError:
@@ -66,23 +48,85 @@ def _convert(text, kind, label):
         raise ConfigError(f"{label} is not {noun}")
 
 
-def _number(cp, section, key, default=None, low=-np.inf, high=np.inf,
-            kind=float):
-    """[section] key as a float (kind=int: an integer) in [low, high], or
-    default when the key is absent; a key without a default is required."""
-    value = cp.get(section, key, fallback=None)
-    if value is None:
-        if default is None:
-            raise ConfigError(f"config has no [{section}] {key}")
-        return default
-    x = _convert(value, kind, f"[{section}] {key} = {value!r}")
-    if not low <= x <= high:
-        raise ConfigError(f"[{section}] {key} = {value!r} must lie in "
-                          f"[{low}, {high}]")
-    return x
+def _floats(text, label):
+    """Comma-separated text as floats; a bad entry is a ConfigError."""
+    return tuple(_convert(v, float, f"{label} entry {v!r}")
+                 for v in text.split(","))
 
 
-_integer = partial(_number, kind=int)
+# Every config key, labelled as the README spells it: (type, default, low,
+# high).  Type None marks a retired key, accepted and ignored; default
+# _REQUIRED a key that must be set, None one whose absence its reader
+# handles.  A check that needs more than the text stays at the reader.
+_REQUIRED = object()
+_GRAMMAR = {
+    "[model] name": (str, _REQUIRED),
+    "[model] n": (int, 256),
+    "[model] viscosity": (float, 0.005),
+    "[model] speed": (float, 1.0),
+    "[model] bc": (str, "dirichlet0"),
+    "[model] initial": (str, "step"),
+    "[model] spectrum": (_floats, None),
+    "[time] scheme": (str, "backward_euler"),
+    "[time] dt": (float, _REQUIRED),
+    "[time] T": (float, _REQUIRED, 0.0, np.inf),
+    "[time] dt_grid": (_floats, None),
+    "[pod] nu": (float, 1.0 - 1e-6, 0.0, 1.0),
+    "[pod] p": (int, 0, 1, np.inf),
+    "[rom] kind": (str, "galerkin"),
+    "[rom] weighting": (str, "identity"),
+    "[rom] nu_residual": (float, 1.0, 0.0, 1.0),
+    "[rom] n_samples": (int, None),
+    **{f"[solver] {f.name}": (type(f.default), f.default)
+       for f in fields(SolverOptions)},
+    "[solver] fd_step": (None, None),
+    "[bounds] kappa": (float, None),
+    "[output] dir": (str, "out"),
+    "[output] seed": (int, 0),
+    "[output] probe": (int, 0),
+    "[pipeline] stages": (str, "fom,pod,rom"),
+}
+# configparser lowercases keys (T reads as t): labels match in lower case
+_LABELS = {label.lower(): label for label in _GRAMMAR}
+_SECTIONS = {label.split()[0] for label in _GRAMMAR}
+
+
+def _unknown(what, name, known):
+    """A ConfigError naming an unknown section or key and the nearest known."""
+    import difflib  # here, so that only a config error pays for loading it
+    near, = difflib.get_close_matches(name, known, n=1, cutoff=0.0)
+    return ConfigError(f"unknown config {what} {name}; did you mean {near}?")
+
+
+def _load_config(path):
+    """(sections, {label: value}) of the config at path, read by _GRAMMAR."""
+    cp = configparser.ConfigParser(inline_comment_prefixes=(";",))
+    try:
+        with open(path, encoding="utf-8") as fh:
+            cp.read_file(fh, source=path)
+        texts = {section: dict(cp[section]) for section in cp.sections()}
+    except OSError as err:
+        raise ConfigError(f"cannot read config: {err}")
+    except configparser.Error as err:  # interpolation ('%') errors too
+        raise ConfigError(f"config parse error: {err}")
+    for key in cp.defaults():  # copied into every section: reported once
+        raise _unknown("key", f"[DEFAULT] {key}", _GRAMMAR)
+    values = {}
+    for section, items in texts.items():
+        if f"[{section}]" not in _SECTIONS:
+            raise _unknown("section", f"[{section}]", _SECTIONS)
+        for key, text in items.items():
+            label = _LABELS.get(f"[{section}] {key}")
+            if label is None:
+                raise _unknown("key", f"[{section}] {key}", _GRAMMAR)
+            kind, _, *span = _GRAMMAR[label]
+            value = _floats(text, label) if kind is _floats \
+                else _convert(text, kind or str, f"{label} = {text!r}")
+            if span and not span[0] <= value <= span[1]:
+                raise ConfigError(f"{label} = {text!r} must lie in "
+                                  f"[{span[0]}, {span[1]}]")
+            values[label] = value
+    return set(texts), values
 
 
 def _sha256(path):
@@ -106,30 +150,42 @@ def _centered(states):
 
 
 class _Run:
-    """One invocation: its config, output dir and manifest, and what its
-    stages share.  The parsed config values, the full-order run and POD
-    result at each dt, the configured ROM run and kappa are each computed
-    on first use and then kept, so every stage and sweep point reads them
-    instead of solving again."""
+    """One invocation: its config (read whole, before any solve), output
+    dir and manifest, and what its stages share.  The full-order run and
+    POD result at each dt, the configured ROM run and kappa are each
+    computed on first use and kept, so every stage and sweep point reads
+    them instead of solving again."""
 
     def __init__(self, args):
         self.args = args
-        self.cp = cp = _load_config(args.config) if args.config \
-            else configparser.ConfigParser()
+        self.sections, self.config = _load_config(args.config) \
+            if args.config else (set(), {})
         flag = args.seed is not None
-        self.seed = args.seed if flag else _integer(cp, "output", "seed", 0)
+        self.seed = args.seed if flag else self.get("[output] seed")
         if not 0 <= self.seed < 2**64:
             raise ConfigError(f"{'--seed' if flag else '[output] seed'} = "
                               f"{self.seed} must lie in [0, 2**64)")
         if args.parallel < 1:
             raise ConfigError(f"--parallel = {args.parallel} must be positive")
-        self.out = args.out or cp.get("output", "dir", fallback="out")
+        # the ROM kind: sweep's --rom, else [rom] kind
+        self.kind = getattr(args, "rom", None) or self.get("[rom] kind")
+        if self.kind not in ("galerkin", "lspg", "gnat"):
+            raise ConfigError(f"unknown rom kind {self.kind!r}")
+        self.out = args.out or self.get("[output] dir")
         os.makedirs(self.out, exist_ok=True)
         self.artifacts = {}
         self.timings = {}
-        self.notes = {}
+        retired = [k for k in self.config if _GRAMMAR[k][0] is None]
+        self.notes = {"ignored_retired_keys": retired} if retired else {}
         self._foms = {}  # dt -> (full-order Trajectory, seconds)
         self._pods = {}  # dt -> PodResult
+
+    def get(self, label):
+        """The config key label's value, else its default (if it has one)."""
+        value = self.config.get(label, _GRAMMAR[label][1])
+        if value is _REQUIRED:
+            raise ConfigError(f"config has no {label}")
+        return value
 
     def path(self, name):
         return os.path.join(self.out, name)
@@ -158,26 +214,17 @@ class _Run:
 
     @cached_property
     def model(self):
-        cp = self.cp
-        sec = _section(cp, "model")
-        spectrum = sec.get("spectrum")
-        spec = dict(
-            name=sec.get("name"), n=_integer(cp, "model", "n", 256),
-            viscosity=_number(cp, "model", "viscosity", 0.005),
-            speed=_number(cp, "model", "speed", 1.0),
-            bc=sec.get("bc", "dirichlet0"), initial=sec.get("initial", "step"),
-            spectrum=None if spectrum is None else tuple(
-                _convert(v, float, f"[model] spectrum entry {v!r}")
-                for v in spectrum.split(",")),
-            seed=self.seed)
+        spec = {key: self.get(f"[model] {key}") for key in (
+            "name", "n", "viscosity", "speed", "bc", "initial", "spectrum")}
         try:
-            return benchmodels.build(benchmodels.BenchmarkSpec(**spec))
+            return benchmodels.build(benchmodels.BenchmarkSpec(
+                **spec, seed=self.seed))
         except ValueError as err:
             raise ConfigError(f"[model] {err}")
 
     @cached_property
     def scheme(self):
-        name = _section(self.cp, "time").get("scheme", "backward_euler")
+        name = self.get("[time] scheme")
         try:
             return make_lmm(name) if name in _LMM_NAMES else make_butcher(name)
         except ValueError:
@@ -185,24 +232,22 @@ class _Run:
 
     @cached_property
     def opts(self):
-        values = {f.name: _number(self.cp, "solver", f.name, f.default,
-                                  kind=type(f.default))
-                  for f in fields(SolverOptions)}
         try:
-            return SolverOptions(**values)
+            return SolverOptions(**{f.name: self.get(f"[solver] {f.name}")
+                                    for f in fields(SolverOptions)})
         except ValueError as err:
             raise ConfigError(f"[solver] {err}")
 
     @cached_property
     def dt(self):
-        dt = _number(self.cp, "time", "dt")
+        dt = self.get("[time] dt")
         if dt <= 0.0:
             raise ConfigError(f"[time] dt = {dt} must be positive")
         return dt
 
     @cached_property
     def T(self):
-        return _number(self.cp, "time", "T", low=0.0)
+        return self.get("[time] T")
 
     def steps(self, dt):
         """The number of steps of length dt in [time] T."""
@@ -212,18 +257,12 @@ class _Run:
             raise ConfigError(f"T = {self.T} is not a multiple of dt = {dt}")
 
     @cached_property
-    def kind(self):
-        """The ROM kind: sweep's --rom, else [rom] kind."""
-        kind = getattr(self.args, "rom", None) \
-            or self.cp.get("rom", "kind", fallback="galerkin")
-        if kind not in ("galerkin", "lspg", "gnat"):
-            raise ConfigError(f"unknown rom kind {kind!r}")
-        return kind
-
-    @cached_property
     def probe(self):
-        return _integer(self.cp, "output", "probe", 0, low=0,
-                        high=self.model.dim - 1)
+        probe, high = self.get("[output] probe"), self.model.dim - 1
+        if not 0 <= probe <= high:
+            raise ConfigError(f"[output] probe = {str(probe)!r} must lie in "
+                              f"[0, {high}]")
+        return probe
 
     def fom_at(self, dt):
         """The full-order trajectory at dt, integrated on first use."""
@@ -242,8 +281,7 @@ class _Run:
         nu, so p modes are a slice of the untruncated basis, copied to C
         order so that the ROM does not depend on the slice's layout."""
         if dt not in self._pods:
-            nu = _number(self.cp, "pod", "nu", 1.0 - 1e-6, low=0.0, high=1.0)
-            p = _integer(self.cp, "pod", "p", 0, low=1)
+            nu, p = self.get("[pod] nu"), self.get("[pod] p")
             if self.steps(dt) == 0:
                 raise ConfigError(f"[time] T = {self.T} is shorter than one "
                                   f"step of dt = {dt}: no POD snapshots")
@@ -296,8 +334,8 @@ class _Run:
     @cached_property
     def kappa(self):
         """[bounds] kappa, else a Lipschitz estimate sampled around x0."""
-        if self.cp.has_option("bounds", "kappa"):
-            return _number(self.cp, "bounds", "kappa")
+        if (kappa := self.get("[bounds] kappa")) is not None:
+            return kappa
         x0 = np.asarray(self.model.initial_state, float)
         rng = np.random.default_rng(self.seed)
         return bounds.estimate_lipschitz(self.model, [x0] + [
@@ -307,11 +345,11 @@ class _Run:
 def _weighting(run, sub, dt, artifact="samples.txt"):
     """The LSPG weighting the config asks for at dt, None for Galerkin;
     GNAT writes its sampled rows to the named artifact."""
-    model, cp, scheme = run.model, run.cp, run.scheme
+    model, scheme = run.model, run.scheme
     if run.kind == "galerkin":
         return None
     if run.kind == "lspg":
-        spec = cp.get("rom", "weighting", fallback="identity")
+        spec = run.get("[rom] weighting")
         if spec == "identity":
             return lspg.scaled_identity(model.dim)
         if spec.startswith("gamma:"):
@@ -325,15 +363,15 @@ def _weighting(run, sub, dt, artifact="samples.txt"):
                 raise ConfigError(f"[rom] weighting = {spec!r}: {err}")
         raise ConfigError(f"unknown weighting {spec!r}")
     # GNAT: residual snapshots from a W=I training run on this config
-    nu_r = _number(cp, "rom", "nu_residual", 1.0, low=0.0, high=1.0)
     snaps = hyperreduction.collect_residual_snapshots(
         model, sub, scheme, dt, run.T, run.opts)
     if not snaps.vectors.shape[1]:
         raise ConfigError(f"gnat cannot train on [time] scheme "
                           f"{scheme.name!r}: it leaves no residual snapshots")
-    rbasis = hyperreduction.build_residual_basis(snaps, nu_r)
-    n_samples = _integer(cp, "rom", "n_samples", 2 * rbasis.shape[1])
-    n_samples = min(max(n_samples, rbasis.shape[1]), model.dim)
+    rbasis = hyperreduction.build_residual_basis(
+        snaps, run.get("[rom] nu_residual"))
+    q, n = rbasis.shape[1], run.get("[rom] n_samples")
+    n_samples = min(max(2 * q if n is None else n, q), model.dim)
     samples = hyperreduction.select_samples(rbasis, n_samples)
     run.emit(artifact, partial(hyperreduction.write_sample_set, samples))
     return hyperreduction.gnat_weighting(samples, rbasis)
@@ -368,7 +406,7 @@ def cmd_pod(run):
     path = getattr(run.args, "snapshots", None)  # `run` has no --snapshots
     nu = getattr(run.args, "nu", None)  # nor --nu
     if path:
-        nu = 1.0 - 1e-6 if nu is None else nu
+        nu = _GRAMMAR["[pod] nu"][1] if nu is None else nu
         if not 0.0 <= nu <= 1.0:
             raise ConfigError(f"--nu = {nu} must lie in [0.0, 1.0]")
         try:
@@ -384,7 +422,6 @@ def cmd_pod(run):
 
 
 def cmd_rom(run):
-    run.kind  # an unknown kind fails before any solve
     probe = run.probe
     traj = run.fom_run
     _write_pod(run, run.pod_at(run.dt))
@@ -444,18 +481,16 @@ def cmd_sweep(run):
     import multiprocessing  # here, so that only a sweep pays for loading it
     from concurrent.futures import ProcessPoolExecutor
     flag = getattr(run.args, "dt", None)  # `run` has no --dt or --rom
-    grid = flag or _section(run.cp, "time").get("dt_grid")
-    if grid is None:
+    dts = _floats(flag, "--dt") if flag else run.get("[time] dt_grid")
+    if dts is None:
         raise ConfigError("sweep needs --dt or [time] dt_grid")
-    where = "--dt" if flag else "[time] dt_grid"
-    dts = [_convert(v, float, f"{where} entry {v!r}") for v in grid.split(",")]
     diffs = np.diff(dts)
     if not (np.all(diffs > 0) or np.all(diffs < 0)) or min(dts) <= 0.0:
         raise ConfigError("dt grid must be strictly monotone and positive")
     for d in dts:
         run.steps(d)
-    run.kind, run.probe  # a bad kind or probe fails before any solve
-    kappa = run.kappa if run.cp.has_section("bounds") else None
+    run.probe  # a bad probe fails before any solve
+    kappa = run.kappa if "bounds" in run.sections else None
 
     # the longest point first.  Forked workers inherit the run and its model,
     # whose callbacks cannot be pickled: only indices and results cross
@@ -503,7 +538,6 @@ def _bound_report(traj, model, sub, scheme, kappa, W):
 
 
 def cmd_bounds(run):
-    run.kind  # an unknown kind fails before any solve
     rom_traj, lifted, W = run.rom_run
     kappa = run.kappa
     rep = _bound_report(rom_traj, run.model, run.pod_at(run.dt).basis,
@@ -539,8 +573,7 @@ _STAGES = {"fom": cmd_fom, "pod": cmd_pod, "rom": cmd_rom, "sweep": cmd_sweep,
 
 
 def cmd_run(run):
-    for stage in run.cp.get("pipeline", "stages",
-                            fallback="fom,pod,rom").split(","):
+    for stage in run.get("[pipeline] stages").split(","):
         stage = stage.strip()
         if stage not in _STAGES:
             raise ConfigError(f"unknown pipeline stage {stage!r}")

@@ -36,7 +36,7 @@ import numpy as np
 from scipy.linalg.lapack import dgbtrf, dgbtrs, dgetrf, dgetrs
 
 from .core import (JacobianKey, Model, SolverOptions, Trajectory, band_order,
-                   read_csv, write_csv)
+                   write_csv)
 from .schemes import ButcherTableau, LmmScheme, classify
 
 
@@ -106,26 +106,14 @@ def _identity_entries(csr, rows):
     return diag if len(diag) == n else None
 
 
-def _shift(data, diag, c0, c1):
-    """The entries of c0 I - c1 J on J's stored entries data, whose
-    identity entries sit at diag: data scaled by -c1, plus c0 there."""
-    out = data * -c1
-    out[diag] += c0
-    return out
-
-
 def shifted(c0: float, c1: float, jac, rows=None):
     """c0 I - c1 J with an identity of J's own type: an ndarray stays
     dense, a scipy.sparse matrix stays sparse (CSR).
 
     rows, if given, says that J holds some rows of a Jacobian on the
     columns of a sample mesh (``core.SampleMesh``): row i of I is then the
-    unit vector at column rows[i], the mesh position of J's row i.
-
-    A sparse J in canonical CSR form that stores each row's identity entry
-    is shifted on its stored entries (``_shift``).  That is the matrix
-    c0 I - c1 J of scipy.sparse arithmetic, bitwise; any other sparse J
-    takes that arithmetic."""
+    unit vector at column rows[i], the mesh position of J's row i.  This is
+    the reference arithmetic that ``NewtonMatrix``'s kept shell matches."""
     n = jac.shape[0]
     cols = np.arange(n) if rows is None else np.asarray(rows)
     if isinstance(jac, np.ndarray):
@@ -133,14 +121,9 @@ def shifted(c0: float, c1: float, jac, rows=None):
         eye[np.arange(n), cols] = 1.0
         return c0 * eye - c1 * jac
     from scipy import sparse
-    csr = jac.tocsr()
-    diag = _identity_entries(csr, rows)
-    if diag is not None:
-        return sparse.csr_array((_shift(csr.data, diag, c0, c1), csr.indices,
-                                 csr.indptr), shape=csr.shape)
     eye = sparse.csr_array((np.ones(n), cols, np.arange(n + 1)),
-                           shape=csr.shape)
-    return c0 * eye - c1 * csr
+                           shape=jac.shape)
+    return c0 * eye - c1 * jac.tocsr()
 
 
 def _exactly_singular(info, factor):
@@ -153,7 +136,7 @@ def _exactly_singular(info, factor):
 class _Pattern:
     """What a NewtonMatrix keeps of a sparse J's pattern (indptr, indices)
     while it repeats: the positions of J's identity entries (None when J
-    cannot be shifted on its stored entries, see ``shifted``), a private
+    cannot be shifted on its stored entries, ``_identity_entries``), a private
     CSR shell of the pattern whose data each c0 I - c1 J refills, and the
     band LU's ordering and scatter, formed at the first factorization.
     indptr and indices are keyed as ``core.JacobianKey`` keys an array."""
@@ -259,7 +242,8 @@ class NewtonMatrix:
         pattern = self._key[2]
         if pattern is None or pattern.diag is None:
             return shifted(c0, c1, jac, self._rows)
-        pattern.shell.data = _shift(jac.data, pattern.diag, c0, c1)
+        pattern.shell.data = jac.data * -c1  # plus c0 at the identity entries
+        pattern.shell.data[pattern.diag] += c0
         return pattern.shell
 
     def solve(self, c0, c1, jac, rhs):
@@ -511,10 +495,3 @@ def write_trajectory_csv(traj: Trajectory, path, labels=None):
         labels = [f"x_{i}" for i in range(len(traj.states[0]))]
     write_csv(path, ["t", *labels],
               ((n * traj.dt, *x) for n, x in enumerate(traj.states)))
-
-
-def read_trajectory_csv(path, kind="full") -> Trajectory:
-    data = read_csv(path)[1]
-    t = data[:, 0]
-    dt = float(t[1] - t[0]) if len(t) > 1 else 0.0
-    return Trajectory(dt=dt, states=data[:, 1:], kind=kind)

@@ -800,21 +800,6 @@ def test_auxiliary_recursions_match_closed_sums():
         assert abs(rep.bound_relative_form[m_] - rel) <= 1e-12 * rel
 
 
-def test_auxiliary_report_csv(tmp_path):
-    m, kappa, opts = small_linear_setup()
-    sub = random_subspace(8, 3, seed=15, reference=m.initial_state)
-    dt = 0.1 / kappa
-    traj, _ = lspg.integrate_lspg(m, sub, lspg.scaled_identity(8),
-                                  make_lmm("backward_euler"), dt, 4 * dt,
-                                  opts)
-    rep = bounds.auxiliary_increment_bound(m, traj, sub, dt, kappa, opts)
-    path = tmp_path / "aux.csv"
-    bounds.write_auxiliary_report_csv(rep, path, dt, kappa)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "j,mu,mu_bar,f_norm,partial_bound"
-    assert len(lines) == 5
-
-
 # ---------------------------------------------------------------- a priori
 
 def test_apriori_full_basis_zero():

@@ -1,4 +1,5 @@
 import concurrent.futures
+import configparser
 import json
 import multiprocessing
 import os
@@ -56,9 +57,8 @@ def test_fom_writes_trajectory_and_manifest(tmp_path):
     cfg = write_config(tmp_path, BASE)
     out = str(tmp_path / "out")
     assert cli.main(["fom", "--config", cfg, "--out", out]) == 0
-    traj = fom.read_trajectory_csv(os.path.join(out, "fom_trajectory.csv"))
-    assert len(traj.states) == 11
-    assert np.asarray(traj.states[0]).shape == (24,)
+    states = read_csv(os.path.join(out, "fom_trajectory.csv"))[1][:, 1:]
+    assert states.shape == (11, 24)
     snaps = pod.read_snapshots_csv(os.path.join(out, "snapshots.csv"))
     assert snaps.vectors.shape == (24, 10)
     manifest = json.load(open(os.path.join(out, "manifest.json")))
@@ -66,6 +66,12 @@ def test_fom_writes_trajectory_and_manifest(tmp_path):
                                           "snapshots.csv"}
     timings = json.load(open(os.path.join(out, "timings.json")))
     assert "fom" in timings
+    # configparser lowercases keys: [time] t is [time] T
+    cfg = write_config(tmp_path, BASE.replace("T = 0.04", "t = 0.04"))
+    lower = str(tmp_path / "lower")
+    assert cli.main(["fom", "--config", cfg, "--out", lower]) == 0
+    assert open(os.path.join(lower, "manifest.json"), "rb").read() \
+        == open(os.path.join(out, "manifest.json"), "rb").read()
 
 
 @pytest.mark.parametrize("kind", ["galerkin", "lspg", "gnat"])
@@ -199,7 +205,8 @@ def test_models_are_built_by_the_module_builder(tmp_path, monkeypatch):
 
 
 def test_unused_solver_keys_are_ignored(tmp_path):
-    # [solver] fd_step is no longer read; a config that sets it still runs
+    # [solver] fd_step is retired; a config that sets it still runs, and
+    # only its manifest says that the key was ignored
     plain = tmp_path / "plain"
     cfg = write_config(tmp_path, BASE)
     assert cli.main(["fom", "--config", cfg, "--out", str(plain)]) == 0
@@ -208,6 +215,11 @@ def test_unused_solver_keys_are_ignored(tmp_path):
     assert cli.main(["fom", "--config", cfg, "--out", str(out)]) == 0
     assert (out / "fom_trajectory.csv").read_bytes() \
         == (plain / "fom_trajectory.csv").read_bytes()
+    notes = [json.loads((d / "manifest.json").read_text())["notes"]
+             for d in (plain, out)]
+    assert "ignored_retired_keys" not in notes[0]
+    assert notes[1].pop("ignored_retired_keys") == ["[solver] fd_step"]
+    assert notes[1] == notes[0]
 
 
 @pytest.mark.parametrize("scheme", ["bdf2", "sdirk2", "rk4"])
@@ -456,12 +468,12 @@ def test_bounds_accepts_runge_kutta_schemes(tmp_path, kind):
     cfg = write_config(tmp_path, GRADFLOW_RK.format(kind=kind))
     out = str(tmp_path / "out")
     assert cli.main(["bounds", "--config", cfg, "--out", out]) == 0
-    ref = fom.read_trajectory_csv(os.path.join(out, "fom_trajectory.csv"))
-    rom = fom.read_trajectory_csv(os.path.join(out, "rom_trajectory.csv"))
+    ref, rom = (read_csv(os.path.join(out, name))[1][:, 1:]
+                for name in ("fom_trajectory.csv", "rom_trajectory.csv"))
     report = np.genfromtxt(os.path.join(out, "bound_report.csv"),
                            delimiter=",", names=True)
     assert list(report["n"]) == list(range(1, 11))
-    errors = np.linalg.norm(ref.states - rom.states, axis=1)[1:]
+    errors = np.linalg.norm(ref - rom, axis=1)[1:]
     assert np.all(errors > 0.0)
     assert np.all(report["global_bound"] >= errors)
 
@@ -598,15 +610,28 @@ def test_bounds_flags_a_sampled_kappa_on_a_steepening_wave(tmp_path):
     assert notes["kappa_underestimated"] is True
 
 
-def test_readme_config_example_runs(tmp_path):
+def readme_grammar_block():
     readme = open(os.path.join(os.path.dirname(os.path.abspath(__file__)),
                                os.pardir, "README.md"),
                   encoding="utf-8").read()
     section = readme.split("### Config grammar (INI)", 1)[1]
-    block = section.split("```ini\n", 1)[1].split("```", 1)[0]
-    cfg = write_config(tmp_path, block)
+    return section.split("```ini\n", 1)[1].split("```", 1)[0]
+
+
+def test_readme_config_example_runs(tmp_path):
+    cfg = write_config(tmp_path, readme_grammar_block())
     assert cli.main(["rom", "--config", cfg, "--out",
                      str(tmp_path / "out")]) == 0
+
+
+def test_readme_grammar_lists_exactly_the_key_table():
+    cp = configparser.ConfigParser(inline_comment_prefixes=(";",))
+    cp.optionxform = str  # the README's spelling, T included
+    cp.read_string(readme_grammar_block())
+    listed = [f"[{section}] {key}" for section in cp.sections()
+              for key in cp[section]]
+    assert listed == [label for label, (kind, *_) in cli._GRAMMAR.items()
+                      if kind is not None]
 
 
 # every stage `run` can chain, over 16 steps so that `spectral` runs
@@ -680,6 +705,16 @@ def test_run_chains_every_stage_and_writes_one_cell_format(tmp_path):
      "'collocation:rows-3-10-999.txt': row 999 is outside [0, 24)"),
     ("pod", BASE, ["--nu", "0.5"],
      "--nu needs --snapshots; a config sets [pod] nu"),
+    ("bounds", BASE + "\n[bounds]\nkapa = 5\n", [],
+     "unknown config key [bounds] kapa; did you mean [bounds] kappa?"),
+    ("fom", BASE + "\n[tiem]\nT = 0.04\n", [],
+     "unknown config section [tiem]; did you mean [time]?"),
+    ("fom", "[DEFAULT]\nprobe = 5\n" + BASE, [],
+     "unknown config key [DEFAULT] probe"),
+    ("fom", BASE.replace("nu = 0.9999", "nu = 2"), [], "[pod] nu"),
+    ("rom", BASE + "\n[rom]\nkind = lspg\n"
+     "weighting = collocation:rows%1.txt\n", [],
+     "config parse error: '%' must be followed by"),
 ], ids=["gnat-explicit-rom", "gnat-explicit-sweep", "unknown-scheme",
         "no-model", "no-dt", "sweep-no-grid", "spectral-short-run",
         "dt-zero", "n-not-integer", "n-too-small", "viscosity-not-number",
@@ -690,7 +725,9 @@ def test_run_chains_every_stage_and_writes_one_cell_format(tmp_path):
         "probe-out-of-range-sweep", "dt-flag-entry-not-number",
         "dt-flag-entry-zero", "dt-grid-entry-not-number", "T-zero-rom",
         "T-below-one-step", "T-negative", "collocation-file-missing",
-        "collocation-row-out-of-range", "nu-without-snapshots"])
+        "collocation-row-out-of-range", "nu-without-snapshots",
+        "unknown-key", "unknown-section", "default-key", "unread-key-checked",
+        "bare-percent"])
 def test_config_errors_name_their_cause(tmp_path, capsys, monkeypatch, sub,
                                         body, extra, names):
     monkeypatch.chdir(tmp_path)  # where a relative collocation path points
@@ -699,6 +736,25 @@ def test_config_errors_name_their_cause(tmp_path, capsys, monkeypatch, sub,
                      "--out", str(tmp_path / "o"), *extra]) == 1
     err = capsys.readouterr().err
     assert names in err and err.count("\n") == 1, err
+
+
+def test_unknown_key_fails_before_any_solve_or_fork(tmp_path, capfd,
+                                                    monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("no solve before the config is checked")
+
+    monkeypatch.setattr(fom, "integrate", forbidden)
+    body = BASE + "\n[rom]\nkind = lspg\nnu_residul = 0.5\n" \
+        "[bounds]\nkapa = 5\n"
+    out = tmp_path / "out"
+    assert cli.main(["sweep", "--config", write_config(tmp_path, body),
+                     "--out", str(out), "--dt", "0.008,0.004,0.002",
+                     "--parallel", "2"]) == 1
+    assert multiprocessing.active_children() == []
+    # the first unknown key in file order, and no output written
+    assert capfd.readouterr() == ("", "unknown config key [rom] nu_residul; "
+                                  "did you mean [rom] nu_residual?\n")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("offset", [-1, 1], ids=["below-nu", "above-nu"])
@@ -776,9 +832,9 @@ def test_run_solves_each_dt_once(tmp_path, monkeypatch, kind, dt):
         assert len(svds()) == len(dts) + len(trainings())
         assert len(kappas()) == 1
         # the FOM the stages record is the one at [time] dt
-        traj = fom.read_trajectory_csv(out / "fom_trajectory.csv")
-        assert len(traj.states) == round(0.064 / float(dt)) + 1
-        assert traj.times[1] == float(dt)
+        times = read_csv(out / "fom_trajectory.csv")[1][:, 0]
+        assert len(times) == round(0.064 / float(dt)) + 1
+        assert times[1] == float(dt)
 
 
 @pytest.mark.parametrize("kind", ["galerkin", "lspg", "gnat"])
@@ -853,7 +909,8 @@ def test_sweep_forks_no_more_workers_than_points(tmp_path, monkeypatch):
 
 
 def test_config_error_in_a_sweep_worker_is_a_usage_error(tmp_path, capfd):
-    # [pod] nu is read by each point, in its worker
+    # [pod] nu is read by each point, in its worker, but checked when the
+    # config is read, in the parent, before any fork
     cfg = write_config(tmp_path, BASE.replace("nu = 0.9999", "nu = 2"))
     assert cli.main(["sweep", "--config", cfg, "--out", str(tmp_path / "o"),
                      "--dt", "0.008,0.004,0.002", "--parallel", "2"]) == 1

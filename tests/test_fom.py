@@ -8,7 +8,7 @@ import pytest
 
 from morrow import fom, galerkin, lspg
 from morrow.core import (JacobianKey, Model, SolverOptions, Trajectory,
-                         TrialSubspace)
+                         TrialSubspace, read_csv)
 from morrow.schemes import make_butcher, make_lmm
 
 from conftest import (NEWTON_CASES, calls_at_base, counting, gauss2_tableau,
@@ -219,12 +219,10 @@ def test_trajectory_csv_round_trip(tmp_path, tight_opts):
     traj = fom.integrate(m, make_lmm("bdf2"), 0.05, 0.5, tight_opts)
     path = tmp_path / "traj.csv"
     fom.write_trajectory_csv(traj, path)
-    back = fom.read_trajectory_csv(path)
-    assert abs(back.dt - traj.dt) < 1e-15
-    for x, y in zip(traj.states, back.states):
-        assert np.array_equal(np.asarray(x, float), np.asarray(y, float))
-    header = path.read_text().splitlines()[0]
-    assert header == "t,x_0,x_1"
+    header, back = read_csv(path)
+    assert header == ["t", "x_0", "x_1"]
+    assert abs(back[1, 0] - back[0, 0] - traj.dt) < 1e-15
+    assert np.array_equal(back[:, 1:], traj.states)
 
 
 def test_trajectory_csv_recovers_dt_bitwise(tmp_path):
@@ -238,7 +236,8 @@ def test_trajectory_csv_recovers_dt_bitwise(tmp_path):
     for dt in dts:
         fom.write_trajectory_csv(
             Trajectory(dt=dt, states=np.ones((3, 2)), kind="full"), path)
-        assert fom.read_trajectory_csv(path).dt == dt, dt
+        t = read_csv(path)[1][:, 0]
+        assert t[1] - t[0] == dt, dt
 
 
 def test_rk_integrate_records_stages_and_lmm_does_not(tight_opts):
