@@ -2,8 +2,10 @@
 error, spectral time scales of generalized coordinates, observed
 convergence order, trajectory comparison, the paper's property checks
 (each returns the measured quantity; callers keep their own tolerance),
-and dt-sweep bookkeeping."""
+the growth test, a ROM run at one dt of a ladder, and the sweep CSV."""
 
+import time
+from contextlib import suppress
 from dataclasses import dataclass
 from functools import partial
 
@@ -11,7 +13,7 @@ import numpy as np
 
 from .core import (SolverOptions, TrialSubspace, Trajectory, lift,
                    read_csv, reconstruct, write_csv)
-from . import fom, galerkin, lspg
+from . import bounds, fom, galerkin, lspg
 from .schemes import LmmScheme
 
 
@@ -134,9 +136,8 @@ def galerkin_lspg_gap(model, sub: TrialSubspace, W, scheme, dt, T,
     """Max over steps of the distance between the lifted Galerkin and LSPG
     trajectories; zero for explicit schemes, as dt -> 0, and for an SPD
     residual Jacobian with W^T W its inverse."""
-    g = galerkin.integrate_galerkin(model, sub, scheme, dt, T, opts)
-    l, _ = lspg.integrate_lspg(model, sub, W, scheme, dt, T, opts)
-    return compare_trajectories(lift(sub, g), lift(sub, l))
+    return compare_trajectories(*(ladder_point(
+        model, scheme, T, dt, sub, w, opts).lifted for w in (None, W)))
 
 
 def commutativity_gap(model, sub: TrialSubspace, schemes, draws,
@@ -187,6 +188,47 @@ def bound_violations(ref: Trajectory, rom: Trajectory, sub: TrialSubspace,
     bound = report.per_step_bound * (1 + rtol) + atol
     return [n for n, x in enumerate(lift(sub, rom).states)
             if n and not np.linalg.norm(ref.states[n] - x) <= bound[n]]
+
+
+def is_unstable(states) -> bool:
+    """The growth test: a state's norm passes 1e6 max(||x^0||, 1)."""
+    norms = np.linalg.norm(states, axis=1)
+    return bool(np.any(norms > 1e6 * max(norms[0], 1.0)))
+
+
+@dataclass
+class LadderPoint:
+    traj: Trajectory    # reduced coordinates
+    lifted: Trajectory  # core.lift of traj
+    reports: list       # Gauss-Newton reports, none for Galerkin
+    seconds: float      # the ROM run alone
+    stable: bool        # not is_unstable(lifted.states)
+    bound: float        # global a posteriori bound, NaN when not evaluated
+
+
+def ladder_point(model, scheme, T, dt, sub: TrialSubspace, W,
+                 opts: SolverOptions, kappa=None) -> LadderPoint:
+    """The ROM at dt on the basis sub: Galerkin when W is None, LSPG
+    weighted by W otherwise.  Its bound is ``bounds.aposteriori_bound``'s
+    when kappa is given, the run is stable and the theorem's hypotheses
+    hold, else NaN.  A step the ROM cannot solve raises
+    ``fom.StepSolveError``."""
+    t0 = time.perf_counter()
+    if W is None:
+        traj, reports = galerkin.integrate_galerkin(model, sub, scheme, dt,
+                                                    T, opts), []
+    else:
+        traj, reports = lspg.integrate_lspg(model, sub, W, scheme, dt, T,
+                                            opts)
+    seconds = time.perf_counter() - t0
+    lifted = lift(sub, traj)
+    stable = not is_unstable(lifted.states)
+    bound = np.nan
+    if stable and kappa is not None:  # no bound past the theorem's dt cap
+        with suppress(bounds.BoundHypothesisError):
+            bound = bounds.aposteriori_bound(traj, model, sub, scheme, kappa,
+                                             W).global_bound
+    return LadderPoint(traj, lifted, reports, seconds, stable, bound)
 
 
 @dataclass

@@ -248,7 +248,10 @@ def _report(local_terms, kind, bound, local=None):
                        term_projection=term0, coeff=coeff0)
 
 
-def _propagate(local_terms, kind):
+def global_aposteriori_lmm(local_terms, kind="galerkin") -> BoundReport:
+    """Forward recursion B^n = c^n + sum_l gamma2_l^n B^{n-l}, B^0 = 0;
+    equal to the path-sum over coefficient tuples (proved by the
+    enumeration cross-check in the test suite)."""
     bound = np.zeros(len(local_terms) + 1)
     local = np.zeros(len(local_terms) + 1)
     for lt in local_terms:
@@ -259,13 +262,6 @@ def _propagate(local_terms, kind):
         bound[lt.n] = b
         local[lt.n] = c
     return _report(local_terms, kind, bound, local)
-
-
-def global_aposteriori_lmm(local_terms, kind="galerkin") -> BoundReport:
-    """Forward recursion B^n = c^n + sum_l gamma2_l^n B^{n-l}, B^0 = 0;
-    equal to the path-sum over coefficient tuples (proved by the
-    enumeration cross-check in the test suite)."""
-    return _propagate(local_terms, kind)
 
 
 def _expm1_div(a, kappa: float):
@@ -433,18 +429,14 @@ def _rk_dinv(tableau, kappa, dt, scale=1.0):
     return dinv
 
 
-def _stages(traj):
-    if traj.stages is None:
-        raise ValueError("Runge-Kutta bounds need a trajectory with stage "
-                         "records (from a Runge-Kutta integrator)")
-    return traj.stages
-
-
 def _run_points(traj, sub, tableau, n):
     """The full-space (x_i, t_i) of step n's stages, where the run traj
     evaluated f: an LSPG ROM forms them at stage values Phi y_i, a Galerkin
     ROM in reduced coordinates."""
-    base, ws, dt = traj.states[n - 1], _stages(traj)[n - 1], traj.dt
+    if traj.stages is None:
+        raise ValueError("Runge-Kutta bounds need a trajectory with stage "
+                         "records (from a Runge-Kutta integrator)")
+    base, ws, dt = traj.states[n - 1], traj.stages[n - 1], traj.dt
     if traj.kind == "lspg":
         base, ws = reconstruct(sub, base), [sub.basis @ y for y in ws]
     points = fom.rk_stage_points(base, (n - 1) * dt, tableau, dt, ws)
@@ -507,17 +499,16 @@ def _rk_bound(rom, kind, tableau, kappa, model, sub, W,
                        coeff=coeff)
 
 
-def rk_aposteriori_bound(traj, kind, tableau, kappa, model, sub,
-                         W=None) -> BoundReport:
-    """Global a posteriori bound for Runge-Kutta schemes.
-
-    Stage values are read from the trajectory's stage records, so traj must
-    come from a Runge-Kutta integrator.  Galerkin uses the orthogonal
-    projector on every stage; LSPG uses the per-stage oblique projector,
-    plus the cross-stage term of its coupled minimization under a fully
-    implicit tableau.
-    """
-    return _rk_bound(traj, kind, tableau, kappa, model, sub, W)
+def aposteriori_bound(traj, model, sub, scheme, kappa,
+                      W=None) -> BoundReport:
+    """Global a posteriori bound of a ROM run, of the kind traj ran as and,
+    for LSPG, with the W it ran with: the propagated local terms of a
+    multistep scheme, or the stage loop over traj's stage records (with the
+    cross-stage term of a coupled LSPG run) of a Runge-Kutta tableau."""
+    if isinstance(scheme, ButcherTableau):
+        return _rk_bound(traj, traj.kind, scheme, kappa, model, sub, W)
+    return global_aposteriori_lmm(local_aposteriori_lmm(
+        traj, traj.kind, model, sub, scheme, kappa, W), traj.kind)
 
 
 def apriori_bounds_lmm_rk(fom_traj, rom_traj, kind, model, sub, scheme,
@@ -541,7 +532,7 @@ def apriori_bounds_lmm_rk(fom_traj, rom_traj, kind, model, sub, scheme,
     local_terms = _lmm_local_terms(rom_traj, kind, model, sub, scheme, kappa,
                                    W, f_states=fom_traj.states,
                                    proj_in_h=True)
-    rep = _propagate(local_terms, kind)
+    rep = global_aposteriori_lmm(local_terms, kind)
     if mode == "global":
         return rep
     if mode == "timestep_independent":

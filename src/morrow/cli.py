@@ -19,16 +19,15 @@ import json
 import os
 import sys
 import time
-from dataclasses import fields, replace
+from dataclasses import fields
 from functools import cached_property, partial
 
 import numpy as np
 
-from . import analysis, benchmodels, bounds, fom, galerkin, hyperreduction, \
-    lspg, pod
-from .core import SolverOptions, TrialSubspace, lift, write_csv, write_text
+from . import analysis, benchmodels, bounds, fom, hyperreduction, lspg, pod
+from .core import SolverOptions, write_csv, write_text
 from .fom import StepSolveError
-from .schemes import ButcherTableau, make_butcher, make_lmm
+from .schemes import make_butcher, make_lmm
 
 EXIT_OK, EXIT_USAGE, EXIT_NUMERICAL, EXIT_VERIFY = 0, 1, 2, 3
 
@@ -76,11 +75,11 @@ _GRAMMAR = {
     "[rom] kind": (str, "galerkin"),
     "[rom] weighting": (str, "identity"),
     "[rom] nu_residual": (float, 1.0, 0.0, 1.0),
-    "[rom] n_samples": (int, None),
+    "[rom] n_samples": (int, None, 1, np.inf),
     **{f"[solver] {f.name}": (type(f.default), f.default)
        for f in fields(SolverOptions)},
     "[solver] fd_step": (None, None),
-    "[bounds] kappa": (float, None),
+    "[bounds] kappa": (float, None, 0.0, np.inf),
     "[output] dir": (str, "out"),
     "[output] seed": (int, 0),
     "[output] probe": (int, 0),
@@ -135,18 +134,6 @@ def _sha256(path):
         for chunk in iter(lambda: fh.read(65536), b""):
             h.update(chunk)
     return h.hexdigest()
-
-
-def _is_unstable(states):
-    norms = np.linalg.norm(states, axis=1)
-    return bool(np.any(norms > 1e6 * max(norms[0], 1.0)))
-
-
-def _centered(states):
-    """Snapshot matrix with columns x^n - x^0, n >= 1.  C order: the POD's
-    column norms sum in a layout-dependent order, and C order keeps the
-    basis bitwise equal to one built from stacked columns."""
-    return np.ascontiguousarray((states[1:] - states[0]).T)
 
 
 class _Run:
@@ -275,24 +262,15 @@ class _Run:
         return self._foms[dt][0]
 
     def pod_at(self, dt):
-        """POD of the centered snapshots of the full-order run at dt: the
-        modes that meet the [pod] nu energy criterion, or the leading
-        [pod] p modes when p is set.  The singular vectors do not depend on
-        nu, so p modes are a slice of the untruncated basis, copied to C
-        order so that the ROM does not depend on the slice's layout."""
+        """The POD (``pod.trajectory_pod``) of the full-order run at dt to
+        [pod] nu, or its leading [pod] p modes when p is set."""
         if dt not in self._pods:
-            nu, p = self.get("[pod] nu"), self.get("[pod] p")
             if self.steps(dt) == 0:
                 raise ConfigError(f"[time] T = {self.T} is shorter than one "
                                   f"step of dt = {dt}: no POD snapshots")
-            x = self.fom_at(dt).states
-            result = pod.compute_pod(pod.SnapshotSet(vectors=_centered(x)),
-                                     1.0 if p else nu, reference=x[0])
-            if p:
-                result = replace(result, basis=TrialSubspace(
-                    basis=np.ascontiguousarray(result.basis.basis[:, :p]),
-                    reference=x[0]))
-            self._pods[dt] = result
+            self._pods[dt] = pod.trajectory_pod(
+                self.fom_at(dt).states, self.get("[pod] nu"),
+                self.get("[pod] p"))
         return self._pods[dt]
 
     @cached_property
@@ -303,33 +281,31 @@ class _Run:
         self.timings["fom"] = self._foms[self.dt][1]
         self.emit("fom_trajectory.csv",
                   partial(fom.write_trajectory_csv, traj))
-        snaps = _centered(traj.states)
+        snaps = pod.centered(traj.states)
         if snaps.shape[1]:
             self.emit("snapshots.csv", partial(pod.write_snapshots_csv,
                                                pod.SnapshotSet(vectors=snaps)))
-        self.notes["fom_unstable"] = _is_unstable(traj.states)
+        self.notes["fom_unstable"] = analysis.is_unstable(traj.states)
         return traj
 
     @cached_property
     def rom_run(self):
-        """The configured ROM at [time] dt on the basis of fom_run, as
-        (traj, lifted, W) with W the LSPG weighting that ran (None for
-        Galerkin); writes the lifted trajectory and the Gauss-Newton
-        diagnostics."""
+        """The configured ROM at [time] dt on fom_run's basis, as
+        (analysis.LadderPoint, W that ran); writes the lifted trajectory and
+        the Gauss-Newton diagnostics."""
         self.fom_run  # a stage that runs the ROM records the FOM run too
         sub = self.pod_at(self.dt).basis
         W = _weighting(self, sub, self.dt)
-        t0 = time.perf_counter()
-        traj, reports = _integrate_rom(self, sub, W, self.dt)
-        self.timings["rom"] = time.perf_counter() - t0
-        lifted = lift(sub, traj)
+        point = analysis.ladder_point(self.model, self.scheme, self.T,
+                                      self.dt, sub, W, self.opts)
+        self.timings["rom"] = point.seconds
         self.emit("rom_trajectory.csv",
-                  partial(fom.write_trajectory_csv, lifted))
-        if reports:
-            self.emit("gn_diagnostics.csv",
-                      partial(lspg.write_gn_diagnostics_csv, reports))
-        self.notes["rom_unstable"] = _is_unstable(lifted.states)
-        return traj, lifted, W
+                  partial(fom.write_trajectory_csv, point.lifted))
+        if point.reports:
+            self.emit("gn_diagnostics.csv", partial(
+                lspg.write_gn_diagnostics_csv, point.reports))
+        self.notes["rom_unstable"] = not point.stable
+        return point, W
 
     @cached_property
     def kappa(self):
@@ -345,47 +321,32 @@ class _Run:
 def _weighting(run, sub, dt, artifact="samples.txt"):
     """The LSPG weighting the config asks for at dt, None for Galerkin;
     GNAT writes its sampled rows to the named artifact."""
-    model, scheme = run.model, run.scheme
+    dim = run.model.dim
     if run.kind == "galerkin":
         return None
     if run.kind == "lspg":
         spec = run.get("[rom] weighting")
         if spec == "identity":
-            return lspg.scaled_identity(model.dim)
+            return lspg.scaled_identity(dim)
         if spec.startswith("gamma:"):
-            return lspg.scaled_identity(model.dim, _convert(
+            return lspg.scaled_identity(dim, _convert(
                 spec[6:], float, f"[rom] weighting = {spec!r}"))
         if spec.startswith("collocation:"):
             try:
                 return lspg.collocation(
-                    model.dim, hyperreduction.read_sample_set(spec[12:]))
+                    dim, hyperreduction.read_sample_set(spec[12:]))
             except (OSError, ValueError) as err:
                 raise ConfigError(f"[rom] weighting = {spec!r}: {err}")
         raise ConfigError(f"unknown weighting {spec!r}")
-    # GNAT: residual snapshots from a W=I training run on this config
-    snaps = hyperreduction.collect_residual_snapshots(
-        model, sub, scheme, dt, run.T, run.opts)
-    if not snaps.vectors.shape[1]:
+    try:
+        W, samples = hyperreduction.train_gnat(
+            run.model, sub, run.scheme, dt, run.T, run.opts,
+            run.get("[rom] nu_residual"), run.get("[rom] n_samples"))
+    except ValueError as err:
         raise ConfigError(f"gnat cannot train on [time] scheme "
-                          f"{scheme.name!r}: it leaves no residual snapshots")
-    rbasis = hyperreduction.build_residual_basis(
-        snaps, run.get("[rom] nu_residual"))
-    q, n = rbasis.shape[1], run.get("[rom] n_samples")
-    n_samples = min(max(2 * q if n is None else n, q), model.dim)
-    samples = hyperreduction.select_samples(rbasis, n_samples)
+                          f"{run.scheme.name!r}: {err}")
     run.emit(artifact, partial(hyperreduction.write_sample_set, samples))
-    return hyperreduction.gnat_weighting(samples, rbasis)
-
-
-def _integrate_rom(run, sub, W, dt):
-    """Galerkin when W is None, LSPG weighted by W otherwise; returns the
-    reduced trajectory at dt and the Gauss-Newton reports (none for
-    Galerkin)."""
-    if W is None:
-        return galerkin.integrate_galerkin(run.model, sub, run.scheme, dt,
-                                           run.T, run.opts), []
-    return lspg.integrate_lspg(run.model, sub, W, run.scheme, dt, run.T,
-                               run.opts)
+    return W
 
 
 def _write_pod(run, result):
@@ -425,46 +386,38 @@ def cmd_rom(run):
     probe = run.probe
     traj = run.fom_run
     _write_pod(run, run.pod_at(run.dt))
-    _, lifted, _ = run.rom_run
+    lifted = run.rom_run[0].lifted
     run.notes["probe_error"] = analysis.trajectory_error(
         lifted.times, lifted.states[:, probe], traj.times,
         traj.states[:, probe])
 
 
 def _sweep_point(run, dts, kappa, index):
-    """The configured ROM at grid point index on the basis of the full-order
-    run at its dt, as (row, probe, artifacts, memo): the SweepResult row
-    (dt, walltime_s, bound, stable) without its error, where the bound is
-    `morrow bounds`'s (or NaN); the lifted probe series (None if unstable);
-    and the artifact hashes and _foms and _pods entries the point filled,
-    taken out of run for the caller to merge, as a forked worker's are."""
+    """``analysis.ladder_point`` at grid point index on the basis of the
+    full-order run at its dt, as (row, probe, artifacts, memo): the
+    SweepResult row (dt, walltime_s, bound, stable) without its error
+    (walltime_s the ROM's seconds, the point's when a step fails), the
+    lifted probe series (None if unstable), and the artifact hashes and
+    _foms and _pods entries the point filled, taken out of run for the
+    caller to merge, as a forked worker's are."""
     dt = dts[index]
     before = {name: set(getattr(run, name))
               for name in ("artifacts", "_foms", "_pods")}
     t0 = time.perf_counter()
-    bval, probe = np.nan, None
     try:
         sub = run.pod_at(dt).basis
         W = _weighting(run, sub, dt, artifact=f"samples_{index}.txt")
-        traj, _ = _integrate_rom(run, sub, W, dt)
-        lifted = lift(sub, traj).states
-        wall = time.perf_counter() - t0
-        if not _is_unstable(lifted):
-            if kappa is not None:
-                try:
-                    bval = _bound_report(traj, run.model, sub, run.scheme,
-                                         kappa, W).global_bound
-                except bounds.BoundHypothesisError:
-                    pass  # dt outside the theorem's cap: no bound
-            probe = lifted[:, run.probe].copy()  # frees lifted
+        point = analysis.ladder_point(run.model, run.scheme, run.T, dt, sub,
+                                      W, run.opts, kappa)
+        row = dt, point.seconds, point.bound, point.stable
+        probe = point.lifted.states[:, run.probe].copy() \
+            if point.stable else None
     except StepSolveError:
-        pass
-    if probe is None:
-        wall = time.perf_counter() - t0
+        row, probe = (dt, time.perf_counter() - t0, np.nan, False), None
     artifacts, *memo = ({key: getattr(run, name).pop(key)
                          for key in set(getattr(run, name)) - keys}
                         for name, keys in before.items())
-    return (dt, wall, bval, probe is not None), probe, artifacts, memo
+    return row, probe, artifacts, memo
 
 
 def _start_sweep_worker(point):
@@ -524,24 +477,12 @@ def cmd_sweep(run):
     run.emit("sweep_notime.csv", partial(analysis.write_sweep_csv, sweep))
 
 
-def _bound_report(traj, model, sub, scheme, kappa, W):
-    """Global a posteriori bound of a ROM run with the W it ran with: the
-    local-term recursion for a multistep scheme, the stage-record bound
-    for a Runge-Kutta tableau."""
-    kind = "galerkin" if traj.kind == "galerkin" else "lspg"
-    if isinstance(scheme, ButcherTableau):
-        return bounds.rk_aposteriori_bound(traj, kind, scheme, kappa, model,
-                                           sub, W)
-    lt = bounds.local_aposteriori_lmm(traj, kind, model, sub, scheme, kappa,
-                                      W)
-    return bounds.global_aposteriori_lmm(lt, kind)
-
-
 def cmd_bounds(run):
-    rom_traj, lifted, W = run.rom_run
-    kappa = run.kappa
-    rep = _bound_report(rom_traj, run.model, run.pod_at(run.dt).basis,
-                        run.scheme, kappa, W)
+    point, W = run.rom_run
+    lifted, kappa = point.lifted, run.kappa
+    rep = bounds.aposteriori_bound(point.traj, run.model,
+                                   run.pod_at(run.dt).basis, run.scheme,
+                                   kappa, W)
     run.emit("bound_report.csv", partial(bounds.write_bound_report_csv, rep))
     run.notes["kappa"] = kappa
     run.notes["kappa_caveat"] = "valid modulo kappa under-estimation"
@@ -597,8 +538,7 @@ def _verify_checks(model_name, seed):
     eye = lspg.scaled_identity(model.dim)
     # one basis, trained on a finer grid than any point of the dt ladder
     train = fom.integrate(model, be, 2.5e-4, 0.04, opts)
-    sub = pod.compute_pod(pod.SnapshotSet(vectors=_centered(train.states)),
-                          1 - 1e-10, reference=train.states[0]).basis
+    sub = pod.trajectory_pod(train.states, 1 - 1e-10).basis
     dt, T = 1e-2, 0.1
     rows = []
     for name, sch in (("forward_euler", make_lmm("forward_euler")),
@@ -635,10 +575,9 @@ def _verify_checks(model_name, seed):
     kappa = float(np.linalg.norm(lin.jacobian(lin.initial_state, 0.0), 2))
     dtl = 0.2 / kappa
     refl = fom.integrate(lin, be, dtl, 10 * dtl, opts)
-    subl = pod.compute_pod(pod.SnapshotSet(vectors=_centered(refl.states)),
-                           0.95, reference=refl.states[0]).basis
-    gl = galerkin.integrate_galerkin(lin, subl, be, dtl, 10 * dtl, opts)
-    rep = _bound_report(gl, lin, subl, be, kappa, None)
+    subl = pod.trajectory_pod(refl.states, 0.95).basis
+    gl = analysis.ladder_point(lin, be, 10 * dtl, dtl, subl, None, opts).traj
+    rep = bounds.aposteriori_bound(gl, lin, subl, be, kappa)
     rows.append(("a posteriori bound soundness (linear)",
                  not analysis.bound_violations(refl, gl, subl, rep,
                                                rtol=1e-9),
@@ -649,15 +588,12 @@ def _verify_checks(model_name, seed):
 def cmd_verify(run):
     rows = _verify_checks(run.args.model, run.seed)
     width = max(len(r[0]) for r in rows)
-    all_ok = True
     for name, ok, detail in rows:
-        status = "PASS" if ok else "FAIL"
-        all_ok &= ok
-        print(f"{name.ljust(width)}  {status}  {detail}")
+        print(f"{name.ljust(width)}  {'PASS' if ok else 'FAIL'}  {detail}")
     run.emit("verify.txt", lambda path: write_text(
         path, (f"{name}\t{'PASS' if ok else 'FAIL'}\t{detail}"
                for name, ok, detail in rows)))
-    return EXIT_OK if all_ok else EXIT_VERIFY
+    return EXIT_OK if all(ok for _, ok, _ in rows) else EXIT_VERIFY
 
 
 def _build_parser():

@@ -489,9 +489,7 @@ def integrate(model: Model, scheme, dt: float, T: float,
     return Trajectory(dt=dt, states=states, kind="full", stages=stages)
 
 
-def write_trajectory_csv(traj: Trajectory, path, labels=None):
+def write_trajectory_csv(traj: Trajectory, path):
     """Export as a ``core.write_csv`` file with header t,x_0,..."""
-    if labels is None:
-        labels = [f"x_{i}" for i in range(len(traj.states[0]))]
-    write_csv(path, ["t", *labels],
+    write_csv(path, ["t", *(f"x_{i}" for i in range(len(traj.states[0])))],
               ((n * traj.dt, *x) for n, x in enumerate(traj.states)))

@@ -102,6 +102,22 @@ def gnat_weighting(samples: SampleSet, residual_basis: np.ndarray
                                   np.linalg.pinv(zphi))
 
 
+def train_gnat(model: Model, sub: TrialSubspace, scheme, dt, T,
+               opts: SolverOptions, nu_residual: float, n_samples=None):
+    """GNAT's (W, samples) at dt: the residual snapshots of a W = I run,
+    their POD basis Phi_r to nu_residual, n_samples greedy rows (2 q by
+    default, q = Phi_r's width, clipped to [q, N]) and W = (Z Phi_r)^+ Z;
+    ValueError when the run leaves no residual snapshots."""
+    snaps = collect_residual_snapshots(model, sub, scheme, dt, T, opts)
+    if not snaps.vectors.shape[1]:
+        raise ValueError("it leaves no residual snapshots")
+    rbasis = build_residual_basis(snaps, nu_residual)
+    q = rbasis.shape[1]
+    n_s = min(max(2 * q if n_samples is None else n_samples, q), model.dim)
+    samples = select_samples(rbasis, n_s)
+    return gnat_weighting(samples, rbasis), samples
+
+
 def write_sample_set(samples: SampleSet, path):
     write_text(path, map(str, samples.indices))
 

@@ -5,7 +5,7 @@ the basis dimension is the smallest n whose cumulative squared singular
 values reach the energy criterion nu.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -33,12 +33,8 @@ class PodResult:
 def _fix_signs(u: np.ndarray) -> np.ndarray:
     # SVD sign ambiguity: flip each column so its largest-magnitude entry
     # is positive (argmax takes the lowest index on ties)
-    out = u.copy()
-    for j in range(u.shape[1]):
-        i = int(np.argmax(np.abs(out[:, j])))
-        if out[i, j] < 0.0:
-            out[:, j] = -out[:, j]
-    return out
+    peaks = u[np.argmax(np.abs(u), axis=0), np.arange(u.shape[1])]
+    return u * np.where(peaks < 0.0, -1.0, 1.0)
 
 
 def compute_pod(snaps: SnapshotSet, nu: float,
@@ -69,6 +65,26 @@ def compute_pod(snaps: SnapshotSet, nu: float,
     basis = TrialSubspace(basis=_fix_signs(u[:, :n]), reference=reference)
     return PodResult(basis=basis, singular_values=sigma,
                      energy_fractions=energy)
+
+
+def centered(states) -> np.ndarray:
+    """Snapshot matrix with columns x^n - x^0, n >= 1.  C order: the POD's
+    column norms sum in a layout-dependent order, and C order keeps the
+    basis bitwise equal to one built from stacked columns."""
+    return np.ascontiguousarray((states[1:] - states[0]).T)
+
+
+def trajectory_pod(states, nu: float, p: int = 0) -> PodResult:
+    """POD of the centered snapshots of a run's states, referenced at its
+    first: the modes that meet nu, or, when p > 0, the leading p of the
+    untruncated basis (the singular vectors do not depend on nu), copied
+    to C order so that a ROM does not depend on the slice's layout."""
+    result = compute_pod(SnapshotSet(vectors=centered(states)),
+                         1.0 if p else nu, reference=states[0])
+    if not p:
+        return result
+    return replace(result, basis=replace(
+        result.basis, basis=np.ascontiguousarray(result.basis.basis[:, :p])))
 
 
 def write_snapshots_csv(snaps: SnapshotSet, path):

@@ -109,13 +109,9 @@ def newton_case_states(name, kind):
                           0.9999, reference=x[0]).basis
     if kind == "galerkin":
         return galerkin.integrate_galerkin(model, sub, scheme, dt, T).states
-    W = lspg.scaled_identity(model.dim)
-    if kind == "gnat":
-        rbasis = hyperreduction.build_residual_basis(
-            hyperreduction.collect_residual_snapshots(model, sub, scheme, dt,
-                                                      T), 0.9999)
-        samples = hyperreduction.select_samples(rbasis, 2 * rbasis.shape[1])
-        W = hyperreduction.gnat_weighting(samples, rbasis)
+    W = lspg.scaled_identity(model.dim) if kind == "lspg" else \
+        hyperreduction.train_gnat(model, sub, scheme, dt, T, SolverOptions(),
+                                  0.9999)[0]
     return lspg.integrate_lspg(model, sub, W, scheme, dt, T)[0].states
 
 

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from morrow import analysis, benchmodels, bounds, lspg
-from morrow.core import Trajectory, lift, reconstruct
+from morrow import analysis, benchmodels, bounds, cli, fom, hyperreduction, \
+    lspg, pod
+from morrow.core import SolverOptions, Trajectory, lift, reconstruct
 from morrow.schemes import LmmScheme, make_butcher, make_lmm
 
 from conftest import linear_model, random_subspace
@@ -299,3 +300,69 @@ def test_sweep_csv_round_trip(tmp_path):
     assert back.error[0] == 0.1 and np.isnan(back.error[1])
     assert np.isnan(back.bound[1])
     assert list(back.stable) == [True, False]
+
+
+# ---------------------------------------------------------- dt ladder
+
+# the CI's SDIRK2 gradient-flow sweep, with kappa = ||A||_2 = 50 given:
+# kappa dt reaches the Runge-Kutta bound's cap at dt = 0.02 only
+SPECTRUM = (0.1, 0.2, 0.5, 1.0, 2.0, 5.0, 10.0, 20.0, 30.0, 40.0, 45.0, 50.0)
+LADDER = f"""\
+[model]
+name = gradient_flow
+spectrum = {",".join(map(repr, SPECTRUM))}
+
+[time]
+scheme = sdirk2
+dt = 0.02
+T = 0.2
+dt_grid = 0.02,0.01,0.005,0.0025
+
+[pod]
+nu = 0.9999
+
+[rom]
+nu_residual = 0.9999
+
+[bounds]
+kappa = 50.0
+
+[output]
+probe = 5
+"""
+
+
+@pytest.mark.parametrize("kind", ["galerkin", "lspg", "gnat"])
+def test_ladder_from_python_matches_the_sweep(tmp_path, kind):
+    cfg = tmp_path / "ladder.ini"
+    cfg.write_text(LADDER)
+    out = tmp_path / "out"
+    assert cli.main(["sweep", "--config", str(cfg), "--out", str(out),
+                     "--rom", kind]) == 0
+    want = analysis.read_sweep_csv(out / "sweep_notime.csv")
+
+    model = benchmodels.build(benchmodels.BenchmarkSpec(
+        name="gradient_flow", spectrum=SPECTRUM))
+    scheme, T, opts = make_butcher("sdirk2"), 0.2, SolverOptions()
+    dts = (0.02, 0.01, 0.005, 0.0025)
+    ref = fom.integrate(model, scheme, min(dts), T, opts)
+    rows = []
+    for dt in dts:
+        sub = pod.trajectory_pod(fom.integrate(model, scheme, dt, T,
+                                               opts).states, 0.9999).basis
+        if kind == "gnat":
+            W, _ = hyperreduction.train_gnat(model, sub, scheme, dt, T, opts,
+                                             0.9999)
+        else:
+            W = None if kind == "galerkin" else lspg.scaled_identity(
+                model.dim)
+        point = analysis.ladder_point(model, scheme, T, dt, sub, W, opts,
+                                      kappa=50.0)
+        rows.append((dt, analysis.trajectory_error(
+            point.lifted.times, point.lifted.states[:, 5], ref.times,
+            ref.states[:, 5]), point.bound, point.stable))
+    dt, error, bound, stable = map(np.array, zip(*rows))
+    for got, col in ((dt, want.dt), (error, want.error),
+                     (bound, want.bound), (stable, want.stable)):
+        np.testing.assert_array_equal(got, col)
+    assert np.isnan(bound[0]) and np.isfinite(bound[1:]).all()

@@ -470,8 +470,7 @@ def test_rk_s1_reduces_to_lmm_backward_euler():
                                            dt, 6 * dt, opts)
     for a, b in zip(traj_rk.states, traj_lmm.states):
         assert np.linalg.norm(np.asarray(a) - np.asarray(b)) < 1e-10
-    rep_rk = bounds.rk_aposteriori_bound(traj_rk, "galerkin", be_tableau(),
-                                         kappa, m, sub)
+    rep_rk = bounds.aposteriori_bound(traj_rk, m, sub, be_tableau(), kappa)
     rep_be = bounds.global_aposteriori_lmm(bounds.local_aposteriori_lmm(
         traj_lmm, "galerkin", m, sub, make_lmm("backward_euler"), kappa))
     assert np.max(np.abs(rep_rk.per_step_bound - rep_be.per_step_bound)) \
@@ -484,8 +483,7 @@ def test_rk_explicit_full_basis_zero():
     dt = 0.05 / kappa
     traj = galerkin.integrate_galerkin(m, sub, make_butcher("rk4"), dt,
                                        4 * dt, opts)
-    rep = bounds.rk_aposteriori_bound(traj, "galerkin", make_butcher("rk4"),
-                                      kappa, m, sub)
+    rep = bounds.aposteriori_bound(traj, m, sub, make_butcher("rk4"), kappa)
     assert rep.global_bound < 1e-12
 
 
@@ -514,8 +512,8 @@ def test_rk_lspg_stagewise_bound_runs():
     dt = 0.02 / kappa
     traj, _ = lspg.integrate_lspg(m, sub, W, make_butcher("sdirk2"), dt,
                                   4 * dt, opts)
-    rep = bounds.rk_aposteriori_bound(traj, "lspg", make_butcher("sdirk2"),
-                                      kappa, m, sub, W=W)
+    rep = bounds.aposteriori_bound(traj, m, sub, make_butcher("sdirk2"),
+                                   kappa, W=W)
     assert np.all(rep.per_step_bound[1:] > 0.0)
     assert np.all(np.diff(rep.per_step_bound) >= 0.0)
 
@@ -558,14 +556,10 @@ def test_rk_bounds_read_stage_records_not_solvers(monkeypatch):
     monkeypatch.setattr(lspg, "solve_lspg_rk_stage", forbidden)
     monkeypatch.setattr(lspg, "solve_lspg_rk_coupled", forbidden)
     reports = {
-        "galerkin_sdirk2": bounds.rk_aposteriori_bound(
-            g, "galerkin", sd, kappa, m, sub),
-        "lspg_sdirk2": bounds.rk_aposteriori_bound(
-            l, "lspg", sd, kappa, m, sub, W),
-        "lspg_gauss": bounds.rk_aposteriori_bound(
-            lg, "lspg", gauss, kappa, m, sub, W),
-        "galerkin_gauss": bounds.rk_aposteriori_bound(
-            gg, "galerkin", gauss, kappa, m, sub),
+        "galerkin_sdirk2": bounds.aposteriori_bound(g, m, sub, sd, kappa),
+        "lspg_sdirk2": bounds.aposteriori_bound(l, m, sub, sd, kappa, W),
+        "lspg_gauss": bounds.aposteriori_bound(lg, m, sub, gauss, kappa, W),
+        "galerkin_gauss": bounds.aposteriori_bound(gg, m, sub, gauss, kappa),
         "apriori_galerkin": bounds.apriori_bounds_lmm_rk(
             ref, g, "galerkin", m, sub, sd, kappa),
         "apriori_lspg": bounds.apriori_bounds_lmm_rk(
@@ -609,7 +603,7 @@ def test_rk_bounds_need_stage_records():
     ref = fom.integrate(m, sd, dt, 2 * dt, opts)
     bare = Trajectory(dt=g.dt, states=g.states, kind="galerkin")
     with pytest.raises(ValueError, match="stage records"):
-        bounds.rk_aposteriori_bound(bare, "galerkin", sd, kappa, m, sub)
+        bounds.aposteriori_bound(bare, m, sub, sd, kappa)
     with pytest.raises(ValueError, match="stage records"):
         bounds.apriori_bounds_lmm_rk(
             Trajectory(dt=dt, states=ref.states, kind="full"), g,
@@ -626,14 +620,13 @@ def test_lspg_bounds_need_the_weighting(scheme):
                                   2 * dt, opts)
     with pytest.raises(ValueError, match="weighting operator"):
         if isinstance(scheme, ButcherTableau):
-            bounds.rk_aposteriori_bound(traj, "lspg", scheme, kappa, m, sub)
+            bounds.aposteriori_bound(traj, m, sub, scheme, kappa)
         else:
             bounds.local_aposteriori_lmm(traj, "lspg", m, sub, scheme, kappa)
 
 
 @pytest.mark.parametrize("bound,scheme", [
     ("local_aposteriori_lmm", make_lmm("bdf2")),
-    ("rk_aposteriori_bound", make_butcher("sdirk2")),
     ("apriori_bounds_lmm_rk", make_lmm("bdf2")),
     ("apriori_bounds_lmm_rk", make_butcher("sdirk2"))],
     ids=lambda v: getattr(v, "name", v))
@@ -645,7 +638,6 @@ def test_bounds_reject_a_kind_their_trajectory_did_not_run_as(bound, scheme):
     ref = fom.integrate(m, scheme, dt, 2 * dt, opts)
     traj, _ = lspg.integrate_lspg(m, sub, W, scheme, dt, 2 * dt, opts)
     args = {"local_aposteriori_lmm": (traj, "galerkin", m, sub, scheme, kappa),
-            "rk_aposteriori_bound": (traj, "galerkin", scheme, kappa, m, sub),
             "apriori_bounds_lmm_rk": (ref, traj, "galerkin", m, sub, scheme,
                                       kappa)}[bound]
     with pytest.raises(ValueError, match="galerkin bound of a run of kind"):
@@ -682,7 +674,7 @@ def test_bounds_evaluate_f_where_their_runs_did(scheme):
     ran["lspg"] = evaluated()
     for kind, rom in roms.items():
         if rk:
-            bounds.rk_aposteriori_bound(rom, kind, scheme, 1.0, model, sub, W)
+            bounds.aposteriori_bound(rom, model, sub, scheme, 1.0, W)
         else:
             bounds.local_aposteriori_lmm(rom, kind, model, sub, scheme, 1.0,
                                          W)
@@ -702,7 +694,7 @@ def test_coupled_lspg_stage_term_covers_its_stage_residual():
     sub = random_subspace(8, 3, seed=12, reference=m.initial_state)
     W, tab, dt = lspg.scaled_identity(8), gauss2_tableau(), 0.02 / kappa
     traj, _ = lspg.integrate_lspg(m, sub, W, tab, dt, 4 * dt, opts)
-    rep = bounds.rk_aposteriori_bound(traj, "lspg", tab, kappa, m, sub, W)
+    rep = bounds.aposteriori_bound(traj, m, sub, tab, kappa, W)
     for n in range(1, 5):
         ws = [sub.basis @ y for y in traj.stages[n - 1]]
         x0, t0 = fom.rk_stage_points(reconstruct(sub, traj.states[n - 1]),

@@ -684,6 +684,10 @@ def test_run_chains_every_stage_and_writes_one_cell_format(tmp_path):
      "[solver] max_iters"),
     ("fom", BASE + "\n[solver]\nmax_iters = 0\n", [], "[solver]"),
     ("bounds", BASE + "\n[bounds]\nkappa = sixty\n", [], "[bounds] kappa"),
+    ("bounds", BASE + "\n[bounds]\nkappa = -50\n", [],
+     "[bounds] kappa = '-50' must lie in [0.0, inf]"),
+    ("rom", BASE + "\n[rom]\nkind = gnat\nn_samples = 0\n", [],
+     "[rom] n_samples = '0' must lie in [1, inf]"),
     ("fom", BASE.replace("probe = 5", "probe = 5\nseed = s"), [],
      "[output] seed"),
     ("rom", BASE.replace("probe = 5", "probe = 999"), [], "[output] probe"),
@@ -721,7 +725,8 @@ def test_run_chains_every_stage_and_writes_one_cell_format(tmp_path):
         "spectrum-not-numbers", "pod-nu-above-1", "pod-p-zero",
         "nu-residual-not-number", "n-samples-not-integer",
         "gamma-not-number", "max-iters-not-integer", "max-iters-zero",
-        "kappa-not-number", "seed-not-integer", "probe-out-of-range-rom",
+        "kappa-not-number", "negative-kappa", "zero-n_samples",
+        "seed-not-integer", "probe-out-of-range-rom",
         "probe-out-of-range-sweep", "dt-flag-entry-not-number",
         "dt-flag-entry-zero", "dt-grid-entry-not-number", "T-zero-rom",
         "T-below-one-step", "T-negative", "collocation-file-missing",
@@ -814,7 +819,7 @@ def test_run_solves_each_dt_once(tmp_path, monkeypatch, kind, dt):
                                     lambda model, scheme, dt, *rest:
                                     f"{model.dim} {dt!r}")
             svds = counting_to_file(mp, pod, "compute_pod", log / "pod")
-            roms = counting_to_file(mp, cli, "_integrate_rom", log / "rom")
+            roms = counting_to_file(mp, analysis, "ladder_point", log / "rom")
             trainings = counting_to_file(mp, hyperreduction,
                                          "collect_residual_snapshots",
                                          log / "training")
@@ -1059,8 +1064,8 @@ def test_diverging_galerkin_rom_is_a_numerical_failure(tmp_path, capsys):
 
 # advection-diffusion past forward Euler's stability limit at dt = 0.02
 # (stable at 0.01): the FOM and its LSPG ROM grow geometrically and stay
-# finite, and every Gauss-Newton solve succeeds, so only cli._is_unstable
-# flags the point.  The LSPG ROM passes 1e6 times its initial norm at step
+# finite, and every Gauss-Newton solve succeeds, so only the growth test
+# (analysis.is_unstable) flags the point.  The LSPG ROM passes 1e6 times its initial norm at step
 # 29 of 50.  (The LSPG twin of DIVERGING_ROM passes it at step 107 and meets
 # an infinite Gauss-Newton objective at step 112; a T that stops it in
 # between also changes its POD basis, and that ROM does not grow.)

@@ -74,6 +74,28 @@ def test_sign_convention_deterministic():
     assert np.allclose(a.basis.basis, b.basis.basis)
 
 
+def test_sign_fix_is_bitwise_the_column_loop():
+    # the reference: flip each column whose first largest-magnitude entry
+    # is negative, one column at a time; ties and signed zeros included
+    def loop(u):
+        out = u.copy()
+        for j in range(u.shape[1]):
+            if out[int(np.argmax(np.abs(out[:, j]))), j] < 0.0:
+                out[:, j] = -out[:, j]
+        return out
+
+    rng = np.random.default_rng(0)
+    cases = [np.array([[-1.0, 0.0, 2.0], [1.0, -0.0, -2.0]])]
+    for _ in range(50):
+        u = np.linalg.svd(rng.standard_normal((rng.integers(2, 40),
+                                               rng.integers(1, 12))),
+                          full_matrices=False)[0]
+        cases.append(u[:, :rng.integers(1, u.shape[1] + 1)])
+    for u in cases:
+        got = pod._fix_signs(u)
+        assert got.tobytes() == loop(u).tobytes() and got.flags.c_contiguous
+
+
 def test_single_snapshot():
     v = np.array([[3.0], [4.0]])
     result = pod.compute_pod(pod.SnapshotSet(vectors=v), 0.99)
