@@ -23,6 +23,7 @@ from dataclasses import fields
 from functools import cached_property, partial
 
 import numpy as np
+import scipy
 
 from . import analysis, benchmodels, bounds, fom, hyperreduction, lspg, pod
 from .core import SolverOptions, write_csv, write_text
@@ -420,10 +421,48 @@ def _sweep_point(run, dts, kappa, index):
     return row, probe, artifacts, memo
 
 
-def _start_sweep_worker(point):
-    """Keeps a forked sweep worker's point function, bound to its run."""
+# the OpenBLAS that numpy and scipy each bundle: (package, library file,
+# suffix of its symbols)
+_OPENBLAS = ((np, "libscipy_openblas64_-*.so", "64_"),
+             (scipy, "libscipy_openblas-*.so", ""))
+
+
+def _openblas_threads():
+    """(get_num_threads, set_num_threads) of each bundled OpenBLAS found,
+    numpy's first; one whose library or symbols are missing is left out
+    and keeps its own setting."""
+    import ctypes
+    import glob
+    found = []
+    for package, library, suffix in _OPENBLAS:
+        libs = os.path.join(os.path.dirname(os.path.dirname(package.__file__)),
+                            f"{package.__name__}.libs", library)
+        for path in glob.glob(libs):
+            try:
+                lib = ctypes.CDLL(path)
+                found.append(tuple(getattr(lib, f"scipy_openblas_{name}"
+                                                f"_num_threads{suffix}")
+                                   for name in ("get", "set")))
+            except (OSError, AttributeError):
+                pass
+    return found
+
+
+def _set_blas_threads(libs, counts):
+    """Sets each OpenBLAS of libs, ``_openblas_threads()``'s pairs, to its
+    thread count in counts."""
+    for (_, set_threads), count in zip(libs, counts):
+        set_threads(count)
+
+
+def _start_sweep_worker(point, libs, counts):
+    """Keeps a forked sweep worker's point function, bound to its run, and
+    sets the worker's BLAS to the sweep's thread counts: the count it
+    inherits would let idle BLAS threads spin against the other
+    workers."""
     global _worker_point
     _worker_point = point
+    _set_blas_threads(libs, counts)
 
 
 def _worker_sweep_point(index):
@@ -450,19 +489,40 @@ def cmd_sweep(run):
     order = sorted(range(len(dts)), key=dts.__getitem__)
     point = partial(_sweep_point, run, dts, kappa)
     workers = min(run.args.parallel, len(dts))
+    # every point runs on one BLAS thread count whatever K is, since
+    # OpenBLAS's sums depend on it: cores // points, which at most `points`
+    # running points never oversubscribe, and at most the process's count
+    cores = len(os.sched_getaffinity(0)) \
+        if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    libs = _openblas_threads()
+    own = [get() for get, _ in libs]
+    counts = [max(1, min([cores // len(dts), *own]))] * len(libs)
     if workers > 1 and "fork" in multiprocessing.get_all_start_methods():
         with ProcessPoolExecutor(
                 workers, mp_context=multiprocessing.get_context("fork"),
-                initializer=_start_sweep_worker, initargs=(point,)) as pool:
+                initializer=_start_sweep_worker,
+                initargs=(point, libs, counts)) as pool:
             results = list(pool.map(_worker_sweep_point, order))
     else:
-        results = list(map(point, order))
-    for _, _, _, (foms, pods) in results:
+        _set_blas_threads(libs, counts)
+        try:
+            results = list(map(point, order))
+        finally:
+            _set_blas_threads(libs, own)
+    foms, pods = {}, {}
+    for _, _, _, (made_foms, made_pods) in results:
+        foms.update(made_foms)
+        pods.update(made_pods)
+    # the points reuse what earlier stages of `run` made, but what they make
+    # on another count than the process's own stays theirs, so that a later
+    # stage writes what its standalone command would
+    if counts == own:
         run._foms.update(foms)
         run._pods.update(pods)
-    # not in the memo only when the finest point's full-order run failed:
-    # this integrates it again and raises before any point's file is recorded
-    ref = run.fom_at(min(dts))
+    # neither a point's nor an earlier stage's only when the finest point's
+    # full-order run failed: this integrates it again and raises before any
+    # point's file is recorded
+    ref = foms[min(dts)][0] if min(dts) in foms else run.fom_at(min(dts))
     rows = [None] * len(dts)
     for index, (row, probe, artifacts, _) in zip(order, results):
         run.artifacts.update(artifacts)

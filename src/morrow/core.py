@@ -178,6 +178,8 @@ class JacobianKey:
         self._arrays = [a if frozen(a) else a.copy() for a in _entries(jac)]
 
     def matches(self, jac) -> bool:
+        if jac is self._arrays[0] and len(self._arrays) == 1:
+            return frozen(jac)  # kept by reference: frozen when keyed
         entries = _entries(jac)
         return len(entries) == len(self._arrays) and all(
             frozen(b) if a is b else np.array_equal(a, b)

@@ -29,7 +29,7 @@ reverse Cuthill-McKee ordering found once, with no scipy.sparse object
 built.  ``scipy.sparse`` is imported only when a sparse Jacobian shows up.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -62,6 +62,19 @@ class LmmStepContext:
     n: int
     dt: float
     scheme: LmmScheme
+    _velocities: list = field(default_factory=list, init=False, repr=False,
+                              compare=False)
+
+    def history_velocity(self, model, j):
+        """f(x^{n-j}, t^{n-j}) by model, evaluated once per step: every
+        residual of the step takes the same history velocities."""
+        kept = self._velocities
+        if not kept or kept[0] is not model:
+            kept[:] = model, {}
+        if j not in kept[1]:
+            kept[1][j] = model.velocity(self.history[j - 1],
+                                        (self.n - j) * self.dt)
+        return kept[1][j]
 
     def __post_init__(self):
         alpha, _ = self.scheme.coeffs(self.n)
@@ -294,10 +307,9 @@ def lmm_residual(model: Model, ctx: LmmStepContext, w: np.ndarray,
     if beta[0] != 0.0:
         r = r - ctx.dt * beta[0] * model.velocity(w, tn)
     for j in range(1, len(alpha)):
-        xj = ctx.history[j - 1]
-        r = r + alpha[j] * pick(xj)
+        r = r + alpha[j] * pick(ctx.history[j - 1])
         if beta[j] != 0.0:
-            r = r - ctx.dt * beta[j] * model.velocity(xj, (ctx.n - j) * ctx.dt)
+            r = r - ctx.dt * beta[j] * ctx.history_velocity(model, j)
     return r
 
 

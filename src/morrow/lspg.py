@@ -12,6 +12,12 @@ blocks are each weighted by W.  The Runge-Kutta residuals are fom's own
 (``fom.rk_residual``, ``fom.rk_coupled_residual``) at stage values Phi y, as
 the multistep one is ``fom.lmm_residual`` at x0 + Phi yhat.
 
+Gauss-Newton costs little beyond its model calls: each iterate is lifted
+once for its residual and its Jacobian, and the weighted Jacobian W J and
+its QR factors (LAPACK's dgeqrf and dorgqr, bitwise np.linalg.qr's) are
+kept for a whole run while the Jacobian product repeats (``WeightedQR``),
+so a constant Jacobian is weighted and factored once per run.
+
 When W selects rows (GNAT, collocation) and the model can restrict itself
 (``core.Model.restrict``), a multistep step or an explicit/DIRK stage
 evaluates those residual rules, and the Newton product
@@ -21,11 +27,12 @@ Phi^T f(x^{n-1}) still evaluates f in full.  A run with a callback or a
 fully implicit tableau stays on all rows.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import block_diag
-from scipy.linalg.lapack import dtrtrs
+from scipy.linalg.lapack import dgeqrf, dgeqrf_lwork, dorgqr, dtrtrs
 
 from .core import (SolverOptions, Trajectory, TrialSubspace, reconstruct,
                    write_csv)
@@ -109,13 +116,69 @@ class GaussNewtonReport:
         return self.objective_history[-1]
 
 
-def _gauss_newton(residual, jacobian, y0, W, opts, callback=None):
+class WeightedQR:
+    """The weighted Jacobian W J of the last Jacobian J given, the map
+    2 (W J)^T from a weighted residual to the objective's gradient, and the
+    QR factors of W J, kept while jacobian(y) hands back that same object:
+    a fom.NewtonMatrix product repeats while (c0, c1, J) do, so a constant
+    Jacobian is weighted and factored once per run.  The factors are
+    np.linalg.qr's LAPACK calls, dgeqrf and dorgqr after its workspace
+    query, without its wrapper; Q is copied to C order, so that q.T @ v
+    takes numpy's own BLAS path.  They are bitwise np.linalg.qr's where
+    scipy's LAPACK rounds as numpy's does, as the OpenBLAS builds bundled
+    in their wheels do.  Their finiteness and R's rank are checked once
+    per factorization.  One object serves one integration; Jacobians
+    handed to it must not be mutated."""
+
+    def __init__(self):
+        self._jac = self._W = None
+
+    def weighted(self, W, jac):
+        """(W jac, 2 (W jac)^T), formed once per (W, jac) pair."""
+        if jac is not self._jac or W is not self._W:
+            jw = W.apply_mat(jac)
+            self._jac, self._W = jac, W
+            self._pair, self._factors = (jw, 2.0 * jw.T), None
+        return self._pair
+
+    def factors(self):
+        """(Q, R) of the weighted Jacobian, R the upper triangle of a
+        p x p array: below it lie dgeqrf's reflectors, which a triangular
+        solve does not read.  Factors that are not finite, or an R whose
+        smallest |diagonal| is at roundoff relative to its largest, are a
+        GaussNewtonError."""
+        if self._factors is None:
+            jw = self._pair[0]
+            lwork = int(dgeqrf_lwork(*jw.shape)[0])
+            a, tau = dgeqrf(jw, lwork=lwork)[:2]
+            # R and the reflectors Q is formed from; with Q and the
+            # residual finite (its objective is), so is Q^T r
+            if not np.isfinite(a).all():
+                raise GaussNewtonError("Gauss-Newton system is not finite")
+            diag = np.abs(a.diagonal()).tolist()
+            if min(diag) <= 1e-13 * max(max(diag), 1.0):
+                smin = float(np.linalg.svd(jw, compute_uv=False)[-1])
+                raise GaussNewtonError(
+                    f"rank-deficient Gauss-Newton system "
+                    f"(sigma_min = {smin:.3e})",
+                    smallest_singular_value=smin)
+            rr = a[:jw.shape[1]].copy(order="F")
+            q = dorgqr(a, tau, lwork=lwork, overwrite_a=1)[0]
+            self._factors = np.ascontiguousarray(q), rr
+        return self._factors
+
+
+def _gauss_newton(residual, jacobian, y0, W, opts, callback=None, qr=None):
     """Minimize ||W residual(y)||^2; residual maps R^p -> R^N.
 
     jacobian(y) returns the N x p derivative of the residual.  The linear
-    subproblems use QR of the weighted Jacobian; steps are globalized with
-    an Armijo backtracking line search (c = 1e-4, halving, <= 30 backtracks).
+    subproblems use QR of the weighted Jacobian, kept by qr, a WeightedQR
+    that may carry it from earlier steps; steps are globalized with an
+    Armijo backtracking line search (c = 1e-4, halving, <= 30 backtracks).
+    The iterates are private arrays that are never mutated, so residual
+    and jacobian may key on their identity.
     """
+    qr = WeightedQR() if qr is None else qr
     y = np.array(y0, dtype=float)
     r = residual(y)
     rw = W.apply(r)
@@ -127,7 +190,7 @@ def _gauss_newton(residual, jacobian, y0, W, opts, callback=None):
     gtol = None
 
     while True:
-        jw = W.apply_mat(jacobian(y))
+        jw, gradient = qr.weighted(W, jacobian(y))
         if jw.shape[0] < jw.shape[1]:
             smin = float(np.linalg.svd(jw, compute_uv=False)[-1]) \
                 if jw.size else 0.0
@@ -135,9 +198,9 @@ def _gauss_newton(residual, jacobian, y0, W, opts, callback=None):
                 f"underdetermined Gauss-Newton system: {jw.shape[0]} weighted "
                 f"rows for {jw.shape[1]} unknowns",
                 smallest_singular_value=smin)
-        grad = 2.0 * jw.T @ rw
-        gnorm = float(np.linalg.norm(grad))
-        if not (np.isfinite(obj) and np.isfinite(gnorm)):
+        grad = gradient @ rw
+        gnorm = math.sqrt(grad @ grad)  # np.linalg.norm's sum and root
+        if not (math.isfinite(obj) and math.isfinite(gnorm)):
             # an infinite first gradient would set gtol = inf and accept y0
             raise GaussNewtonError(
                 "Gauss-Newton objective or gradient is not finite")
@@ -152,19 +215,11 @@ def _gauss_newton(residual, jacobian, y0, W, opts, callback=None):
         if callback is not None:
             callback(r)
 
-        q, rr = np.linalg.qr(jw)
-        qtr = q.T @ rw
-        if not (np.isfinite(rr).all() and np.isfinite(qtr).all()):
-            raise GaussNewtonError("Gauss-Newton system is not finite")
-        diag = np.abs(np.diag(rr))
-        if diag.min() <= 1e-13 * max(diag.max(), 1.0):
-            smin = float(np.linalg.svd(jw, compute_uv=False)[-1])
-            raise GaussNewtonError(
-                f"rank-deficient Gauss-Newton system (sigma_min = {smin:.3e})",
-                smallest_singular_value=smin)
-        # the LAPACK call scipy.linalg.solve_triangular(rr, qtr) makes for
-        # numpy's C-ordered R, without its per-call wrapper cost
-        step = -dtrtrs(rr.T, qtr, lower=1, trans=1)[0]
+        q, rr = qr.factors()
+        # R^T as a lower triangle, transposed: the LAPACK call that
+        # scipy.linalg.solve_triangular(R, Q^T r) makes for numpy's
+        # C-ordered R, without its wrapper cost
+        step = -dtrtrs(rr.T, q.T @ rw, lower=1, trans=1)[0]
 
         # Armijo condition on the squared objective
         slope = float(grad @ step)
@@ -189,12 +244,25 @@ def _gauss_newton(residual, jacobian, y0, W, opts, callback=None):
         if rel_drop < 1e-15:
             # objective stagnated at the solver's floating-point floor
             converged = True
-            gnorm = float(np.linalg.norm(2.0 * W.apply_mat(jacobian(y)).T @ rw))
+            grad = qr.weighted(W, jacobian(y))[1] @ rw
+            gnorm = math.sqrt(grad @ grad)
             break
 
     report = GaussNewtonReport(iterations=iters, objective_history=history,
                                converged=converged, grad_norm=gnorm)
     return y, report
+
+
+def _lifted_once(lift):
+    """lift memoized on its last argument by identity: a Gauss-Newton
+    iterate's residual and Jacobian share one lift."""
+    last = [None, None]
+
+    def at(y):
+        if y is not last[0]:
+            last[:] = y, lift(y)
+        return last[1]
+    return at
 
 
 def compute_test_basis(model, sub, W, ctx, x, newton=None):
@@ -207,53 +275,57 @@ def compute_test_basis(model, sub, W, ctx, x, newton=None):
 
 
 def solve_lspg_step_lmm(model, sub, W, ctx, opts, yhat_warm=None,
-                        callback=None, newton=None, rows=None):
+                        callback=None, newton=None, rows=None, qr=None):
     """One LSPG linear-multistep step; ctx carries the lifted (full-space)
     history.  newton, a fom.NewtonMatrix, may carry the residual Jacobian
     times Phi from earlier steps; an explicit step's (beta_0 = 0) is
-    alpha_0 Phi, with no model Jacobian.  On a sample mesh, model, sub, W
-    and rows are what ``_sample_mesh`` returns, ctx carries the history on
-    the mesh and newton is a fom.NewtonMatrix(rows).  Returns
+    alpha_0 Phi, with no model Jacobian.  qr, a WeightedQR, may carry its
+    weighted form and QR factors.  On a sample mesh, model, sub, W and
+    rows are what ``_sample_mesh`` returns, ctx carries the history on the
+    mesh and newton is a fom.NewtonMatrix(rows).  Returns
     (yhat, GaussNewtonReport)."""
     if yhat_warm is None:
         yhat_warm = np.zeros(sub.p)
     phi = sub.basis
     newton = fom.NewtonMatrix() if newton is None else newton
     alpha, beta = ctx.scheme.coeffs(ctx.n)
+    state = _lifted_once(lambda y: reconstruct(sub, y))
 
     def residual(y):
-        return fom.lmm_residual(model, ctx, reconstruct(sub, y), rows)
+        return fom.lmm_residual(model, ctx, state(y), rows)
 
     def jacobian(y):
         if beta[0] == 0.0:
             return alpha[0] * (phi if rows is None else phi[rows])
-        return newton.times(*fom.lmm_jacobian_terms(
-            model, ctx, reconstruct(sub, y)), phi)
+        return newton.times(*fom.lmm_jacobian_terms(model, ctx, state(y)),
+                            phi)
 
     return _gauss_newton(residual, jacobian, yhat_warm, W, opts,
-                         callback=callback)
+                         callback=callback, qr=qr)
 
 
 def solve_lspg_rk_stage(model, sub, W, ctx, opts, yhat_warm, callback=None,
-                        newton=None, rows=None):
+                        newton=None, rows=None, qr=None):
     """One explicit/DIRK stage: minimizes fom's stage residual at the
     stage value Phi y, with ctx a fom.RkStageContext in full space, or on
     the sample mesh as in ``solve_lspg_step_lmm``.  newton, a
-    fom.NewtonMatrix, may carry the stage Jacobian times Phi from earlier
-    stages and steps."""
+    fom.NewtonMatrix, and qr, a WeightedQR, may carry the stage Jacobian
+    times Phi and its weighted QR from earlier stages and steps."""
     phi = sub.basis
     newton = fom.NewtonMatrix() if newton is None else newton
+    stage = _lifted_once(lambda y: phi @ y)
 
     def residual(y):
-        return fom.rk_residual(model, ctx, phi @ y, rows)
+        return fom.rk_residual(model, ctx, stage(y), rows)
 
     def jacobian(y):
         if ctx.c1 == 0.0:
             return phi if rows is None else phi[rows]
-        return newton.times(*fom.rk_jacobian_terms(model, ctx, phi @ y), phi)
+        return newton.times(*fom.rk_jacobian_terms(model, ctx, stage(y)),
+                            phi)
 
     return _gauss_newton(residual, jacobian, yhat_warm, W, opts,
-                         callback=callback)
+                         callback=callback, qr=qr)
 
 
 def solve_lspg_rk_coupled(model, sub, W, base_full, t_base, tableau, dt, opts,
@@ -325,14 +397,14 @@ def integrate_lspg(model, sub, W, scheme, dt, T,
     sampled = None if callback is not None or coupled \
         else _sample_mesh(model, sub, W)
     on_model, on_sub, on_W, rows = sampled or (model, sub, W, None)
-    newton = fom.NewtonMatrix(rows)
+    newton, qr = fom.NewtonMatrix(rows), WeightedQR()
 
     def step(n, ctx, prev):
         t_base = (n - 1) * dt
         if lmm:
             yhat, report = solve_lspg_step_lmm(on_model, on_sub, on_W, ctx,
                                                opts, prev, callback, newton,
-                                               rows)
+                                               rows, qr)
             reports.append(report)
             return yhat
         if coupled:
@@ -348,7 +420,7 @@ def integrate_lspg(model, sub, W, scheme, dt, T,
                                          stage_values)
             yi, report = solve_lspg_rk_stage(on_model, on_sub, on_W, stage,
                                              opts, warm, callback, newton,
-                                             rows)
+                                             rows, qr)
             coords.append(yi)
             stage_values.append(on_sub.basis @ yi)
             reports.append(report)

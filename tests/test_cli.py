@@ -8,6 +8,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy
 
 from morrow import analysis, benchmodels, bounds, cli, fom, hyperreduction, \
     pod
@@ -882,6 +883,106 @@ def test_parallel_sweep_fills_each_memo_entry_once(tmp_path, monkeypatch):
     assert sorted(map(float, foms())) == sorted(map(float, grid.split(",")))
     assert (out6 / "manifest.json").read_bytes() \
         == (out1 / "manifest.json").read_bytes()
+
+
+def blas_threads(*args):
+    """The thread counts of numpy's and scipy's OpenBLAS, in that order."""
+    return [get() for get, _ in cli._openblas_threads()]
+
+
+def test_forked_sweep_workers_pin_their_blas():
+    # the initializer sets both OpenBLAS builds to the sweep's count; the
+    # parent keeps its own
+    before = blas_threads()
+    assert len(before) == 2
+    with concurrent.futures.ProcessPoolExecutor(
+            2, mp_context=multiprocessing.get_context("fork"),
+            initializer=cli._start_sweep_worker,
+            initargs=(blas_threads, cli._openblas_threads(), [3, 3])) as pool:
+        seen = list(pool.map(cli._worker_sweep_point, range(2)))
+    assert seen == [[3, 3]] * 2
+    assert blas_threads() == before
+
+
+def test_every_sweep_point_runs_on_one_blas_thread_count(tmp_path,
+                                                         monkeypatch):
+    # OpenBLAS's sums depend on its thread count, so every K runs each
+    # point on cores // points threads, at most the process's own count;
+    # an in-process sweep gives the process its count back
+    before = blas_threads()
+    want = max(1, min(len(os.sched_getaffinity(0)) // 3, *before))
+    seen = counting_to_file(monkeypatch, cli, "_sweep_point",
+                            tmp_path / "threads.log",
+                            lambda *args: repr(blas_threads()))
+    cfg = write_config(tmp_path, BASE)
+    for k in ("1", "2"):
+        assert cli.main(["sweep", "--config", cfg, "--out",
+                         str(tmp_path / f"p{k}"), "--dt",
+                         "0.008,0.004,0.002", "--parallel", k]) == 0
+        assert blas_threads() == before
+    assert seen() == [repr([want, want])] * 6
+
+
+@pytest.fixture
+def two_blas_threads(monkeypatch):
+    """The process on two OpenBLAS threads and one core, so that a sweep's
+    points run on one thread, fewer than the process's own; the counts
+    are given back after the test."""
+    libs = cli._openblas_threads()
+    before = blas_threads()
+    cli._set_blas_threads(libs, [2] * len(libs))
+    try:
+        if not libs or blas_threads() != [2] * len(libs):
+            pytest.skip("the bundled OpenBLAS cannot run two threads here")
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        yield
+    finally:
+        cli._set_blas_threads(libs, before)
+
+
+@pytest.mark.parametrize("k", ["1", "2"])
+@pytest.mark.parametrize("stages, integrated", [
+    ("sweep,bounds",
+     ["0.004 [1, 1]", "0.004 [2, 2]", "0.008 [1, 1]", "0.016 [1, 1]"]),
+    ("fom,sweep,bounds", ["0.004 [2, 2]", "0.008 [1, 1]", "0.016 [1, 1]"])])
+def test_run_stages_after_a_sweep_write_what_they_write_alone(
+        tmp_path, monkeypatch, two_blas_threads, stages, integrated, k):
+    # the full-order runs a sweep makes on its one thread stay the sweep's:
+    # the bounds stage integrates its own on the process's two, as a
+    # standalone `bounds` does.  The sweep reuses what an earlier stage
+    # made; without one it writes what a standalone sweep writes
+    body = SIX_STAGES.replace("fom,pod,rom,sweep,bounds,spectral", stages)
+    cfg = write_config(tmp_path, body)
+    threads = counting_to_file(monkeypatch, fom, "integrate",
+                               tmp_path / "threads.log",
+                               lambda model, scheme, dt, *rest:
+                               f"{dt!r} {blas_threads()}")
+    assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "run"),
+                     "--parallel", k]) == 0
+    assert sorted(threads()) == integrated
+    assert cli.main(["bounds", "--config", cfg, "--out",
+                     str(tmp_path / "bounds")]) == 0
+    assert cli.main(["sweep", "--config", cfg, "--out",
+                     str(tmp_path / "sweep"), "--parallel", k]) == 0
+    alone = [("bound_report.csv", "bounds"), ("rom_trajectory.csv", "bounds")]
+    if stages == "sweep,bounds":
+        alone.append(("sweep_notime.csv", "sweep"))
+    for name, sub in alone:
+        assert (tmp_path / "run" / name).read_bytes() \
+            == (tmp_path / sub / name).read_bytes()
+    assert blas_threads() == [2, 2]
+
+
+def test_a_missing_openblas_library_or_symbol_is_left_out(tmp_path,
+                                                          monkeypatch):
+    monkeypatch.setattr(cli, "_OPENBLAS", (
+        (np, "libno_such_blas-*.so", "64_"),
+        (scipy, "libscipy_openblas-*.so", "_no_such_suffix")))
+    assert cli._openblas_threads() == []
+    # the sweep then leaves every BLAS at the count it has
+    assert cli.main(["sweep", "--config", write_config(tmp_path, BASE),
+                     "--out", str(tmp_path / "out"), "--dt",
+                     "0.008,0.004"]) == 0
 
 
 def test_sweep_forks_no_more_workers_than_points(tmp_path, monkeypatch):

@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from morrow import benchmodels, fom, galerkin, hyperreduction, lspg
+from morrow import benchmodels, fom, galerkin, hyperreduction, lspg, pod
 from morrow.core import SolverOptions, TrialSubspace, reconstruct
 from morrow.schemes import make_butcher, make_lmm
 
@@ -206,8 +206,8 @@ def test_explicit_lmm_matches_galerkin(tight_opts):
 
 def test_explicit_lmm_step_calls_no_model_jacobian():
     # forward Euler: the residual is affine in y with Jacobian alpha_0 Phi,
-    # so one Gauss-Newton step evaluates f at x^{n-1} once per residual
-    # call (the start and the accepted step) and J never
+    # so a Gauss-Newton step evaluates f at x^{n-1} once, though it takes
+    # two residuals (the start and the accepted step), and J never
     m = benchmodels.burgers1d(benchmodels.BenchmarkSpec(
         name="burgers", n=64, viscosity=0.05))
     sch, dt, T = make_lmm("forward_euler"), 1e-3, 0.05
@@ -221,9 +221,11 @@ def test_explicit_lmm_step_calls_no_model_jacobian():
         jacobians.append(t)
         return m.jacobian(x, t)
 
-    lspg.integrate_lspg(replace(logged, jacobian=jacobian), sub,
-                        lspg.scaled_identity(64), sch, dt, T)
-    assert len(velocities) == 100 and not jacobians
+    traj, _ = lspg.integrate_lspg(replace(logged, jacobian=jacobian), sub,
+                                  lspg.scaled_identity(64), sch, dt, T)
+    assert len(velocities) == 50 and not jacobians
+    lifted = [reconstruct(sub, y) for y in traj.states]
+    assert calls_at_base(velocities, lifted, dt) == [1] * 50
 
 
 def test_explicit_rk_matches_galerkin(tight_opts):
@@ -320,6 +322,126 @@ def test_refilled_jacobian_buffer_gives_fresh_products(tight_opts):
             tight_opts)[0].states, want)
 
 
+# ------------------------------------------------------ kept weighted QR
+
+def weighted_qr_of(jw):
+    """A WeightedQR holding jw as its weighted Jacobian (W = I)."""
+    qr = lspg.WeightedQR()
+    qr.weighted(lspg.scaled_identity(jw.shape[0]), jw)
+    return qr
+
+
+# the shapes Gauss-Newton factors: Burgers N = 1024 with W = I, GNAT's
+# q x p system, N = 512; and one wide enough for LAPACK's blocked QR
+@pytest.mark.parametrize("shape", [(1024, 4), (9, 4), (14, 6), (512, 3),
+                                   (512, 8), (300, 140)])
+@pytest.mark.parametrize("seed", range(3))
+def test_weighted_qr_is_numpys_bitwise(shape, seed):
+    # scipy's dgeqrf/dorgqr against numpy's: bitwise only where the two
+    # packages' LAPACK builds round alike, as their bundled OpenBLAS do
+    rng = np.random.default_rng(seed)
+    jw, rw = rng.standard_normal(shape), rng.standard_normal(shape[0])
+    q, r = weighted_qr_of(jw).factors()
+    want_q, want_r = np.linalg.qr(jw)
+    assert np.array_equal(q, want_q) and np.array_equal(np.triu(r), want_r)
+    # Q^T r takes numpy's BLAS path only for a C-ordered Q
+    assert q.flags.c_contiguous
+    assert np.array_equal(q.T @ rw, want_q.T @ rw)
+
+
+def test_weighted_qr_is_kept_per_product_object(monkeypatch):
+    rng = np.random.default_rng(0)
+    W = lspg.scaled_identity(12, 2.0)
+    product = rng.standard_normal((12, 3))
+    factored = counting(monkeypatch, lspg, "dgeqrf")
+    qr = lspg.WeightedQR()
+    pair = qr.weighted(W, product)
+    factors = qr.factors()
+    assert qr.weighted(W, product) is pair and qr.factors() is factors
+    assert np.array_equal(pair[0], W.apply_mat(product))
+    assert np.array_equal(pair[1], 2.0 * pair[0].T)
+    # an equal product that is another object, or another weighting, is
+    # weighted and factored afresh
+    assert qr.weighted(W, product.copy()) is not pair
+    qr.factors()
+    qr.weighted(lspg.scaled_identity(12, 2.0), product)
+    qr.factors()
+    assert len(factored) == 3
+
+
+def test_weighted_qr_rejects_a_system_that_is_not_finite():
+    jw = np.ones((5, 2))
+    jw[3, 1] = np.nan
+    with pytest.raises(lspg.GaussNewtonError, match="not finite"):
+        weighted_qr_of(jw).factors()
+
+
+def gradflow_ci_case():
+    """The SDIRK2 gradient flow of the CI's GNAT sweep at its first dt."""
+    model = benchmodels.gradient_flow_spd(benchmodels.BenchmarkSpec(
+        name="gradient_flow",
+        spectrum=(0.1, 0.2, 0.5, 1, 2, 5, 10, 20, 30, 40, 45, 50)))
+    scheme, dt, T = make_butcher("sdirk2"), 0.02, 0.2
+    x = fom.integrate(model, scheme, dt, T).states
+    sub = pod.trajectory_pod(x, 0.9999).basis
+    return model, sub, scheme, dt, T
+
+
+def test_constant_jacobian_is_factored_once_per_run(monkeypatch):
+    # GNAT's W = I training run and the GNAT run on the sample mesh
+    model, sub, scheme, dt, T = gradflow_ci_case()
+    factored = counting(monkeypatch, lspg, "dgeqrf")
+    stepped = []
+    solve = lspg._gauss_newton
+
+    def spy(*args, **kwargs):
+        y, report = solve(*args, **kwargs)
+        stepped.append(report.iterations)
+        return y, report
+
+    monkeypatch.setattr(lspg, "_gauss_newton", spy)
+    W, _ = hyperreduction.train_gnat(model, sub, scheme, dt, T,
+                                     SolverOptions(), 0.9999)
+    assert len(factored) == 1 and sum(stepped) > 1
+    _, reports = lspg.integrate_lspg(model, sub, W, scheme, dt, T)
+    assert lspg._sample_mesh(model, sub, W) is not None
+    assert len(factored) == 2 and sum(r.iterations for r in reports) > 1
+
+
+def test_burgers_factors_once_per_stepping_iteration(monkeypatch):
+    m = burgers_small(64)
+    sch, dt, T = make_lmm("backward_euler"), 2e-3, 0.04
+    x = fom.integrate(m, sch, dt, T).states
+    sub = pod.trajectory_pod(x, 0.9999).basis
+    factored = counting(monkeypatch, lspg, "dgeqrf")
+    applied = counting(monkeypatch, lspg.WeightingOperator, "apply_mat")
+    _, reports = lspg.integrate_lspg(m, sub, lspg.scaled_identity(64), sch,
+                                     dt, T)
+    iters = sum(r.iterations for r in reports)
+    assert iters > len(reports)
+    assert len(factored) == iters
+    # a step starts from the Jacobian product its predecessor's converged
+    # iterate weighted: one weighting per iterate, not per Jacobian call
+    assert len(applied) == iters + 1
+
+
+def test_kept_qr_is_dropped_when_the_product_changes(monkeypatch, request):
+    # BDF2 starts with one backward-Euler step: two Newton products, two
+    # QR factorizations, and the run bitwise one that factors every
+    # iterate afresh
+    model, scheme, dt, T = newton_case("gradflow-bdf2")
+    sub = random_subspace(model.dim, 3, seed=1,
+                          reference=model.initial_state)
+    W = lspg.scaled_identity(model.dim)
+    factored = counting(monkeypatch, lspg, "dgeqrf")
+    kept, reports = lspg.integrate_lspg(model, sub, W, scheme, dt, T)
+    assert len(factored) == 2
+    request.getfixturevalue("always_miss")
+    fresh, _ = lspg.integrate_lspg(model, sub, W, scheme, dt, T)
+    assert len(factored) == 2 + sum(r.iterations for r in reports)
+    assert np.array_equal(kept.states, fresh.states)
+
+
 # ------------------------------------------------ the shared stage residual
 
 def handed_to_callback(monkeypatch, run):
@@ -328,7 +450,7 @@ def handed_to_callback(monkeypatch, run):
     handed, iterates = [], []
     solve = lspg._gauss_newton
 
-    def spy(residual, jacobian, y0, W, opts, callback=None):
+    def spy(residual, jacobian, y0, W, opts, callback=None, **kwargs):
         last, at = {}, []
         iterates.append(at)
 
@@ -341,7 +463,7 @@ def handed_to_callback(monkeypatch, run):
             at.append(last["y"])
             callback(r)
 
-        return solve(remembered, jacobian, y0, W, opts, forward)
+        return solve(remembered, jacobian, y0, W, opts, forward, **kwargs)
 
     monkeypatch.setattr(lspg, "_gauss_newton", spy)
     traj, _ = run(lambda r: handed.append(r.copy()))
